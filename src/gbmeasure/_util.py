@@ -18,9 +18,14 @@ def normalized(v, tol=UNIT_TOL):
     return v / n
 
 
+def projective_distance(x, y):
+    """Distance between two unit vectors taken up to sign."""
+    return min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+
+
 def points_projectively_equal(x, y, tol=MATCH_TOL):
     """Whether two unit vectors agree up to sign within tol."""
-    return min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= tol
+    return projective_distance(x, y) <= tol
 
 
 def canonical_matrix(m):
@@ -53,8 +58,7 @@ def scaled_flat(m):
 
 
 def matrices_projectively_equal(a, b, tol=MATCH_TOL):
-    x, y = scaled_flat(a), scaled_flat(b)
-    return min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= tol
+    return points_projectively_equal(scaled_flat(a), scaled_flat(b), tol)
 
 
 def derive_seed(seed, *key):

@@ -190,7 +190,7 @@ def cmd_sgb(args, cfg):
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
     k = k_value(simplex, measure, cfg.mc)
-    residual = sgb_residual(simplex, measure, cfg.mc)
+    residual = sgb_residual(simplex, measure, cfg.mc, k=k)
     ok = abs(residual.value) <= max(cfg.tolerance, 4.0 * residual.std_error)
     payload = {"dim": simplex.dim, "k": _estimate_dict(k),
                "residual": _estimate_dict(residual), "passed": ok}

@@ -39,9 +39,6 @@ class UnitPoint:
     def dim(self):
         return len(self.coords) - 1
 
-    def antipode(self):
-        return UnitPoint(-self.coords)
-
     def __repr__(self):
         return "UnitPoint(%s)" % np.array2string(self.coords, precision=6)
 
@@ -154,15 +151,6 @@ class SphericalSimplex:
         """The normalized vertex sum; strictly inside every positive side."""
         return UnitPoint(self.vertices.sum(axis=0))
 
-    def face_vertex_indices(self, cut_set):
-        """Vertex indices of the face cut out by the planes in cut_set.
-
-        The face has dimension n - |cut_set| and consists of the vertices
-        whose index is not in the cut set.
-        """
-        cut = set(cut_set)
-        return tuple(i for i in range(self.dim + 1) if i not in cut)
-
     def region(self):
         """The open simplex interior as a Region (all n+1 positive sides)."""
         return face_region(self, range(self.dim + 1))
@@ -263,11 +251,6 @@ class ProjectiveMap:
     def compose(self, other):
         """The map acting as self after other."""
         return ProjectiveMap(self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        if isinstance(other, ProjectiveMap):
-            return self.compose(other)
-        return apply_map(self, other)
 
     def apply_to_vector(self, coords):
         return _unit(self.matrix @ np.asarray(coords, dtype=float))

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
-                     NotAGroup, OrbitOverflow, UnsupportedMeasure)
+                     NotAGroup, OrbitOverflow, SchemaError,
+                     UnsupportedMeasure)
 from .geom import Hyperplane, ProjectiveMap, Region, apply_map
 from ._util import (UNIT_TOL, MATCH_TOL, derive_seed, normalized,
-                    ordered_map)
+                    ordered_map, points_projectively_equal)
 
 ATOM_TOL = 1e-12
+Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
 _BLOCK = 1 << 17
 
 # spawn-key roles keeping derived seed streams disjoint
@@ -48,13 +50,18 @@ def derive_mc(mc, *key):
     return MCConfig(seed=derive_seed(mc.seed, *key), samples=mc.samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureEstimate:
     """A measure value with its statistical error.
 
     Exact evaluations have std_error 0 and samples 0.  Monte Carlo
     evaluations report the sample standard deviation of the indicator mean
     times total mass, divided by sqrt(samples).
+
+    Estimates form a small algebra: `a + b` and `a - b` combine values with
+    plain float arithmetic, errors in quadrature (the operands are treated
+    as independent) and add sample counts; `c * a` and `a / m` scale by a
+    number.  Exact operands give exact results.
     """
     value: float
     std_error: float = 0.0
@@ -67,6 +74,27 @@ class MeasureEstimate:
     def scaled(self, c):
         return MeasureEstimate(c * self.value, abs(c) * self.std_error,
                                self.samples)
+
+    __mul__ = __rmul__ = scaled
+
+    def __truediv__(self, m):
+        return MeasureEstimate(self.value / m, self.std_error / abs(m),
+                               self.samples)
+
+    def __add__(self, other):
+        return MeasureEstimate(self.value + other.value,
+                               math.hypot(self.std_error, other.std_error),
+                               self.samples + other.samples)
+
+    def __sub__(self, other):
+        return MeasureEstimate(self.value - other.value,
+                               math.hypot(self.std_error, other.std_error),
+                               self.samples + other.samples)
+
+    def is_zero(self, tol):
+        """|value| <= tol when exact, else within Z_LIMIT standard errors."""
+        bound = tol if self.exact else Z_LIMIT * self.std_error
+        return abs(self.value) <= bound
 
 
 def combine_estimates(terms):
@@ -437,8 +465,7 @@ class AtomicMeasure(MeasureSpec):
     def support_subspaces(self):
         reps = []
         for p in self._points:
-            if not any(min(np.linalg.norm(p - q[0]), np.linalg.norm(p + q[0]))
-                       <= MATCH_TOL for q in reps):
+            if not any(points_projectively_equal(p, q[0]) for q in reps):
                 reps.append(p.reshape(1, -1))
         return reps
 
@@ -837,8 +864,7 @@ def finite_orbit_measure(seed_point, generators, max_orbit):
         for p in frontier:
             for m in mats:
                 q = normalized(m @ p)
-                if not any(min(np.linalg.norm(q - r), np.linalg.norm(q + r))
-                           <= MATCH_TOL for r in points):
+                if not any(points_projectively_equal(q, r) for r in points):
                     points.append(q)
                     fresh.append(q)
                     if len(points) > max_orbit:
@@ -883,9 +909,9 @@ def check_invariance(measure, generators, trial_regions, mc=None,
                      exact_tol=1e-9):
     """Compare eval(R) against eval(gR) for every region and generator.
 
-    Exact measures must agree within exact_tol; Monte Carlo estimates
-    within 4 combined standard errors.  BoundaryAtom errors propagate with
-    the offending region index attached.
+    The difference must pass MeasureEstimate.is_zero: within exact_tol for
+    exact measures, 4 combined standard errors for Monte Carlo ones.
+    BoundaryAtom errors propagate with the offending region index attached.
     """
     entries = []
     gens = list(generators)
@@ -904,14 +930,11 @@ def check_invariance(measure, generators, trial_regions, mc=None,
             except BoundaryAtom as err:
                 err.face = ("region", ridx)
                 raise
-            disc = abs(base.value - other.value)
-            err = math.hypot(base.std_error, other.std_error)
-            if base.exact and other.exact:
-                ok = disc <= exact_tol
-            else:
-                ok = disc <= 4.0 * err
+            diff = base - other
             entries.append(InvarianceEntry(ridx, gidx, base.value,
-                                           other.value, err, disc, ok))
+                                           other.value, diff.std_error,
+                                           abs(diff.value),
+                                           diff.is_zero(exact_tol)))
     max_disc = max((e.discrepancy for e in entries), default=0.0)
     return InvarianceReport(tuple(entries), max_disc,
                             all(e.passed for e in entries))
@@ -919,6 +942,15 @@ def check_invariance(measure, generators, trial_regions, mc=None,
 
 # ---------------------------------------------------------------------------
 # JSON sub-format
+
+def _spec_objects(spec, key):
+    """spec[key], which must be a list of JSON objects."""
+    items = spec[key]
+    if isinstance(items, list) and all(isinstance(i, dict) for i in items):
+        return items
+    raise SchemaError("%s measure: %r must be a list of objects, got %r"
+                      % (spec["type"], key, items))
+
 
 def measure_from_spec(spec, dim):
     """Build a measure from its JSON description.
@@ -935,14 +967,15 @@ def measure_from_spec(spec, dim):
         return RoundMeasure(dim, monte_carlo=bool(spec.get("monte_carlo",
                                                            False)))
     if kind == "atomic":
-        atoms = [(a["point"], float(a["weight"])) for a in spec["atoms"]]
+        atoms = [(a["point"], float(a["weight"]))
+                 for a in _spec_objects(spec, "atoms")]
         return AtomicMeasure(atoms, dim=dim)
     if kind == "subsphere":
         return SubsphereUniform(np.asarray(spec["basis"], dtype=float),
                                 dim=dim)
     if kind == "mixture":
         comps = [(float(c["weight"]), measure_from_spec(c["measure"], dim))
-                 for c in spec["components"]]
+                 for c in _spec_objects(spec, "components")]
         return Mixture(comps)
     if kind == "restricted":
         base = measure_from_spec(spec["base"], dim)

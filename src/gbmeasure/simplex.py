@@ -66,35 +66,35 @@ def angles_by_cut_set(simplex, measure, mc=None, include_full=True):
     return {a.cut_set: a for a in values}
 
 
-def k_value(simplex, measure, mc=None, table=None):
+def k_value(simplex, measure, mc=None):
     """Signed sum of all face angles: sum over faces of (-1)^r * angle.
 
     A face of dimension r corresponds to a cut set of size n - r; all cut
     sets of size at most n contribute, including the simplex itself (empty
-    cut set, angle = half the total mass).  Exactly 0 in odd dimension and
-    the simplex mass in even dimension for antipodally invariant measures.
+    cut set, angle = half the total mass), so 2^(n+1) - 1 regions are
+    evaluated.  Exactly 0 in odd dimension and the simplex mass in even
+    dimension for antipodally invariant measures.
     """
     n = simplex.dim
-    if table is None:
-        table = angles_by_cut_set(simplex, measure, mc, include_full=False)
-    terms = []
-    for cut in cut_sets(n, n):
-        sign = -1.0 if (n - len(cut)) % 2 else 1.0
-        terms.append((sign, table[tuple(cut)].estimate))
-    return combine_estimates(terms)
+    table = angles_by_cut_set(simplex, measure, mc, include_full=False)
+    return combine_estimates([(-1.0 if (n - len(cut)) % 2 else 1.0,
+                               table[cut].estimate)
+                              for cut in cut_sets(n, n)])
 
 
-def sgb_residual(simplex, measure, mc=None):
+def sgb_residual(simplex, measure, mc=None, k=None):
     """Residual of the spherical angle-sum identity.
 
     2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
-    within statistical error for Monte Carlo ones.
+    within statistical error for Monte Carlo ones.  Pass the k_value of the
+    same (simplex, measure, mc) as k to evaluate only the full cut set, the
+    one region k leaves out; the seeds are the same either way.
     """
     n = simplex.dim
-    table = angles_by_cut_set(simplex, measure, mc, include_full=True)
-    k = k_value(simplex, measure, mc, table=table)
-    full = tuple(range(n + 1))
-    simplex_mass = table[full].estimate.scaled(2.0)  # un-halve the angle
+    if k is None:
+        k = k_value(simplex, measure, mc)
+    full = angle(simplex, range(n + 1), measure, mc)
+    simplex_mass = full.estimate.scaled(2.0)  # un-halve the angle
     even_factor = 1.0 + (-1.0) ** n
     return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])
 

@@ -19,7 +19,7 @@ The machinery evaluates, for an antipodally invariant measure:
   even dimension.
 """
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,7 +32,8 @@ from .geom import ProjectiveMap, apply_map, simplex_from_vertices
 from .measure import (FiniteOrbitMeasure, MeasureEstimate, combine_estimates,
                       derive_mc)
 from .simplex import angle, cut_sets
-from ._util import MATCH_TOL, matrices_projectively_equal, ordered_map
+from ._util import (MATCH_TOL, matrices_projectively_equal, ordered_map,
+                    points_projectively_equal, projective_distance)
 
 _ROLE_TOP = 20
 _SUPPORT_TOL = 1e-12
@@ -84,12 +85,6 @@ class GeometricTriangulation:
     def tops(self):
         return self.faces[self.dim]
 
-    def face_count(self, r):
-        return len(self.faces[r])
-
-    def incidence(self, top, cut):
-        return self._by_top_cut[(top, tuple(sorted(cut)))]
-
     def incidences_of_face(self, r, index):
         return tuple(self._by_face.get((r, index), ()))
 
@@ -126,6 +121,27 @@ def _as_int(value, what, diag):
         return None
 
 
+def _list_field(document, key, diag):
+    value = document.get(key, [])
+    if not isinstance(value, list):
+        diag.append("%s must be a list, got %r" % (key, value))
+        return []
+    return value
+
+
+def _square_matrix(value, n, what, diag):
+    """value as an (n+1)x(n+1) float array, or None with a diagnostic."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape != (n + 1, n + 1):
+        diag.append("%s must be a %dx%d matrix of numbers"
+                    % (what, n + 1, n + 1))
+        return None
+    return m
+
+
 def load(document):
     """Validate a manifold document (parsed JSON) into a triangulation.
 
@@ -156,8 +172,8 @@ def load(document):
     faces = []
     for r in range(n + 1):
         key = str(r)
-        if key not in faces_doc:
-            diag.append("faces[%r] missing" % key)
+        if not isinstance(faces_doc.get(key), list):
+            diag.append("faces[%r] must be a list of vertex tuples" % key)
             faces.append(())
             continue
         level = []
@@ -183,13 +199,17 @@ def load(document):
     if diag:
         raise SchemaError(diag)
 
-    dev_doc = document["developed"]
+    dev_doc = _list_field(document, "developed", diag)
+    rows_of = [_square_matrix(rows, n, "developed[%d]" % t, diag)
+               for t, rows in enumerate(dev_doc)]
+    if diag:
+        raise SchemaError(diag)
     if len(dev_doc) != len(faces[n]):
         raise SchemaError("developed has %d entries for %d top simplices"
                           % (len(dev_doc), len(faces[n])))
     developed = []
     bad = []
-    for t, rows in enumerate(dev_doc):
+    for t, rows in enumerate(rows_of):
         try:
             developed.append(simplex_from_vertices(rows))
         except (DegenerateSimplex, ZeroVector) as err:
@@ -201,34 +221,36 @@ def load(document):
     if inc_diag:
         raise SchemaError(inc_diag)
 
-    counts = {}
-    for rec in incidences:
-        if rec.dim == n - 1:
-            counts[rec.face] = counts.get(rec.face, 0) + 1
-    bad = []
-    for idx in range(len(faces[n - 1])):
-        c = counts.get(idx, 0)
-        if c != 2:
-            bad.append("codim-1 face %d %s belongs to %d top simplices, "
-                       "expected 2" % (idx, faces[n - 1][idx], c))
+    counts = Counter((rec.dim, rec.face) for rec in incidences)
+    bad = ["face %d %s of dim %d lies in no top simplex" % (idx, tup, r)
+           for r in range(n - 1) for idx, tup in enumerate(faces[r])
+           if not counts[(r, idx)]]
+    bad += ["codim-1 face %d %s belongs to %d top simplices, expected 2"
+            % (idx, tup, counts[(n - 1, idx)])
+            for idx, tup in enumerate(faces[n - 1])
+            if counts[(n - 1, idx)] != 2]
     if bad:
         raise NotAManifold(bad)
 
-    holonomy = tuple(ProjectiveMap(np.asarray(m, dtype=float))
-                     for m in document.get("holonomy_generators", []))
+    holonomy = []
+    for gidx, m in enumerate(_list_field(document, "holonomy_generators",
+                                         diag)):
+        m = _square_matrix(m, n, "holonomy generator %d" % gidx, diag)
+        if m is not None:
+            holonomy.append(ProjectiveMap(m))
 
     pairings = []
     bad = []
-    for pidx, p in enumerate(document.get("pairings", [])):
+    for pidx, p in enumerate(_list_field(document, "pairings", diag)):
         try:
-            pairing = Pairing(int(p["face"]), int(p["simplex_a"]),
-                              int(p["simplex_b"]),
-                              ProjectiveMap(np.asarray(p["matrix"],
-                                                       dtype=float)))
+            ids = (int(p["face"]), int(p["simplex_a"]), int(p["simplex_b"]))
+            m = _square_matrix(p["matrix"], n, "pairing %d matrix" % pidx,
+                               diag)
         except (KeyError, TypeError, ValueError) as err:
             diag.append("pairing %d is malformed: %s" % (pidx, err))
             continue
-        pairings.append(pairing)
+        if m is not None:
+            pairings.append(Pairing(*ids, ProjectiveMap(m)))
     if diag:
         raise SchemaError(diag)
     tri = GeometricTriangulation(n, n_vertices, tuple(faces),
@@ -301,13 +323,10 @@ def _pairing_error(tri, pairing):
     for slot in range(n):
         va = dev_a[recs[pairing.simplex_a].positions[slot]]
         vb = dev_b[recs[pairing.simplex_b].positions[slot]]
-        image = pairing.map.apply_to_vector(va)
-        if min(np.linalg.norm(image - vb),
-               np.linalg.norm(image + vb)) > MATCH_TOL:
+        gap = projective_distance(pairing.map.apply_to_vector(va), vb)
+        if gap > MATCH_TOL:
             return ("vertex slot %d of face %d maps %g away from its mate"
-                    % (slot, pairing.face,
-                       min(np.linalg.norm(image - vb),
-                           np.linalg.norm(image + vb))))
+                    % (slot, pairing.face, gap))
     return None
 
 
@@ -322,7 +341,9 @@ def euler_combinatorial(tri):
 def defect_sums(face_lists, incidences, angle_of, one=1.0):
     """Link sums, vertex defects and per-top alternating sums, generically.
 
-    angle_of(top, cut) may return floats or exact Fractions; the returned
+    angle_of(top, cut) may return floats, exact Fractions or
+    MeasureEstimates; one is the unit of the same kind.  Values are added
+    left to right in incidence, cut-set and face order.  The returned
     residual sum(d) + sum(k) - chi is an algebraic identity in the table
     and vanishes exactly in exact arithmetic for ANY table values, provided
     every (top, cut) pair is assigned to exactly one face of the matching
@@ -333,24 +354,24 @@ def defect_sums(face_lists, incidences, angle_of, one=1.0):
     link = {(r, i): zero
             for r in range(n + 1) for i in range(len(face_lists[r]))}
     for rec in incidences:
-        link[(rec.dim, rec.face)] = (link[(rec.dim, rec.face)]
-                                     + angle_of(rec.top, rec.cut))
+        key = (rec.dim, rec.face)
+        link[key] = link[key] + angle_of(rec.top, rec.cut)
     k = []
     for t in range(len(face_lists[n])):
         acc = zero
         for cut in cut_sets(n, n):
-            sign = 1 if (n - len(cut)) % 2 == 0 else -1
-            acc = acc + sign * angle_of(t, tuple(cut))
+            term = angle_of(t, cut)
+            acc = acc + term if (n - len(cut)) % 2 == 0 else acc - term
         k.append(acc)
     defects = {tup[0]: zero for tup in face_lists[0]}
     for r in range(n + 1):
-        sign = 1 if r % 2 == 0 else -1
         for i, tup in enumerate(face_lists[r]):
-            gap = one - link[(r, i)]
+            share = (one - link[(r, i)]) / (r + 1)
             for v in tup:
-                defects[v] = defects[v] + sign * gap / (r + 1)
+                defects[v] = (defects[v] + share if r % 2 == 0
+                              else defects[v] - share)
     chi = sum((-1) ** r * len(face_lists[r]) for r in range(n + 1))
-    residual = sum(defects.values(), zero) + sum(k, zero) - chi
+    residual = sum(defects.values(), zero) + sum(k, zero) - chi * one
     return link, defects, k, chi, residual
 
 
@@ -370,6 +391,14 @@ class AngleTable:
         """[(incidence, estimate)] over every (face, top) incidence."""
         return [(rec, self.per_cut[(rec.top, rec.cut)])
                 for rec in self.triangulation.incidences]
+
+    def induced_mass(self):
+        """mu(M): the developed interior masses (twice the full-cut angles)
+        summed over tops, with the value exactly rounded."""
+        tri = self.triangulation
+        full = tuple(range(tri.dim + 1))
+        return combine_estimates([(2.0, self.per_cut[(t, full)])
+                                  for t in range(len(tri.tops))])
 
 
 def angle_table(tri, measure, mc=None):
@@ -407,8 +436,7 @@ def _name_boundary_face(tri, top, err):
         return
     dev = tri.developed[top]
     for i, plane in enumerate(dev.planes):
-        if min(np.linalg.norm(plane.normal - err.normal),
-               np.linalg.norm(plane.normal + err.normal)) <= MATCH_TOL:
+        if points_projectively_equal(plane.normal, err.normal):
             rec = tri._by_top_cut.get((top, (i,)))
             if rec is not None:
                 err.face = (tri.dim - 1, rec.face)
@@ -482,103 +510,53 @@ class GBReport:
 
     @property
     def passed(self):
-        checks = [self.rearrangement.passed, self.link_verdict.passed,
-                  self.transversality.passed]
-        if self.chi_equals_mu is not None:
-            checks.append(self.chi_equals_mu.passed)
-        if self.k_vanishing is not None:
-            checks.append(self.k_vanishing.passed)
-        return all(checks)
-
-
-def _within(err_budget, exact, value, tol):
-    if exact:
-        return abs(value) <= tol
-    return abs(value) <= 4.0 * err_budget
+        verdicts = (self.rearrangement, self.link_verdict, self.transversality,
+                    self.chi_equals_mu, self.k_vanishing)
+        return all(v.passed for v in verdicts if v is not None)
 
 
 def gb_report(tri, measure, mc=None, tol=1e-9):
     """Full report: angle table, defects, induced mass and all verdicts.
 
-    The rearrangement residual must vanish (to float accumulation) for any
+    One defect_sums pass over the angle table gives the link sums, vertex
+    defects, per-simplex sums k and the residual as MeasureEstimates.  The
+    rearrangement residual must vanish (to float accumulation) for any
     measure whatsoever; link sums = 1 and chi = mu need invariance plus
-    measure-zero chart boundaries, checked at tol for exact measures and
-    4 standard errors for Monte Carlo.
+    measure-zero chart boundaries, checked by MeasureEstimate.is_zero: at
+    tol for exact measures and 4 standard errors for Monte Carlo.
     """
     n = tri.dim
     table = angle_table(tri, measure, mc)
-
-    link = {}
-    for rec in tri.incidences:
-        key = (rec.dim, rec.face)
-        link.setdefault(key, []).append((1.0, table.per_cut[(rec.top,
-                                                             rec.cut)]))
-    link_sums = {key: combine_estimates(terms)
-                 for key, terms in link.items()}
-
-    simplex_sums = []
-    for t in range(len(tri.tops)):
-        terms = []
-        for cut in cut_sets(n, n):
-            sign = 1.0 if (n - len(cut)) % 2 == 0 else -1.0
-            terms.append((sign, table.per_cut[(t, tuple(cut))]))
-        simplex_sums.append(combine_estimates(terms))
-
-    defects = {tup[0]: [] for tup in tri.faces[0]}
     one = MeasureEstimate(1.0)
-    for r in range(n + 1):
-        sign = 1.0 if r % 2 == 0 else -1.0
-        for i, tup in enumerate(tri.faces[r]):
-            s_est = link_sums[(r, i)]
-            gap = combine_estimates([(1.0, one), (-1.0, s_est)])
-            for v in tup:
-                defects[v].append((sign / (r + 1), gap))
-    vertex_defects = {v: combine_estimates(terms)
-                      for v, terms in defects.items()}
+    zero = one - one
+    link_sums, vertex_defects, simplex_sums, chi, residual = defect_sums(
+        tri.faces, tri.incidences, lambda t, cut: table.per_cut[(t, cut)],
+        one=one)
+    mu_total = table.induced_mass()
 
-    chi = euler_combinatorial(tri)
-    _, _, _, _, residual = defect_sums(
-        tri.faces, tri.incidences,
-        lambda t, cut: table.per_cut[(t, cut)].value)
-    sum_defects = combine_estimates([(1.0, e)
-                                     for e in vertex_defects.values()])
-    sum_simplex = combine_estimates([(1.0, e) for e in simplex_sums])
+    rearr = Verdict(abs(residual.value) <= tol, abs(residual.value),
+                    "sum(d) + sum(k) - chi = %.3g" % residual.value)
 
-    mu_total = combine_estimates(
-        [(2.0, table.per_cut[(t, tuple(range(n + 1)))])
-         for t in range(len(tri.tops))])
-
-    rearr = Verdict(abs(residual) <= tol, abs(residual),
-                    "sum(d) + sum(k) - chi = %.3g" % residual)
-
-    worst_link, link_ok = 0.0, True
-    for (r, i), est in link_sums.items():
-        if r == n:
-            continue
-        gap = est.value - 1.0
-        worst_link = max(worst_link, abs(gap))
-        if not _within(est.std_error, est.exact, gap, tol):
-            link_ok = False
-    link_verdict = Verdict(link_ok, worst_link,
+    link_gaps = [est - one for (r, _), est in link_sums.items() if r < n]
+    worst_link = max((abs(g.value) for g in link_gaps), default=0.0)
+    link_verdict = Verdict(all(g.is_zero(tol) for g in link_gaps), worst_link,
                            "worst |S(face) - 1| = %.3g" % worst_link)
 
     odd = n % 2 == 1
-    main_res = None
-    main_verdict = None
-    k_verdict = None
+    main_res = main_verdict = k_verdict = None
     if odd:
         worst_k = max((abs(e.value) for e in simplex_sums), default=0.0)
-        ok = all(_within(e.std_error, e.exact, e.value, tol)
-                 for e in simplex_sums)
-        k_verdict = Verdict(ok, worst_k, "worst |k| = %.3g" % worst_k)
+        k_verdict = Verdict(all(e.is_zero(tol) for e in simplex_sums),
+                            worst_k, "worst |k| = %.3g" % worst_k)
     else:
-        main_res = chi - mu_total.value
-        main_verdict = Verdict(
-            _within(mu_total.std_error, mu_total.exact, main_res, tol),
-            abs(main_res), "chi - mu = %.3g" % main_res)
+        gap = chi * one - mu_total
+        main_res = gap.value
+        main_verdict = Verdict(gap.is_zero(tol), abs(main_res),
+                               "chi - mu = %.3g" % main_res)
 
     return GBReport(chi, link_sums, vertex_defects, tuple(simplex_sums),
-                    sum_defects, sum_simplex, mu_total, residual, rearr,
+                    sum(vertex_defects.values(), zero),
+                    sum(simplex_sums, zero), mu_total, residual.value, rearr,
                     link_verdict, main_res, main_verdict, odd, k_verdict,
                     transversality_check(tri, measure))
 
@@ -609,14 +587,10 @@ def chart_independence(tri, measure, mc=None, tol=1e-9):
             sub = derive_mc(mc, _ROLE_TOP, t)
             ests.append(angle(tri.developed[t], rec.cut, measure,
                               sub).estimate)
-        disc = abs(ests[0].value - ests[1].value)
-        if ests[0].exact and ests[1].exact:
-            ok = disc <= tol
-        else:
-            ok = disc <= 4.0 * math.hypot(ests[0].std_error,
-                                          ests[1].std_error)
+        diff = ests[0] - ests[1]
         entries.append(PairingAngleEntry(pidx, pairing.face, ests[0].value,
-                                         ests[1].value, disc, ok))
+                                         ests[1].value, abs(diff.value),
+                                         diff.is_zero(tol)))
     return entries
 
 
@@ -687,8 +661,7 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
         atoms_covered = round(cov.value * len(pts) / 2.0)
         covered_positive = atoms_covered > 0
 
-    certified_positive = (mass.exact and mass.value > 1e-12) or (
-        not mass.exact and mass.value - 4.0 * mass.std_error > 0.0)
+    certified_positive = mass.value > 0.0 and not mass.is_zero(1e-12)
 
     if chi == 0:
         if certified_positive or covered_positive:
@@ -720,8 +693,7 @@ def _require_invariant(points, generators):
     for g in generators:
         for p in points:
             q = g.apply_to_vector(p)
-            if not any(min(np.linalg.norm(q - r), np.linalg.norm(q + r))
-                       <= MATCH_TOL for r in points):
+            if not any(points_projectively_equal(q, r) for r in points):
                 raise ValueError(
                     "supplied point set is not invariant under the holonomy "
                     "generators")

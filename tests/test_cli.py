@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from gbmeasure import cli, errors
 from gbmeasure.cli import main
+from gbmeasure.documents import builtin_document
 
 
 def run(capsys, *argv):
@@ -53,6 +57,27 @@ def test_sgb_random_simplex(capsys):
                     "--random-simplex", "--dim", "2")
     assert code == 0
     assert "residual" in out
+
+
+def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
+    evaluated = []
+    build = cli.measure_from_spec
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+            self.dim = inner.dim
+
+        def eval(self, region, mc=None):
+            evaluated.append(region)
+            return self.inner.eval(region, mc)
+
+    monkeypatch.setattr(cli, "measure_from_spec",
+                        lambda spec, dim: Counting(build(spec, dim)))
+    code, _ = run(capsys, "--samples", "2000", "sgb", "--random-simplex",
+                  "--dim", "4")
+    assert code == 0
+    assert len(evaluated) == 2 ** 5
 
 
 def test_sgb_exact_octant(capsys):
@@ -119,3 +144,32 @@ def test_missing_document_is_structured_error(capsys):
     code, out = run(capsys, "check", "/no/such/file.json")
     assert code == 2
     assert "ERROR" in out
+
+
+@pytest.mark.parametrize("path, value", [
+    (("developed",), 5),
+    (("faces", "1"), 7),
+    (("holonomy_generators",), [[[1.0, 0.0], [0.0, 1.0]]]),
+    (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1,
+                      "matrix": [[1.0, 0.0], [0.0, 1.0]]}]),
+], ids=["developed-int", "face-level-int", "holonomy-2x2", "pairing-2x2"])
+def test_malformed_document_is_schema_error(tmp_path, capsys, path, value):
+    document = builtin_document("s2-octahedron")
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(document))
+    code, out = run(capsys, "--format", "json", "check", str(doc_path))
+    assert code == 2
+    assert issubclass(getattr(errors, json.loads(out)["error"]),
+                      errors.SchemaError)
+
+
+def test_malformed_mixture_is_schema_error(capsys):
+    spec = json.dumps({"type": "mixture", "components": 3})
+    code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
+                    "--measure", spec)
+    assert code == 2
+    assert json.loads(out)["error"] == "SchemaError"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
-                       FiniteOrbitMeasure, Hyperplane, MCConfig, Mixture,
+                       FiniteOrbitMeasure, Hyperplane, MCConfig,
+                       MeasureEstimate, Mixture,
                        NotAGroup, NonAtomicBase, OrbitOverflow, ProjectiveMap,
                        Region, RestrictedNormalized, RoundMeasure,
                        SubsphereUniform, UnsupportedMeasure,
@@ -331,6 +332,36 @@ class TestFiniteOrbit:
     def test_irrational_rotation_overflows(self):
         with pytest.raises(OrbitOverflow):
             finite_orbit_measure([1.0, 0, 0], [rotation_z(1.0)], 100)
+
+
+class TestEstimateAlgebra:
+    def test_exact_plus_minus_exact_stays_exact(self):
+        a, b = MeasureEstimate(0.75), MeasureEstimate(0.5)
+        for est, value in ((a + b, 1.25), (a - b, 0.25)):
+            assert est == MeasureEstimate(value)
+            assert est.exact
+
+    def test_errors_add_by_hypot_and_samples_add(self):
+        a = MeasureEstimate(1.0, 0.3, 100)
+        b = MeasureEstimate(2.0, 0.4, 50)
+        for est, value in ((a + b, 3.0), (a - b, -1.0)):
+            assert est.value == value
+            assert est.std_error == math.hypot(0.3, 0.4)
+            assert est.samples == 150
+        assert (a + MeasureEstimate(0.5)).std_error == 0.3
+
+    def test_scalar_multiple_and_integer_division(self):
+        a = MeasureEstimate(1.5, 0.2, 40)
+        assert -2 * a == a * -2 == MeasureEstimate(-3.0, 0.4, 40)
+        assert a / 3 == MeasureEstimate(0.5, 0.2 / 3, 40)
+
+    def test_is_zero_uses_tol_when_exact_and_four_sigma_otherwise(self):
+        assert MeasureEstimate(1e-10).is_zero(1e-9)
+        assert not MeasureEstimate(1e-8).is_zero(1e-9)
+        assert MeasureEstimate(0.039, 0.01, 1000).is_zero(1e-9)
+        assert not MeasureEstimate(0.041, 0.01, 1000).is_zero(1e-9)
+        # a Monte Carlo zero with no spread must be exactly zero
+        assert not MeasureEstimate(1e-12, 0.0, 1000).is_zero(1e-9)
 
 
 class TestInvarianceChecks:

@@ -9,7 +9,7 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        RoundMeasure, SchemaError, chart_independence, defect_sums, dichotomy_check,
                        euler_combinatorial, gb_report, load,
                        transversality_check)
-from gbmeasure.documents import builtin_document
+from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 from gbmeasure.triangulation import Incidence, angle_table
 
 
@@ -45,6 +45,13 @@ class TestLoad:
         doc["developed"] = doc["developed"] + [doc["developed"][0]]
         doc.pop("pairings")
         with pytest.raises(NotAManifold):
+            load(doc)
+
+    def test_face_in_no_top_simplex(self):
+        doc = builtin_document("s2-octahedron")
+        doc["vertices"] += 1
+        doc["faces"]["0"].append([doc["vertices"] - 1])
+        with pytest.raises(NotAManifold, match="lies in no top simplex"):
             load(doc)
 
     def test_degenerate_development(self):
@@ -98,6 +105,29 @@ class TestRearrangement:
         tri = load(builtin_document("t2-grid", k=3))
         rep = gb_report(tri, tri.default_measure())
         assert abs(rep.rearrangement_residual) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DOCUMENTS))
+    def test_report_matches_float_defect_sums(self, name):
+        tri = load(builtin_document(name))
+        mc = MCConfig(seed=4, samples=2000)
+        for measure in (tri.default_measure(),
+                        RoundMeasure(tri.dim, monte_carlo=True)):
+            rep = gb_report(tri, measure, mc)
+            table = angle_table(tri, measure, mc)
+            link, defects, k, chi, residual = defect_sums(
+                tri.faces, tri.incidences,
+                lambda t, c: table.per_cut[(t, c)].value)
+            assert rep.chi_comb == chi
+            assert rep.link_sums.keys() == link.keys()
+            assert all(abs(rep.link_sums[key].value - value) <= 1e-12
+                       for key, value in link.items())
+            assert rep.vertex_defects.keys() == defects.keys()
+            assert all(abs(rep.vertex_defects[v].value - value) <= 1e-12
+                       for v, value in defects.items())
+            assert len(rep.simplex_sums) == len(k)
+            assert all(abs(est.value - value) <= 1e-12
+                       for est, value in zip(rep.simplex_sums, k))
+            assert abs(rep.rearrangement_residual - residual) <= 1e-12
 
 
 class TestAngleTable:
