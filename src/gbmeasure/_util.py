@@ -1,6 +1,7 @@
 """Small numeric helpers shared by the geometry and measure modules."""
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -77,15 +78,25 @@ def thread_count():
         return 1
 
 
+_worker = threading.local()
+
+
 def ordered_map(fn, items):
     """Map fn over items, optionally on GBM_THREADS workers.
 
     Results are combined in input order, so the output is identical to the
-    sequential map whatever the interleaving.
+    sequential map whatever the interleaving.  A call made from inside a
+    worker runs sequentially, so GBM_THREADS=N never starts more than N
+    threads.
     """
     items = list(items)
     workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
         return [fn(it) for it in items]
+
+    def run(item):
+        _worker.active = True
+        return fn(item)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(run, items))

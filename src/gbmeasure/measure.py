@@ -3,17 +3,21 @@
 Every measure here is antipodally invariant with total mass 2, so it is the
 spherical lift of a probability measure on projective space.  Evaluation
 returns a MeasureEstimate: exact values carry std_error 0 and samples 0,
-Monte Carlo values carry the estimated standard error of the mean and the
-sample count.
+Monte Carlo values carry the estimated standard error of the mean, the
+sample count and the sample histogram they were read from.
 
-Monte Carlo evaluation draws normalized standard Gaussian vectors in fixed
-blocks with per-block derived seeds, so a result is a pure function of
-(seed, samples) no matter how blocks are scheduled across threads.
+Monte Carlo evaluation draws standard Gaussian vectors (unnormalized: only
+signs are tested) in fixed blocks with per-block derived seeds, and bins
+each sample's sign code against the region's planes into a SignHistogram,
+so a result is a pure function of (seed, samples) no matter how blocks are
+scheduled across threads.  The mass of every sub-region cut out by a subset
+of those planes is a superset sum over the same histogram, and estimates
+read from one histogram carry their shared samples into the error bar.
 """
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from ._util import (UNIT_TOL, MATCH_TOL, derive_seed, normalized,
 ATOM_TOL = 1e-12
 Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
 _BLOCK = 1 << 17
+_CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
 
 # spawn-key roles keeping derived seed streams disjoint
 _ROLE_BLOCK = 0
@@ -54,42 +59,60 @@ def derive_mc(mc, *key):
 class MeasureEstimate:
     """A measure value with its statistical error.
 
-    Exact evaluations have std_error 0 and samples 0.  Monte Carlo
-    evaluations report the sample standard deviation of the indicator mean
-    times total mass, divided by sqrt(samples).
+    Exact evaluations have std_error 0, samples 0 and no parts.  A Monte
+    Carlo estimate is offset plus the mean of a per-sample function: parts
+    pairs every sample source it reads (a SignHistogram, shared by all
+    estimates read from it) with the function's per-code coefficients,
+    offset is the exact constant no source carries, std_error is the
+    standard error of that mean and samples counts each source once.  An
+    estimate given only by value and error gets a source of its own.
 
-    Estimates form a small algebra: `a + b` and `a - b` combine values with
-    plain float arithmetic, errors in quadrature (the operands are treated
-    as independent) and add sample counts; `c * a` and `a / m` scale by a
+    Estimates form a small algebra: `a + b` and `a - b` add coefficients
+    over shared sources.  When the operands share no source, values add
+    with plain float arithmetic and errors in quadrature; when they do,
+    value and error are recomputed from the merged coefficients, so a
+    per-sample identity (an alternating sum of the angles read from one
+    histogram, say) comes out exactly.  `c * a` and `a / m` scale by a
     number.  Exact operands give exact results.
     """
     value: float
     std_error: float = 0.0
     samples: int = 0
+    parts: tuple = field(default=(), compare=False, repr=False)
+    offset: float = field(default=0.0, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.parts:
+            return
+        if self.exact:
+            object.__setattr__(self, "offset", self.value)
+        else:
+            object.__setattr__(self, "parts", ((_Unshared(self), 1.0),))
 
     @property
     def exact(self):
         return self.samples == 0 and self.std_error == 0.0
 
     def scaled(self, c):
+        parts = tuple((src, c * coef) for src, coef in self.parts)
         return MeasureEstimate(c * self.value, abs(c) * self.std_error,
-                               self.samples)
+                               self.samples, parts, c * self.offset)
 
     __mul__ = __rmul__ = scaled
 
     def __truediv__(self, m):
+        parts = tuple((src, coef / m) for src, coef in self.parts)
         return MeasureEstimate(self.value / m, self.std_error / abs(m),
-                               self.samples)
+                               self.samples, parts, self.offset / m)
 
     def __add__(self, other):
-        return MeasureEstimate(self.value + other.value,
-                               math.hypot(self.std_error, other.std_error),
-                               self.samples + other.samples)
+        return _combined(self.value + other.value, ((1.0, self), (1.0, other)),
+                         math.hypot(self.std_error, other.std_error))
 
     def __sub__(self, other):
-        return MeasureEstimate(self.value - other.value,
-                               math.hypot(self.std_error, other.std_error),
-                               self.samples + other.samples)
+        return _combined(self.value - other.value,
+                         ((1.0, self), (-1.0, other)),
+                         math.hypot(self.std_error, other.std_error))
 
     def is_zero(self, tol):
         """|value| <= tol when exact, else within Z_LIMIT standard errors."""
@@ -97,16 +120,118 @@ class MeasureEstimate:
         return abs(self.value) <= bound
 
 
-def combine_estimates(terms):
-    """Linear combination sum(c * est); errors combined in quadrature.
+class SignHistogram:
+    """Monte Carlo sample counts per code.
 
-    Per-term estimates are treated as independent, which holds when the
-    caller derives distinct seeds per region.
+    Against a region, bit j of a sample's code is set when the sample lies
+    on the positive side of plane j, so the mass where all planes of a mask
+    are positive is a superset sum of the counts.  A union of regions (and
+    a region of more than _CODE_BITS planes) uses the one-bit code
+    "inside".
     """
+
+    __slots__ = ("counts", "samples", "bits")
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.samples = int(counts.sum())
+        self.bits = len(counts).bit_length() - 1
+
+    def mass(self, mask):
+        """Estimate of twice the share of samples with every bit of mask."""
+        inside = (np.arange(len(self.counts)) & mask) == mask
+        n = self.samples
+        p = int(self.counts[inside].sum()) / n
+        sd = math.sqrt(p * (1.0 - p) * n / (n - 1)) if n > 1 else 0.0
+        return MeasureEstimate(2.0 * p, 2.0 * sd / math.sqrt(n), n,
+                               ((self, 2.0 * inside),))
+
+    def mean(self, coef):
+        """Sample mean of coef[code]."""
+        return float(self.counts @ coef) / self.samples
+
+    def variance(self, coef):
+        """Squared standard error of the sample mean of coef[code]."""
+        n = self.samples
+        if n <= 1:
+            return 0.0
+        return (float(self.counts @ (coef - self.mean(coef)) ** 2)
+                / ((n - 1) * n))
+
+
+class _Unshared:
+    """The samples of an estimate known only by its value and error."""
+
+    __slots__ = ("value", "std_error", "samples")
+
+    def __init__(self, est):
+        self.value = est.value
+        self.std_error = est.std_error
+        self.samples = est.samples
+
+    def mean(self, coef):
+        return coef * self.value
+
+    def variance(self, coef):
+        return (coef * self.std_error) ** 2
+
+
+def region_histogram(est):
+    """The SignHistogram est reads as the mass of its whole region, or None.
+
+    A Monte Carlo region mass of the round or subsphere measure is such a
+    reading; sums, mixtures of sampled components, ratios and exact values
+    are not.
+    """
+    if len(est.parts) != 1:
+        return None
+    src, coef = est.parts[0]
+    if not isinstance(src, SignHistogram):
+        return None
+    full = np.arange(len(coef)) == len(coef) - 1
+    return src if np.array_equal(coef, 2.0 * full) else None
+
+
+def _combined(value, terms, independent_error):
+    """The estimate sum(c * est) over (c, est) terms.
+
+    value and independent_error are its value and standard error when the
+    terms share no source.
+    """
+    merged = {}
+    shared = False
+    offset = 0.0
+    for c, est in terms:
+        offset += c * est.offset
+        for src, coef in est.parts:
+            if c != 1.0:
+                coef = c * coef
+            if src in merged:
+                shared = True
+                coef = merged[src] + coef
+            merged[src] = coef
+    if not merged:
+        return MeasureEstimate(value, independent_error)
+    err = independent_error
+    if shared:
+        value = offset + math.fsum(src.mean(coef)
+                                   for src, coef in merged.items())
+        err = math.sqrt(math.fsum(src.variance(coef)
+                                  for src, coef in merged.items()))
+    return MeasureEstimate(value, err, sum(src.samples for src in merged),
+                           tuple(merged.items()), offset)
+
+
+def combine_estimates(terms):
+    """Linear combination sum(c * est), value summed with exact rounding.
+
+    The error adds in quadrature over terms that share no source (the
+    seeds of distinct regions are derived apart) and is exact otherwise.
+    """
+    terms = list(terms)
     value = math.fsum(c * e.value for c, e in terms)
     err = math.sqrt(math.fsum((c * e.std_error) ** 2 for c, e in terms))
-    samples = sum(e.samples for _, e in terms)
-    return MeasureEstimate(value, err, samples)
+    return _combined(value, terms, err)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +305,23 @@ def _arc_mass(normals):
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 
-def _gaussian_sphere_sampler(width):
-    def sample(rng, count):
-        x = rng.standard_normal((count, width))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-    return sample
+def _gaussian_draw(width):
+    """Standard Gaussian vectors: directions uniform on S^(width-1).
+
+    They are not normalized, since a sign test does not need it.
+    """
+    return lambda rng, count: rng.standard_normal((count, width))
 
 
-def _mc_mass(indicator, sampler, mc):
-    """Unbiased estimate of 2 * P(indicator) from blocked sampling.
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    Block b draws from a seed derived from (mc.seed, b); block hit counts
-    are integers, so the result does not depend on scheduling.
+
+def _mc_histogram(code, bits, draw, mc):
+    """SignHistogram of code(x) over mc.samples draws x.
+
+    Block b draws from a seed derived from (mc.seed, b); block counts are
+    integers, so the result does not depend on scheduling.
     """
     mc = mc or MCConfig()
     n = int(mc.samples)
@@ -205,26 +335,59 @@ def _mc_mass(indicator, sampler, mc):
         ss = np.random.SeedSequence(entropy=int(mc.seed) & (2**64 - 1),
                                     spawn_key=(_ROLE_BLOCK, b))
         rng = np.random.default_rng(ss)
-        return int(np.count_nonzero(indicator(sampler(rng, count))))
+        return np.bincount(code(draw(rng, count)), minlength=1 << bits)
 
-    hits = sum(ordered_map(run, blocks))
-    p = hits / n
-    if n > 1:
-        sd = math.sqrt(p * (1.0 - p) * n / (n - 1))
-    else:
-        sd = 0.0
-    return MeasureEstimate(2.0 * p, 2.0 * sd / math.sqrt(n), n)
+    return SignHistogram(sum(ordered_map(run, blocks)))
 
 
-def _region_indicator(normals):
-    if len(normals) == 0:
-        return lambda pts: np.ones(len(pts), dtype=bool)
-    nt = normals.T
+def _all_positive(normals, xt):
+    """Whether each column of xt is on the positive side of every plane.
 
-    def indicator(pts):
-        return np.all(pts @ nt > 0.0, axis=1)
+    One plane at a time, so no temporary holds more than a row per sample.
+    """
+    out = normals[0] @ xt > 0.0
+    for u in normals[1:]:
+        out &= u @ xt > 0.0
+    return out
 
-    return indicator
+
+def _region_code(normals):
+    """(code, bits): a sample's code has bit j set when it lies on the
+    positive side of plane j.  A region of more than _CODE_BITS planes
+    gets the one-bit code "inside the region" instead."""
+    if len(normals) > _CODE_BITS:
+        return (lambda x: _all_positive(normals, x.T)), 1
+
+    def code(x):
+        xt = x.T
+        out = np.zeros(len(x), dtype=np.intp)
+        for j, u in enumerate(normals):
+            out |= (u @ xt > 0.0).astype(np.intp) << j
+        return out
+
+    return code, len(normals)
+
+
+def _region_mass(normals, draw, mc):
+    """Monte Carlo mass of the region cut out by at least one plane."""
+    code, bits = _region_code(normals)
+    return _mc_histogram(code, bits, draw, mc).mass((1 << bits) - 1)
+
+
+def _union_code(normal_sets):
+    """One-bit code: inside some region or the antipodal image of one."""
+    def code(x):
+        xt = x.T
+        out = np.zeros(len(x), dtype=bool)
+        for normals in normal_sets:
+            if len(normals) == 0:   # a region without planes is all of S^n
+                out[:] = True
+                break
+            out |= _all_positive(normals, xt)
+            out |= _all_positive(-normals, xt)
+        return out
+
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +435,12 @@ class MeasureSpec(ABC):
         return self._union_mass(regs, mc)
 
     def _union_mass(self, regions, mc):
-        normal_sets = [r.normals for r in regions]
+        code = _union_code([r.normals for r in regions])
+        return _mc_histogram(code, 1, self._draw(),
+                             derive_mc(mc, _ROLE_UNION)).mass(1)
 
-        def indicator(pts):
-            out = np.zeros(len(pts), dtype=bool)
-            for normals in normal_sets:
-                if len(normals) == 0:
-                    out[:] = True
-                    break
-                dots = pts @ normals.T
-                out |= np.all(dots > 0.0, axis=1)
-                out |= np.all(dots < 0.0, axis=1)
-            return out
-
-        return _mc_mass(indicator, self._sampler(), derive_mc(mc, _ROLE_UNION))
-
-    def _sampler(self):
+    def _draw(self):
+        """draw(rng, count): vectors whose directions follow the measure."""
         raise UnsupportedMeasure("%s has no sampler; union_mass unsupported"
                                  % type(self).__name__)
 
@@ -318,16 +471,16 @@ class RoundMeasure(MeasureSpec):
             value = _exact_round_value(self._dim, normals)
             if value is not None:
                 return MeasureEstimate(float(value))
-        return _mc_mass(_region_indicator(normals), self._sampler(), mc)
+        return _region_mass(normals, self._draw(), mc)
 
     def support_subspaces(self):
         return []
 
-    def _sampler(self):
-        return _gaussian_sphere_sampler(self._dim + 1)
+    def _draw(self):
+        return _gaussian_draw(self._dim + 1)
 
     def sample(self, rng, count):
-        return self._sampler()(rng, count)
+        return _unit_rows(self._draw()(rng, count))
 
     def __repr__(self):
         return "RoundMeasure(dim=%d%s)" % (
@@ -543,23 +696,18 @@ class SubsphereUniform(MeasureSpec):
         value = _exact_round_value(k, reduced)
         if value is not None:
             return MeasureEstimate(float(value))
-        return _mc_mass(_region_indicator(reduced),
-                        _gaussian_sphere_sampler(k + 1), mc)
+        return _region_mass(reduced, _gaussian_draw(k + 1), mc)
 
     def support_subspaces(self):
         return [self._basis]
 
-    def _sampler(self):
-        base = _gaussian_sphere_sampler(self._basis.shape[0])
+    def _draw(self):
+        base = _gaussian_draw(self._basis.shape[0])
         basis = self._basis
-
-        def sample(rng, count):
-            return base(rng, count) @ basis
-
-        return sample
+        return lambda rng, count: base(rng, count) @ basis
 
     def sample(self, rng, count):
-        return self._sampler()(rng, count)
+        return _unit_rows(self._draw()(rng, count))
 
     def __repr__(self):
         return "SubsphereUniform(S^%d in S^%d)" % (self.subsphere_dim,
@@ -943,9 +1091,17 @@ def check_invariance(measure, generators, trial_regions, mc=None,
 # ---------------------------------------------------------------------------
 # JSON sub-format
 
+def _required(spec, key, kind):
+    """spec[key]; a missing field is a SchemaError naming the measure type."""
+    if key not in spec:
+        raise SchemaError("%s measure: missing required field %r"
+                          % (kind, key))
+    return spec[key]
+
+
 def _spec_objects(spec, key):
     """spec[key], which must be a list of JSON objects."""
-    items = spec[key]
+    items = _required(spec, key, spec["type"])
     if isinstance(items, list) and all(isinstance(i, dict) for i in items):
         return items
     raise SchemaError("%s measure: %r must be a list of objects, got %r"
@@ -967,27 +1123,30 @@ def measure_from_spec(spec, dim):
         return RoundMeasure(dim, monte_carlo=bool(spec.get("monte_carlo",
                                                            False)))
     if kind == "atomic":
-        atoms = [(a["point"], float(a["weight"]))
+        atoms = [(_required(a, "point", kind),
+                  float(_required(a, "weight", kind)))
                  for a in _spec_objects(spec, "atoms")]
         return AtomicMeasure(atoms, dim=dim)
     if kind == "subsphere":
-        return SubsphereUniform(np.asarray(spec["basis"], dtype=float),
-                                dim=dim)
+        return SubsphereUniform(
+            np.asarray(_required(spec, "basis", kind), dtype=float), dim=dim)
     if kind == "mixture":
-        comps = [(float(c["weight"]), measure_from_spec(c["measure"], dim))
+        comps = [(float(_required(c, "weight", kind)),
+                  measure_from_spec(_required(c, "measure", kind), dim))
                  for c in _spec_objects(spec, "components")]
         return Mixture(comps)
     if kind == "restricted":
-        base = measure_from_spec(spec["base"], dim)
+        base = measure_from_spec(_required(spec, "base", kind), dim)
         if "region" in spec:
             region = Region([Hyperplane(u) for u in spec["region"]], dim)
             return RestrictedNormalized(base, region=region)
         return RestrictedNormalized(
-            base, subspace=np.asarray(spec["subspace"], dtype=float))
+            base, subspace=np.asarray(_required(spec, "subspace", kind),
+                                      dtype=float))
     if kind == "orbit":
         gens = [ProjectiveMap(np.asarray(m, dtype=float))
-                for m in spec["generators"]]
-        return finite_orbit_measure(np.asarray(spec["seed_point"],
-                                               dtype=float),
-                                    gens, int(spec.get("max_orbit", 10000)))
+                for m in _required(spec, "generators", kind)]
+        return finite_orbit_measure(
+            np.asarray(_required(spec, "seed_point", kind), dtype=float),
+            gens, int(spec.get("max_orbit", 10000)))
     raise ValueError("unknown measure type %r" % kind)

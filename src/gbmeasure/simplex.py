@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .geom import face_region
-from .measure import MeasureEstimate, combine_estimates, derive_mc
+from .measure import (MeasureEstimate, SignHistogram, combine_estimates,
+                      derive_mc, region_histogram)
 from ._util import ordered_map
 
 _ROLE_CUTSET = 10
@@ -54,16 +55,28 @@ def angle(simplex, cut_set, measure, mc=None):
 
 
 def angles_by_cut_set(simplex, measure, mc=None, include_full=True):
-    """Angles for every cut set, evaluated with per-cut-set derived seeds.
+    """Angles for every cut set, keyed by cut set in cut_sets order.
 
-    The full cut set entry is the halved simplex mass.  Entries are
-    independent Monte Carlo estimates, so downstream signed sums may
-    combine their errors in quadrature.
+    The full cut set, whose angle is the halved simplex mass, is evaluated
+    first.  When that estimate is a Monte Carlo reading of a sign-code
+    histogram against the n+1 planes, every other cut set is a superset sum
+    over the same histogram, so the entries share samples (and say so in
+    their parts); the empty cut set is the exact angle 1.  Otherwise each
+    cut set is evaluated on its own with a seed derived from its planes.
     """
     n = simplex.dim
-    cuts = list(cut_sets(n, None if include_full else n))
-    values = ordered_map(lambda c: angle(simplex, c, measure, mc), cuts)
-    return {a.cut_set: a for a in values}
+    full = angle(simplex, range(n + 1), measure, mc)
+    hist = region_histogram(2 * full.estimate)  # the simplex mass
+    if hist is not None and hist.bits == n + 1:
+        table = {cut: AngleValue(cut, hist.mass(_cut_mask(cut)).scaled(0.5)
+                                 if cut else MeasureEstimate(1.0))
+                 for cut in cut_sets(n, n)}
+    else:
+        table = {a.cut_set: a for a in ordered_map(
+            lambda c: angle(simplex, c, measure, mc), cut_sets(n, n))}
+    if include_full:
+        table[full.cut_set] = full
+    return table
 
 
 def k_value(simplex, measure, mc=None):
@@ -71,9 +84,8 @@ def k_value(simplex, measure, mc=None):
 
     A face of dimension r corresponds to a cut set of size n - r; all cut
     sets of size at most n contribute, including the simplex itself (empty
-    cut set, angle = half the total mass), so 2^(n+1) - 1 regions are
-    evaluated.  Exactly 0 in odd dimension and the simplex mass in even
-    dimension for antipodally invariant measures.
+    cut set, angle = half the total mass).  Exactly 0 in odd dimension and
+    the simplex mass in even dimension for antipodally invariant measures.
     """
     n = simplex.dim
     table = angles_by_cut_set(simplex, measure, mc, include_full=False)
@@ -87,14 +99,19 @@ def sgb_residual(simplex, measure, mc=None, k=None):
 
     2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
     within statistical error for Monte Carlo ones.  Pass the k_value of the
-    same (simplex, measure, mc) as k to evaluate only the full cut set, the
-    one region k leaves out; the seeds are the same either way.
+    same (simplex, measure, mc) as k: a k read from one sign-code histogram
+    gives the simplex mass from that histogram without evaluating anything,
+    and otherwise only the full cut set is evaluated, with the same seed.
     """
     n = simplex.dim
     if k is None:
         k = k_value(simplex, measure, mc)
-    full = angle(simplex, range(n + 1), measure, mc)
-    simplex_mass = full.estimate.scaled(2.0)  # un-halve the angle
+    hist = k.parts[0][0] if len(k.parts) == 1 else None
+    if isinstance(hist, SignHistogram) and hist.bits == n + 1:
+        simplex_mass = hist.mass((1 << (n + 1)) - 1)
+    else:
+        simplex_mass = angle(simplex, range(n + 1), measure,
+                             mc).estimate.scaled(2.0)  # un-halve the angle
     even_factor = 1.0 + (-1.0) ** n
     return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])
 

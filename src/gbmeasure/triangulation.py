@@ -31,7 +31,9 @@ from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
 from .geom import ProjectiveMap, apply_map, simplex_from_vertices
 from .measure import (FiniteOrbitMeasure, MeasureEstimate, combine_estimates,
                       derive_mc)
-from .simplex import angle, cut_sets
+# angle is not called here but stays importable: bench/spans.py wraps
+# triangulation.angle by name
+from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
 from ._util import (MATCH_TOL, matrices_projectively_equal, ordered_map,
                     points_projectively_equal, projective_distance)
 
@@ -406,24 +408,20 @@ def angle_table(tri, measure, mc=None):
 
     Includes the empty cut set (value exactly 1 for mass-2 measures) and
     the full cut set (half the developed interior mass, used for the
-    induced-measure totals).  Per-(top, cut) estimates use derived seeds,
-    so they are independent and reproducible.  A BoundaryAtom raised by the
-    measure is re-raised naming the codimension-1 face whose developed
-    hyperplane carries the mass.
+    induced-measure totals).  Each top's angles come from one
+    angles_by_cut_set call with a seed derived from the top, so a Monte
+    Carlo table makes one draw per top and its entries carry the samples
+    they share.  A BoundaryAtom raised by the measure is re-raised naming
+    the codimension-1 face whose developed hyperplane carries the mass.
     """
-    n = tri.dim
-
     def per_top(t):
-        dev = tri.developed[t]
-        sub = derive_mc(mc, _ROLE_TOP, t)
-        out = {}
-        for cut in cut_sets(n):
-            try:
-                out[(t, cut)] = angle(dev, cut, measure, sub).estimate
-            except BoundaryAtom as err:
-                _name_boundary_face(tri, t, err)
-                raise
-        return out
+        try:
+            angles = angles_by_cut_set(tri.developed[t], measure,
+                                       derive_mc(mc, _ROLE_TOP, t))
+        except BoundaryAtom as err:
+            _name_boundary_face(tri, t, err)
+            raise
+        return {(t, cut): a.estimate for cut, a in angles.items()}
 
     per_cut = {}
     for chunk in ordered_map(per_top, range(len(tri.tops))):
@@ -577,16 +575,20 @@ def chart_independence(tri, measure, mc=None, tol=1e-9):
     This is the well-definedness of face angles under an invariant measure:
     the two developed images differ by the pairing map.
     """
+    tables = {}
+
+    def angle_of(t, cut):
+        if t not in tables:
+            tables[t] = angles_by_cut_set(tri.developed[t], measure,
+                                          derive_mc(mc, _ROLE_TOP, t))
+        return tables[t][cut].estimate
+
     entries = []
     for pidx, pairing in enumerate(tri.pairings):
         recs = {rec.top: rec
                 for rec in tri.incidences_of_face(tri.dim - 1, pairing.face)}
-        ests = []
-        for t in (pairing.simplex_a, pairing.simplex_b):
-            rec = recs[t]
-            sub = derive_mc(mc, _ROLE_TOP, t)
-            ests.append(angle(tri.developed[t], rec.cut, measure,
-                              sub).estimate)
+        ests = [angle_of(t, recs[t].cut)
+                for t in (pairing.simplex_a, pairing.simplex_b)]
         diff = ests[0] - ests[1]
         entries.append(PairingAngleEntry(pidx, pairing.face, ests[0].value,
                                          ests[1].value, abs(diff.value),

@@ -1,8 +1,10 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gbmeasure import cli, errors
+from gbmeasure import _util, cli, errors
 from gbmeasure.cli import main
 from gbmeasure.documents import builtin_document
 
@@ -77,7 +79,7 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
     code, _ = run(capsys, "--samples", "2000", "sgb", "--random-simplex",
                   "--dim", "4")
     assert code == 0
-    assert len(evaluated) == 2 ** 5
+    assert len(evaluated) == 1
 
 
 def test_sgb_exact_octant(capsys):
@@ -173,3 +175,42 @@ def test_malformed_mixture_is_schema_error(capsys):
                     "--measure", spec)
     assert code == 2
     assert json.loads(out)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"type": "atomic"}, "atoms"),
+    ({"type": "mixture"}, "components"),
+    ({"type": "orbit", "seed_point": [1, 0, 0]}, "generators"),
+    ({"type": "subsphere"}, "basis"),
+], ids=["atomic", "mixture", "orbit", "subsphere"])
+def test_missing_measure_field_is_schema_error(capsys, spec, field):
+    code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
+                    "--measure", json.dumps(spec))
+    assert code == 2
+    diagnostic = json.loads(out)
+    assert diagnostic["error"] == "SchemaError"
+    assert spec["type"] in diagnostic["detail"]
+    assert repr(field) in diagnostic["detail"]
+
+
+def test_thread_pools_do_not_nest(capsys, monkeypatch):
+    workers = set()
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def run_item(*a, **kw):
+                workers.add(threading.current_thread())
+                return fn(*a, **kw)
+            return super().submit(run_item, *args, **kwargs)
+
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", Recording)
+    # three sample blocks per top, so a nested pool would start threads
+    argv = ("--format", "json", "--seed", "3", "--samples", "300000",
+            "check", "s2-octahedron", "--measure", "round-mc")
+    monkeypatch.setenv("GBM_THREADS", "1")
+    _, sequential = run(capsys, *argv)
+    assert not workers
+    monkeypatch.setenv("GBM_THREADS", "2")
+    _, threaded = run(capsys, *argv)
+    assert threaded == sequential
+    assert 1 <= len(workers) <= 2

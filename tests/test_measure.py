@@ -355,6 +355,20 @@ class TestEstimateAlgebra:
         assert -2 * a == a * -2 == MeasureEstimate(-3.0, 0.4, 40)
         assert a / 3 == MeasureEstimate(0.5, 0.2 / 3, 40)
 
+    def test_shared_histogram_adds_coefficients(self):
+        m = RoundMeasure(2, monte_carlo=True)
+        est = m.eval(region(2, [1, 0, 0], [0, 1, 0]),
+                     MCConfig(seed=2, samples=20_000))
+        doubled = est + est
+        assert doubled.value == 2 * est.value
+        assert doubled.samples == est.samples == 20_000
+        assert math.isclose(doubled.std_error, 2 * est.std_error)
+        zero = est - est
+        assert zero.value == 0.0 and zero.std_error == 0.0
+        # an estimate given by value and error alone is its own source too
+        a = MeasureEstimate(1.0, 0.3, 100)
+        assert math.isclose((a + a).std_error, 0.6)
+
     def test_is_zero_uses_tol_when_exact_and_four_sigma_otherwise(self):
         assert MeasureEstimate(1e-10).is_zero(1e-9)
         assert not MeasureEstimate(1e-8).is_zero(1e-9)

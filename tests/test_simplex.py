@@ -115,6 +115,49 @@ class TestSGBResidual:
         assert abs(k.value) <= 4 * k.std_error
 
 
+class TestSharedSampleCalibration:
+    """z-scores of estimates whose terms share one histogram per seed.
+
+    Combining those terms in quadrature would inflate the error bars and
+    shrink the spread of z well below 1.
+    """
+
+    @staticmethod
+    def assert_calibrated(estimate):
+        z = []
+        for seed in range(200):
+            est = estimate(MCConfig(seed=seed, samples=20_000))
+            z.append(est.value / est.std_error)
+        z = np.array(z)
+        assert np.count_nonzero(np.abs(z) > 4.0) <= 1
+        assert 0.8 <= np.std(z) <= 1.25
+
+    def test_sgb_residual_of_a_2_simplex(self):
+        s = random_simplex(2, np.random.default_rng(21))
+        m = RoundMeasure(2, monte_carlo=True)
+        self.assert_calibrated(lambda mc: sgb_residual(s, m, mc))
+
+    def test_k_value_of_a_3_simplex(self):
+        s = random_simplex(3, np.random.default_rng(22))
+        m = RoundMeasure(3)
+        self.assert_calibrated(lambda mc: k_value(s, m, mc))
+
+
+    def test_sample_identity_is_exact_without_spread(self):
+        # an arc so short that hardly any sample lands in it or in its
+        # antipode: k then has no spread, and its value must be exactly 0
+        s = simplex_from_vertices([[1.0, 0.0], [np.cos(1e-3), np.sin(1e-3)]])
+        m = RoundMeasure(1, monte_carlo=True)
+        spreadless = 0
+        for seed in range(40):
+            k = k_value(s, m, MCConfig(seed=seed, samples=3000))
+            assert k.is_zero(1e-9)
+            if k.std_error == 0.0:
+                spreadless += 1
+                assert k.value == 0.0
+        assert spreadless > 0
+
+
 class TestInvariants:
     def test_inclusion_exclusion_round(self):
         rng = np.random.default_rng(8)

@@ -10,7 +10,9 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        euler_combinatorial, gb_report, load,
                        transversality_check)
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
-from gbmeasure.triangulation import Incidence, angle_table
+from gbmeasure.measure import derive_mc
+from gbmeasure.simplex import angle
+from gbmeasure.triangulation import _ROLE_TOP, Incidence, angle_table
 
 
 def octahedron():
@@ -168,6 +170,26 @@ class TestAngleTable:
             angle_table(tri, bad)
         assert err.value.face is not None
 
+    def test_monte_carlo_table_draws_once_per_top(self):
+        tri = octahedron()
+        inner = RoundMeasure(2, monte_carlo=True)
+        evaluated = []
+
+        class Counting:
+            dim = inner.dim
+
+            def eval(self, region, mc=None):
+                evaluated.append(region)
+                return inner.eval(region, mc)
+
+        mc = MCConfig(seed=4, samples=20_000)
+        table = angle_table(tri, Counting(), mc)
+        assert len(evaluated) == len(tri.tops) == 8
+        full = (0, 1, 2)
+        for t, dev in enumerate(tri.developed):
+            alone = angle(dev, full, inner, derive_mc(mc, _ROLE_TOP, t))
+            assert table.per_cut[(t, full)] == alone.estimate
+
 
 class TestGBReport:
     def test_octahedron_round(self):
@@ -214,6 +236,25 @@ class TestGBReport:
         rep = gb_report(tri, mix)
         assert rep.mu_total.value == 0.0
         assert rep.passed
+
+    def test_monte_carlo_error_bars_calibrated(self):
+        # z-scores over 100 seeds of estimates that share each top's samples
+        tri = octahedron()
+        m = RoundMeasure(2, monte_carlo=True)
+        z = {"link": [], "defect": [], "k": [], "sum_defects": [], "mu": []}
+        for seed in range(100):
+            rep = gb_report(tri, m, MCConfig(seed=seed, samples=20_000))
+            for key, est, expected in (
+                    ("link", rep.link_sums[(0, 0)], 1.0),
+                    ("defect", rep.vertex_defects[0], 0.0),
+                    ("k", rep.simplex_sums[0], 0.25),
+                    ("sum_defects", rep.sum_defects, 0.0),
+                    ("mu", rep.mu_total, 2.0)):
+                z[key].append((est.value - expected) / est.std_error)
+        for key, scores in z.items():
+            scores = np.array(scores)
+            assert np.count_nonzero(np.abs(scores) > 4.0) <= 1, key
+            assert 0.75 <= np.std(scores) <= 1.3, key
 
     def test_circle_polygon_odd_dimension(self):
         tri = load(builtin_document("s1-polygon", m=6))
