@@ -66,7 +66,7 @@ def derive_seed(seed, *key):
     """Derive a 64-bit sub-seed from (seed, key), stable across platforms."""
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                 spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(2, dtype=np.uint32)[0])
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def thread_count():

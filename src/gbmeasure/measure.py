@@ -13,6 +13,10 @@ so a result is a pure function of (seed, samples) no matter how blocks are
 scheduled across threads.  The mass of every sub-region cut out by a subset
 of those planes is a superset sum over the same histogram, and estimates
 read from one histogram carry their shared samples into the error bar.
+eval_many draws once for all its sampled regions: each region reads the
+draw turned by a Haar rotation of its own, which makes the readings of
+distinct regions exactly uncorrelated, so their histograms stay separate
+sources whose errors add in quadrature.
 """
 
 import math
@@ -37,7 +41,7 @@ _CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
 _ROLE_BLOCK = 0
 _ROLE_COMPONENT = 1
 _ROLE_RESTRICT = 2
-_ROLE_REGION = 3
+_ROLE_REGION = 3      # region i of an eval_many call: seed or rotation
 _ROLE_UNION = 4
 _ROLE_INVARIANCE = 5
 
@@ -317,13 +321,22 @@ def _unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _mc_histogram(code, bits, draw, mc):
-    """SignHistogram of code(x) over mc.samples draws x.
+def _rng(mc, role, index):
+    """Generator of the stream (role, index) under mc.seed."""
+    ss = np.random.SeedSequence(entropy=int(mc.seed) & (2**64 - 1),
+                                spawn_key=(role, index))
+    return np.random.default_rng(ss)
 
-    Block b draws from a seed derived from (mc.seed, b); block counts are
-    integers, so the result does not depend on scheduling.
+
+def _mc_histograms(codes, draw, mc):
+    """One SignHistogram per (code, bits) of codes, over the same
+    mc.samples draws x.
+
+    Blocks are the outer loop: block b draws once, from a seed derived
+    from (mc.seed, b), and every code bins that block, so one block of
+    samples is live per thread.  Block counts are integers, so the result
+    does not depend on scheduling.
     """
-    mc = mc or MCConfig()
     n = int(mc.samples)
     if n <= 0:
         raise ValueError("samples must be positive")
@@ -332,12 +345,28 @@ def _mc_histogram(code, bits, draw, mc):
 
     def run(block):
         b, count = block
-        ss = np.random.SeedSequence(entropy=int(mc.seed) & (2**64 - 1),
-                                    spawn_key=(_ROLE_BLOCK, b))
-        rng = np.random.default_rng(ss)
-        return np.bincount(code(draw(rng, count)), minlength=1 << bits)
+        x = draw(_rng(mc, _ROLE_BLOCK, b), count)
+        return [np.bincount(code(x), minlength=1 << bits)
+                for code, bits in codes]
 
-    return SignHistogram(sum(ordered_map(run, blocks)))
+    return [SignHistogram(sum(counts))
+            for counts in zip(*ordered_map(run, blocks))]
+
+
+def _haar_rotation(width, mc, index):
+    """Haar-random orthogonal matrix of the stream (region, index).
+
+    Gram-Schmidt on the rows of a Gaussian matrix gives the Q of a QR
+    factorization whose R has a positive diagonal, and that Q is Haar
+    distributed (F. Mezzadri, Notices AMS 54, 2007).  Plain numpy
+    arithmetic, no LAPACK call.
+    """
+    q = _rng(mc, _ROLE_REGION, index).standard_normal((width, width))
+    for j in range(width):
+        for k in range(j):
+            q[j] -= (q[k] @ q[j]) * q[k]
+        q[j] /= math.sqrt(q[j] @ q[j])
+    return q
 
 
 def _all_positive(normals, xt):
@@ -360,31 +389,61 @@ def _region_code(normals):
 
     def code(x):
         xt = x.T
-        out = np.zeros(len(x), dtype=np.intp)
+        out = np.zeros(len(x), dtype=np.uint16)   # _CODE_BITS bits at most
         for j, u in enumerate(normals):
-            out |= (u @ xt > 0.0).astype(np.intp) << j
+            out |= (u @ xt > 0.0).astype(np.uint16) << j
         return out
 
     return code, len(normals)
 
 
-def _region_mass(normals, draw, mc):
-    """Monte Carlo mass of the region cut out by at least one plane."""
-    code, bits = _region_code(normals)
-    return _mc_histogram(code, bits, draw, mc).mass((1 << bits) - 1)
+def _region_masses(normal_sets, exact_value, width, mc):
+    """Masses of regions on S^(width-1) given by their normals.
+
+    exact_value(normals) gives a closed form or None.  The regions without
+    one are sampled from one shared Gaussian draw, region i reading it
+    turned by its own Haar rotation Q_i, seeded from (mc, i): testing Q_i x
+    against the planes is testing x against the planes turned by Q_i^T.
+    For independent Haar Q_s, Q_t and any x, Q_s x and Q_t x are
+    independent and uniform, so the readings of distinct regions have
+    exactly zero covariance: each region keeps a histogram of its own with
+    the error bar of a draw of its own.
+    """
+    mc = mc or MCConfig()
+    values = [exact_value(normals) for normals in normal_sets]
+    out = [None if v is None else MeasureEstimate(float(v)) for v in values]
+    sampled = [i for i, v in enumerate(values) if v is None]
+    if sampled:
+        codes = [_region_code(normal_sets[i] @ _haar_rotation(width, mc, i))
+                 for i in sampled]
+        hists = _mc_histograms(codes, _gaussian_draw(width), mc)
+        for i, hist in zip(sampled, hists):
+            out[i] = hist.mass((1 << hist.bits) - 1)
+    return out
 
 
 def _union_code(normal_sets):
-    """One-bit code: inside some region or the antipodal image of one."""
+    """One-bit code: inside some region or the antipodal image of one.
+
+    One product per plane serves both: the antipodal image is where every
+    product is negative, and negating a product is exact.
+    """
     def code(x):
         xt = x.T
         out = np.zeros(len(x), dtype=bool)
+        dots = np.empty(len(x))   # one product buffer for every plane
         for normals in normal_sets:
             if len(normals) == 0:   # a region without planes is all of S^n
                 out[:] = True
                 break
-            out |= _all_positive(normals, xt)
-            out |= _all_positive(-normals, xt)
+            np.matmul(normals[0], xt, out=dots)
+            inside, opposite = dots > 0.0, dots < 0.0
+            for u in normals[1:]:
+                np.matmul(u, xt, out=dots)
+                inside &= dots > 0.0
+                opposite &= dots < 0.0
+            out |= inside
+            out |= opposite
         return out
 
     return code
@@ -407,11 +466,30 @@ class MeasureSpec(ABC):
 
     def eval(self, region, mc=None):
         """Measure of a Region, exact where supported, else Monte Carlo."""
+        self._check_region(region)
+        return self._eval(region, mc)
+
+    def eval_many(self, regions, mc=None):
+        """Measures of several Regions, as a list in input order.
+
+        A pure function of (regions, mc).  By default region i is
+        evaluated on its own with a seed derived from (mc, i); a sampled
+        round or subsphere measure draws once for all regions instead.
+        """
+        regions = list(regions)
+        for region in regions:
+            self._check_region(region)
+        return self._eval_many(regions, mc)
+
+    def _eval_many(self, regions, mc):
+        return [self._eval(region, derive_mc(mc, _ROLE_REGION, i))
+                for i, region in enumerate(regions)]
+
+    def _check_region(self, region):
         if region.ambient_dim != self.dim:
             raise DimensionMismatch(
                 "region on S^%d evaluated against a measure on S^%d"
                 % (region.ambient_dim, self.dim))
-        return self._eval(region, mc)
 
     @abstractmethod
     def support_subspaces(self):
@@ -436,8 +514,9 @@ class MeasureSpec(ABC):
 
     def _union_mass(self, regions, mc):
         code = _union_code([r.normals for r in regions])
-        return _mc_histogram(code, 1, self._draw(),
-                             derive_mc(mc, _ROLE_UNION)).mass(1)
+        hist, = _mc_histograms([(code, 1)], self._draw(),
+                               derive_mc(mc, _ROLE_UNION))
+        return hist.mass(1)
 
     def _draw(self):
         """draw(rng, count): vectors whose directions follow the measure."""
@@ -464,14 +543,16 @@ class RoundMeasure(MeasureSpec):
         return self._dim
 
     def _eval(self, region, mc):
-        normals = region.normals
-        if len(normals) == 0:
-            return MeasureEstimate(2.0)
-        if not self.monte_carlo:
-            value = _exact_round_value(self._dim, normals)
-            if value is not None:
-                return MeasureEstimate(float(value))
-        return _region_mass(normals, self._draw(), mc)
+        return self._eval_many([region], mc)[0]
+
+    def _eval_many(self, regions, mc):
+        return _region_masses([r.normals for r in regions],
+                              self._exact_value, self._dim + 1, mc)
+
+    def _exact_value(self, normals):
+        if self.monte_carlo and len(normals):
+            return None
+        return _exact_round_value(self._dim, normals)
 
     def support_subspaces(self):
         return []
@@ -689,14 +770,13 @@ class SubsphereUniform(MeasureSpec):
                                                       self._basis.shape[0])
 
     def _eval(self, region, mc):
-        reduced = self._reduced_normals(region)
+        return self._eval_many([region], mc)[0]
+
+    def _eval_many(self, regions, mc):
         k = self.subsphere_dim
-        if len(reduced) == 0:
-            return MeasureEstimate(2.0)
-        value = _exact_round_value(k, reduced)
-        if value is not None:
-            return MeasureEstimate(float(value))
-        return _region_mass(reduced, _gaussian_draw(k + 1), mc)
+        return _region_masses([self._reduced_normals(r) for r in regions],
+                              lambda normals: _exact_round_value(k, normals),
+                              k + 1, mc)
 
     def support_subspaces(self):
         return [self._basis]

@@ -19,6 +19,7 @@ from .measure import (MeasureEstimate, SignHistogram, combine_estimates,
 from ._util import ordered_map
 
 _ROLE_CUTSET = 10
+_ROLE_SIMPLEX = 11
 
 
 @dataclass(frozen=True)
@@ -54,29 +55,49 @@ def angle(simplex, cut_set, measure, mc=None):
     return AngleValue(cut, est.scaled(0.5))
 
 
-def angles_by_cut_set(simplex, measure, mc=None, include_full=True):
-    """Angles for every cut set, keyed by cut set in cut_sets order.
+def angles_by_cut_set(simplices, measure, mc=None, include_full=True):
+    """Angles of several simplices: one dict per simplex, keyed by cut set
+    in cut_sets order.
 
-    The full cut set, whose angle is the halved simplex mass, is evaluated
-    first.  When that estimate is a Monte Carlo reading of a sign-code
-    histogram against the n+1 planes, every other cut set is a superset sum
-    over the same histogram, so the entries share samples (and say so in
-    their parts); the empty cut set is the exact angle 1.  Otherwise each
-    cut set is evaluated on its own with a seed derived from its planes.
+    The full cut sets, whose angles are the halved simplex masses, come
+    first, from one measure.eval_many call, so a sampled measure draws once
+    for all simplices.  When a simplex's full-cut estimate is a Monte Carlo
+    reading of a sign-code histogram against its n+1 planes, every other
+    cut set is a superset sum over the same histogram, so the entries share
+    samples (and say so in their parts); the empty cut set is the exact
+    angle 1.  Otherwise each cut set of simplex i is evaluated on its own
+    with a seed derived from (mc, i) and its planes.
     """
-    n = simplex.dim
-    full = angle(simplex, range(n + 1), measure, mc)
-    hist = region_histogram(2 * full.estimate)  # the simplex mass
-    if hist is not None and hist.bits == n + 1:
-        table = {cut: AngleValue(cut, hist.mass(_cut_mask(cut)).scaled(0.5)
-                                 if cut else MeasureEstimate(1.0))
-                 for cut in cut_sets(n, n)}
-    else:
-        table = {a.cut_set: a for a in ordered_map(
-            lambda c: angle(simplex, c, measure, mc), cut_sets(n, n))}
+    simplices = list(simplices)
+    masses = _simplex_masses(simplices, measure, mc)
+    tables, pending = [], []
+    for i, (simplex, mass) in enumerate(zip(simplices, masses)):
+        n = simplex.dim
+        hist = region_histogram(mass)
+        if hist is not None and hist.bits == n + 1:
+            tables.append({cut: AngleValue(
+                cut, hist.mass(_cut_mask(cut)).scaled(0.5) if cut
+                else MeasureEstimate(1.0)) for cut in cut_sets(n, n)})
+        else:
+            tables.append({})
+            sub = derive_mc(mc, _ROLE_SIMPLEX, i)
+            pending += [(i, cut, sub) for cut in cut_sets(n, n)]
+    evaluated = ordered_map(
+        lambda item: angle(simplices[item[0]], item[1], measure, item[2]),
+        pending)
+    for (i, cut, _), a in zip(pending, evaluated):
+        tables[i][cut] = a
     if include_full:
-        table[full.cut_set] = full
-    return table
+        for simplex, mass, table in zip(simplices, masses, tables):
+            full = tuple(range(simplex.dim + 1))
+            table[full] = AngleValue(full, mass.scaled(0.5))
+    return tables
+
+
+def _simplex_masses(simplices, measure, mc):
+    """The measures of the simplices, from one eval_many call."""
+    return measure.eval_many([face_region(s, tuple(range(s.dim + 1)))
+                              for s in simplices], mc)
 
 
 def k_value(simplex, measure, mc=None):
@@ -88,7 +109,7 @@ def k_value(simplex, measure, mc=None):
     the simplex mass in even dimension for antipodally invariant measures.
     """
     n = simplex.dim
-    table = angles_by_cut_set(simplex, measure, mc, include_full=False)
+    table = angles_by_cut_set([simplex], measure, mc, include_full=False)[0]
     return combine_estimates([(-1.0 if (n - len(cut)) % 2 else 1.0,
                                table[cut].estimate)
                               for cut in cut_sets(n, n)])
@@ -101,7 +122,7 @@ def sgb_residual(simplex, measure, mc=None, k=None):
     within statistical error for Monte Carlo ones.  Pass the k_value of the
     same (simplex, measure, mc) as k: a k read from one sign-code histogram
     gives the simplex mass from that histogram without evaluating anything,
-    and otherwise only the full cut set is evaluated, with the same seed.
+    and otherwise only the simplex mass is evaluated, as k_value does.
     """
     n = simplex.dim
     if k is None:
@@ -110,8 +131,7 @@ def sgb_residual(simplex, measure, mc=None, k=None):
     if isinstance(hist, SignHistogram) and hist.bits == n + 1:
         simplex_mass = hist.mass((1 << (n + 1)) - 1)
     else:
-        simplex_mass = angle(simplex, range(n + 1), measure,
-                             mc).estimate.scaled(2.0)  # un-halve the angle
+        simplex_mass, = _simplex_masses([simplex], measure, mc)
     even_factor = 1.0 + (-1.0) ** n
     return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])
 
@@ -126,7 +146,7 @@ def antipodal_inclusion_exclusion(simplex, measure, mc=None):
     n = simplex.dim
     direct = measure.eval(simplex.region().antipodal(),
                           derive_mc(mc, _ROLE_CUTSET, 1 << (n + 2)))
-    table = angles_by_cut_set(simplex, measure, mc, include_full=True)
+    table = angles_by_cut_set([simplex], measure, mc)[0]
     expanded = math.fsum(
         ((-1.0) ** len(cut)) * 2.0 * table[tuple(cut)].value
         for cut in cut_sets(n))

@@ -29,15 +29,13 @@ from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
                      InconsistentDichotomy, NotAManifold, SchemaError,
                      ZeroVector)
 from .geom import ProjectiveMap, apply_map, simplex_from_vertices
-from .measure import (FiniteOrbitMeasure, MeasureEstimate, combine_estimates,
-                      derive_mc)
+from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
-from ._util import (MATCH_TOL, matrices_projectively_equal, ordered_map,
+from ._util import (MATCH_TOL, matrices_projectively_equal,
                     points_projectively_equal, projective_distance)
 
-_ROLE_TOP = 20
 _SUPPORT_TOL = 1e-12
 
 
@@ -408,39 +406,39 @@ def angle_table(tri, measure, mc=None):
 
     Includes the empty cut set (value exactly 1 for mass-2 measures) and
     the full cut set (half the developed interior mass, used for the
-    induced-measure totals).  Each top's angles come from one
-    angles_by_cut_set call with a seed derived from the top, so a Monte
-    Carlo table makes one draw per top and its entries carry the samples
-    they share.  A BoundaryAtom raised by the measure is re-raised naming
-    the codimension-1 face whose developed hyperplane carries the mass.
+    induced-measure totals).  All tops go through one angles_by_cut_set
+    call, so a Monte Carlo table makes one draw in all and its entries
+    carry the samples they share.  A BoundaryAtom raised by the measure is
+    re-raised naming the codimension-1 face whose developed hyperplane
+    carries the mass.
     """
-    def per_top(t):
-        try:
-            angles = angles_by_cut_set(tri.developed[t], measure,
-                                       derive_mc(mc, _ROLE_TOP, t))
-        except BoundaryAtom as err:
-            _name_boundary_face(tri, t, err)
-            raise
-        return {(t, cut): a.estimate for cut, a in angles.items()}
-
-    per_cut = {}
-    for chunk in ordered_map(per_top, range(len(tri.tops))):
-        per_cut.update(chunk)
-    return AngleTable(tri, per_cut)
+    try:
+        tables = angles_by_cut_set(tri.developed, measure, mc)
+    except BoundaryAtom as err:
+        _name_boundary_face(tri, err)
+        raise
+    return AngleTable(tri, {(t, cut): a.estimate
+                            for t, angles in enumerate(tables)
+                            for cut, a in angles.items()})
 
 
-def _name_boundary_face(tri, top, err):
+def _name_boundary_face(tri, err):
+    """Name the face of the first top with a plane through err's mass.
+
+    Every evaluation of a top tests its full cut set first, and tops are
+    evaluated in order, so that top is the one that raised.
+    """
     if err.normal is None:
         return
-    dev = tri.developed[top]
-    for i, plane in enumerate(dev.planes):
-        if points_projectively_equal(plane.normal, err.normal):
-            rec = tri._by_top_cut.get((top, (i,)))
-            if rec is not None:
-                err.face = (tri.dim - 1, rec.face)
-                err.args = ("%s [codim-1 face %d of top simplex %d]"
-                            % (err.args[0], rec.face, top),)
-            return
+    for top, dev in enumerate(tri.developed):
+        for i, plane in enumerate(dev.planes):
+            if points_projectively_equal(plane.normal, err.normal):
+                rec = tri._by_top_cut.get((top, (i,)))
+                if rec is not None:
+                    err.face = (tri.dim - 1, rec.face)
+                    err.args = ("%s [codim-1 face %d of top simplex %d]"
+                                % (err.args[0], rec.face, top),)
+                return
 
 
 @dataclass(frozen=True)
@@ -575,19 +573,12 @@ def chart_independence(tri, measure, mc=None, tol=1e-9):
     This is the well-definedness of face angles under an invariant measure:
     the two developed images differ by the pairing map.
     """
-    tables = {}
-
-    def angle_of(t, cut):
-        if t not in tables:
-            tables[t] = angles_by_cut_set(tri.developed[t], measure,
-                                          derive_mc(mc, _ROLE_TOP, t))
-        return tables[t][cut].estimate
-
+    table = angle_table(tri, measure, mc)
     entries = []
     for pidx, pairing in enumerate(tri.pairings):
         recs = {rec.top: rec
                 for rec in tri.incidences_of_face(tri.dim - 1, pairing.face)}
-        ests = [angle_of(t, recs[t].cut)
+        ests = [table.per_cut[(t, recs[t].cut)]
                 for t in (pairing.simplex_a, pairing.simplex_b)]
         diff = ests[0] - ests[1]
         entries.append(PairingAngleEntry(pidx, pairing.face, ests[0].value,

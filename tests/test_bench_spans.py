@@ -19,14 +19,17 @@ def spans():
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["sgb", "--random-simplex", "--dim", "2"],
+    # an exact measure still evaluates its cut sets one by one
+    (["sgb", "--random-simplex", "--dim", "2", "--measure", "round"],
      {"simplex.k_value", "simplex.sgb_residual", "simplex.angle",
       "measure.eval"}),
-    (["check", "s2-octahedron", "--measure", "round-mc"],
+    # a sampled table is one eval_many call, which the proxy forwards
+    # untraced; the union kernel stays traced
+    (["check", "s2-octahedron", "--measure", "round-mc", "--dichotomy"],
      {"documents.builtin_document", "triangulation.load",
       "triangulation.gb_report", "triangulation.angle_table",
-      "triangulation.transversality_check", "simplex.angle",
-      "measure.eval"}),
+      "triangulation.transversality_check",
+      "triangulation.dichotomy_check", "measure.union_mass"}),
 ], ids=["sgb", "check"])
 def test_traced_cli_invocation(spans, capsys, argv, layers):
     tracer = spans.Tracer()

@@ -74,6 +74,10 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
             evaluated.append(region)
             return self.inner.eval(region, mc)
 
+        def eval_many(self, regions, mc=None):
+            evaluated.extend(regions)
+            return self.inner.eval_many(regions, mc)
+
     monkeypatch.setattr(cli, "measure_from_spec",
                         lambda spec, dim: Counting(build(spec, dim)))
     code, _ = run(capsys, "--samples", "2000", "sgb", "--random-simplex",

@@ -13,6 +13,7 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
                        average_over_group, check_invariance,
                        finite_orbit_measure, measure_from_spec, random_region,
                        whole_sphere)
+from gbmeasure._util import derive_seed
 
 
 def region(dim, *normals):
@@ -151,6 +152,11 @@ class TestMonteCarlo:
         monkeypatch.setenv("GBM_THREADS", "4")
         b = m.eval(r, MCConfig(seed=1, samples=300_000))
         assert a == b
+
+    def test_derived_seeds_use_64_bits(self):
+        seeds = [derive_seed(1, key) for key in range(64)]
+        assert all(0 <= seed < 2 ** 64 for seed in seeds)
+        assert max(seeds) >= 2 ** 32
 
     def test_octant_unbiased_over_seeds(self):
         m = RoundMeasure(2, monte_carlo=True)

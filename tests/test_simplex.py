@@ -38,7 +38,7 @@ class TestAngle:
         rng = np.random.default_rng(2)
         s = random_simplex(2, rng)
         m = RoundMeasure(2)
-        table = angles_by_cut_set(s, m)
+        table, = angles_by_cut_set([s], m)
         for cut in cut_sets(2):
             for bigger in cut_sets(2):
                 if set(cut) <= set(bigger):

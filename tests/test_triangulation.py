@@ -10,9 +10,8 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        euler_combinatorial, gb_report, load,
                        transversality_check)
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
-from gbmeasure.measure import derive_mc
-from gbmeasure.simplex import angle
-from gbmeasure.triangulation import _ROLE_TOP, Incidence, angle_table
+from gbmeasure import measure as measure_module
+from gbmeasure.triangulation import Incidence, angle_table
 
 
 def octahedron():
@@ -170,25 +169,27 @@ class TestAngleTable:
             angle_table(tri, bad)
         assert err.value.face is not None
 
-    def test_monte_carlo_table_draws_once_per_top(self):
+    def test_monte_carlo_table_draws_each_block_once(self, monkeypatch):
+        # every top reads the same sample blocks, each through its rotation
+        draws = []
+        gaussian = measure_module._gaussian_draw
+
+        def counting(width):
+            draw = gaussian(width)
+
+            def counted(rng, count):
+                draws.append(count)
+                return draw(rng, count)
+            return counted
+
+        monkeypatch.setattr(measure_module, "_gaussian_draw", counting)
+        monkeypatch.setattr(measure_module, "_BLOCK", 1000)
         tri = octahedron()
-        inner = RoundMeasure(2, monte_carlo=True)
-        evaluated = []
-
-        class Counting:
-            dim = inner.dim
-
-            def eval(self, region, mc=None):
-                evaluated.append(region)
-                return inner.eval(region, mc)
-
-        mc = MCConfig(seed=4, samples=20_000)
-        table = angle_table(tri, Counting(), mc)
-        assert len(evaluated) == len(tri.tops) == 8
-        full = (0, 1, 2)
-        for t, dev in enumerate(tri.developed):
-            alone = angle(dev, full, inner, derive_mc(mc, _ROLE_TOP, t))
-            assert table.per_cut[(t, full)] == alone.estimate
+        table = angle_table(tri, RoundMeasure(2, monte_carlo=True),
+                            MCConfig(seed=4, samples=2500))
+        assert draws == [1000, 1000, 500]
+        # each top still counts its 2500 readings once
+        assert table.induced_mass().samples == len(tri.tops) * 2500
 
 
 class TestGBReport:
