@@ -317,12 +317,20 @@ def cmd_example(args, cfg):
     return 0
 
 
+def _non_negative_int(text):
+    """argparse type: an integer >= 0, in decimal digits."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gbm",
         description="Euler characteristic vs invariant-measure checks for "
                     "triangulated projective manifolds")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--samples", type=int, default=1_000_000)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--format", choices=("text", "json"), default="text")
@@ -341,7 +349,7 @@ def build_parser():
 
     p = sub.add_parser("sgb", help="alternating angle sum of one simplex")
     p.add_argument("--random-simplex", action="store_true")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_non_negative_int, default=2)
     p.add_argument("--vertices", help="JSON rows of simplex vertices")
     p.add_argument("--measure")
     p.set_defaults(func=cmd_sgb)

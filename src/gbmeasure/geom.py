@@ -288,6 +288,8 @@ def _check_dims(g, dim):
 
 def random_simplex(dim, rng, det_tol=0.05):
     """A random well-conditioned simplex on S^dim (Gaussian vertices)."""
+    if dim < 0:
+        raise ValueError("simplex dimension must be >= 0, got %d" % dim)
     while True:
         verts = rng.standard_normal((dim + 1, dim + 1))
         try:

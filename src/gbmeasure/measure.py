@@ -13,10 +13,12 @@ so a result is a pure function of (seed, samples) no matter how blocks are
 scheduled across threads.  The mass of every sub-region cut out by a subset
 of those planes is a superset sum over the same histogram, and estimates
 read from one histogram carry their shared samples into the error bar.
-eval_many draws once for all its sampled regions: each region reads the
-draw turned by a Haar rotation of its own, which makes the readings of
-distinct regions exactly uncorrelated, so their histograms stay separate
-sources whose errors add in quadrature.
+eval_many draws once for all its sampled regions and tests them in chunks
+of _CHUNK samples, with one matrix product for the stacked planes of many
+regions against one or more chunks.  Each region reads each chunk turned by a Haar rotation
+drawn afresh for it, which makes the readings of distinct regions exactly
+uncorrelated, so their histograms stay separate sources whose errors add
+in quadrature, and keeps the tails of sums over regions Gaussian.
 """
 
 import math
@@ -36,6 +38,8 @@ ATOM_TOL = 1e-12
 Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
 _BLOCK = 1 << 17
 _CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
+_CHUNK = 2048     # rows per chunk: a region turns each by its own rotation
+_GROUP_PLANES = 64   # a product has at most 64 x _CHUNK entries (1 MB)
 
 # spawn-key roles keeping derived seed streams disjoint
 _ROLE_BLOCK = 0
@@ -328,14 +332,12 @@ def _rng(mc, role, index):
     return np.random.default_rng(ss)
 
 
-def _mc_histograms(codes, draw, mc):
-    """One SignHistogram per (code, bits) of codes, over the same
-    mc.samples draws x.
+def _block_sum(count, draw, mc):
+    """The sum over the blocks of mc.samples draws x of count(b, x).
 
-    Blocks are the outer loop: block b draws once, from a seed derived
-    from (mc.seed, b), and every code bins that block, so one block of
-    samples is live per thread.  Block counts are integers, so the result
-    does not depend on scheduling.
+    Block b draws from a seed derived from (mc.seed, b), so one block of
+    samples is live per thread.  Block counts are integers, so the sum does
+    not depend on scheduling.
     """
     n = int(mc.samples)
     if n <= 0:
@@ -344,109 +346,179 @@ def _mc_histograms(codes, draw, mc):
               for b in range((n + _BLOCK - 1) // _BLOCK)]
 
     def run(block):
-        b, count = block
-        x = draw(_rng(mc, _ROLE_BLOCK, b), count)
-        return [np.bincount(code(x), minlength=1 << bits)
-                for code, bits in codes]
+        b, size = block
+        return count(b, draw(_rng(mc, _ROLE_BLOCK, b), size))
 
-    return [SignHistogram(sum(counts))
-            for counts in zip(*ordered_map(run, blocks))]
+    return sum(ordered_map(run, blocks))
 
 
-def _haar_rotation(width, mc, index):
-    """Haar-random orthogonal matrix of the stream (region, index).
+def _haar_rotations(rng, shape, width):
+    """An array of the given shape of Haar-random orthogonal
+    width x width matrices.
 
     Gram-Schmidt on the rows of a Gaussian matrix gives the Q of a QR
     factorization whose R has a positive diagonal, and that Q is Haar
-    distributed (F. Mezzadri, Notices AMS 54, 2007).  Plain numpy
+    distributed (F. Mezzadri, Notices AMS 54, 2007).  Batched numpy
     arithmetic, no LAPACK call.
     """
-    q = _rng(mc, _ROLE_REGION, index).standard_normal((width, width))
+    q = rng.standard_normal(tuple(shape) + (width, width))
     for j in range(width):
+        row = q[..., j, :]
         for k in range(j):
-            q[j] -= (q[k] @ q[j]) * q[k]
-        q[j] /= math.sqrt(q[j] @ q[j])
+            done = q[..., k, :]
+            row -= (done * row).sum(axis=-1, keepdims=True) * done
+        row /= np.sqrt((row * row).sum(axis=-1, keepdims=True))
     return q
 
 
-def _all_positive(normals, xt):
-    """Whether each column of xt is on the positive side of every plane.
+class _PlaneGroup:
+    """Consecutive regions with the same number h of planes, stacked.
 
-    One plane at a time, so no temporary holds more than a row per sample.
+    A batch of chunks makes one product with the stacked planes, and its
+    (chunk, region, plane, sample) view holds every region's signs.  A
+    sample's code against a region has bit j set when the sample is on the
+    positive side of plane j; a region of more than _CODE_BITS planes codes
+    only "inside" (all h positive).  Region r of the group has its codes
+    offset by r times its bins, so one bincount counts the whole group.
     """
-    out = normals[0] @ xt > 0.0
-    for u in normals[1:]:
-        out &= u @ xt > 0.0
-    return out
+
+    def __init__(self, normal_sets):
+        self.count = len(normal_sets)
+        self.h = len(normal_sets[0])
+        self.planes = np.concatenate(normal_sets)
+        self.bins = 2 if self.h > _CODE_BITS else 1 << self.h
+        self.size = self.count * self.bins
+        self.base = (np.arange(self.count)[:, None] * self.bins).astype(
+            np.min_scalar_type(self.size - 1))
+
+    def batches(self, size):
+        """Row ranges covering a block of size rows: whole chunks, as many
+        per range as keep its product within _GROUP_PLANES x _CHUNK
+        entries, then the rest."""
+        step = _CHUNK * max(1, _GROUP_PLANES // max(len(self.planes), 1))
+        full = size - size % _CHUNK
+        return ([(row, min(row + step, full)) for row in range(0, full, step)]
+                + ([(full, size)] if full < size else []))
+
+    def _by_region(self, flags):
+        return flags.reshape(len(flags), self.count, self.h, flags.shape[2])
+
+    def codes(self, dots):
+        """Offset codes, (chunk, region, sample), from a batch's products."""
+        positive = self._by_region(dots > 0.0).view(np.uint8)
+        if self.h > _CODE_BITS:
+            return self.base + np.logical_and.reduce(positive, axis=2)
+        codes = self.base + positive[:, :, 0]
+        for j in range(1, self.h):
+            bit = positive[:, :, j].astype(codes.dtype)
+            bit <<= j
+            codes |= bit
+        return codes
+
+    def hits(self, dots):
+        """Whether each sample of a batch is inside some region of the
+        group or the antipodal image of one, (chunk, sample)."""
+        inside = np.logical_and.reduce(self._by_region(dots > 0.0), axis=2)
+        inside |= np.logical_and.reduce(self._by_region(dots < 0.0), axis=2)
+        return np.logical_or.reduce(inside, axis=1)
 
 
-def _region_code(normals):
-    """(code, bits): a sample's code has bit j set when it lies on the
-    positive side of plane j.  A region of more than _CODE_BITS planes
-    gets the one-bit code "inside the region" instead."""
-    if len(normals) > _CODE_BITS:
-        return (lambda x: _all_positive(normals, x.T)), 1
+def _chunks(x, start, stop):
+    """Rows start:stop of a block as (chunk, row, coordinate)."""
+    return x[start:stop].reshape(-1, min(_CHUNK, stop - start), x.shape[1])
 
-    def code(x):
-        xt = x.T
-        out = np.zeros(len(x), dtype=np.uint16)   # _CODE_BITS bits at most
-        for j, u in enumerate(normals):
-            out |= (u @ xt > 0.0).astype(np.uint16) << j
-        return out
 
-    return code, len(normals)
+def _plane_groups(normal_sets):
+    """The regions as consecutive _PlaneGroups, each of at most
+    _GROUP_PLANES planes unless a single region has more."""
+    groups, first = [], 0
+    for i in range(1, len(normal_sets) + 1):
+        h = len(normal_sets[first])
+        if (i == len(normal_sets) or len(normal_sets[i]) != h
+                or (i + 1 - first) * h > _GROUP_PLANES):
+            groups.append(_PlaneGroup(normal_sets[first:i]))
+            first = i
+    return groups
+
+
+def _region_histograms(normal_sets, width, mc):
+    """One SignHistogram per region over the same mc.samples Gaussian draws.
+
+    Every chunk of a block is read by region i through a fresh Haar
+    rotation.  The rotations of block b come from the stream (region, b):
+    group after group, one per (chunk, region of the group).
+    """
+    groups = _plane_groups(normal_sets)
+    offsets = np.cumsum([0] + [group.size for group in groups])
+
+    def count(b, x):
+        rng = _rng(mc, _ROLE_REGION, b)
+        chunks = -(-len(x) // _CHUNK)
+        counts = np.zeros(offsets[-1], dtype=np.int64)
+        for group, first, last in zip(groups, offsets, offsets[1:]):
+            q = _haar_rotations(rng, (chunks, group.count), width)
+            turned = np.einsum("rhw,crwv->crhv",
+                               group.planes.reshape(group.count, group.h,
+                                                    width), q)
+            turned = turned.reshape(chunks, -1, width)
+            for start, stop in group.batches(len(x)):
+                rows = _chunks(x, start, stop)
+                c = start // _CHUNK
+                codes = group.codes(turned[c:c + len(rows)]
+                                    @ rows.transpose(0, 2, 1))
+                counts[first:last] += np.bincount(codes.ravel(),
+                                                  minlength=group.size)
+        return counts
+
+    counts = _block_sum(count, _gaussian_draw(width), mc)
+    return [SignHistogram(counts[start:start + group.bins])
+            for group, first in zip(groups, offsets)
+            for start in range(first, first + group.size, group.bins)]
+
+
+def _union_hits(normal_sets, draw, mc):
+    """How many of mc.samples draws lie inside some region or the
+    antipodal image of one: all its planes positive, or all negative."""
+    groups = _plane_groups(normal_sets)
+
+    def count(b, x):
+        hit = np.zeros(len(x), dtype=bool)
+        for group in groups:
+            for start, stop in group.batches(len(x)):
+                rows = _chunks(x, start, stop).transpose(0, 2, 1)
+                hit[start:stop] |= group.hits(group.planes @ rows).ravel()
+        return int(np.count_nonzero(hit))
+
+    return _block_sum(count, draw, mc)
 
 
 def _region_masses(normal_sets, exact_value, width, mc):
     """Masses of regions on S^(width-1) given by their normals.
 
     exact_value(normals) gives a closed form or None.  The regions without
-    one are sampled from one shared Gaussian draw, region i reading it
-    turned by its own Haar rotation Q_i, seeded from (mc, i): testing Q_i x
-    against the planes is testing x against the planes turned by Q_i^T.
-    For independent Haar Q_s, Q_t and any x, Q_s x and Q_t x are
-    independent and uniform, so the readings of distinct regions have
-    exactly zero covariance: each region keeps a histogram of its own with
-    the error bar of a draw of its own.
+    one are sampled from one shared Gaussian draw, cut into chunks of
+    _CHUNK rows.  Region i reads each chunk turned by a Haar rotation Q
+    drawn afresh for (block, chunk, i): testing Q x against the planes is
+    testing x against the planes turned by Q^T.  For independent Haar Q_s,
+    Q_t and any x, Q_s x and Q_t x are independent and uniform, so the
+    readings of distinct regions have exactly zero covariance: each region
+    keeps a histogram of its own with the error bar of a draw of its own.
+    Given the rotations, readings of distinct regions do covary, and how
+    much depends on the rotations.  With one rotation per region for the
+    whole run, a sum over regions is a scale mixture of Gaussians, whose
+    tails are heavier than its error bar says; a fresh rotation per chunk
+    averages that covariance over the chunks, so the tails are Gaussian.
     """
     mc = mc or MCConfig()
     values = [exact_value(normals) for normals in normal_sets]
     out = [None if v is None else MeasureEstimate(float(v)) for v in values]
     sampled = [i for i, v in enumerate(values) if v is None]
     if sampled:
-        codes = [_region_code(normal_sets[i] @ _haar_rotation(width, mc, i))
-                 for i in sampled]
-        hists = _mc_histograms(codes, _gaussian_draw(width), mc)
+        hists = _region_histograms([normal_sets[i] for i in sampled],
+                                   width, mc)
         for i, hist in zip(sampled, hists):
             out[i] = hist.mass((1 << hist.bits) - 1)
     return out
-
-
-def _union_code(normal_sets):
-    """One-bit code: inside some region or the antipodal image of one.
-
-    One product per plane serves both: the antipodal image is where every
-    product is negative, and negating a product is exact.
-    """
-    def code(x):
-        xt = x.T
-        out = np.zeros(len(x), dtype=bool)
-        dots = np.empty(len(x))   # one product buffer for every plane
-        for normals in normal_sets:
-            if len(normals) == 0:   # a region without planes is all of S^n
-                out[:] = True
-                break
-            np.matmul(normals[0], xt, out=dots)
-            inside, opposite = dots > 0.0, dots < 0.0
-            for u in normals[1:]:
-                np.matmul(u, xt, out=dots)
-                inside &= dots > 0.0
-                opposite &= dots < 0.0
-            out |= inside
-            out |= opposite
-        return out
-
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +585,10 @@ class MeasureSpec(ABC):
         return self._union_mass(regs, mc)
 
     def _union_mass(self, regions, mc):
-        code = _union_code([r.normals for r in regions])
-        hist, = _mc_histograms([(code, 1)], self._draw(),
-                               derive_mc(mc, _ROLE_UNION))
-        return hist.mass(1)
+        mc = derive_mc(mc, _ROLE_UNION)
+        hits = _union_hits([r.normals for r in regions], self._draw(), mc)
+        return SignHistogram(np.array([int(mc.samples) - hits,
+                                       hits])).mass(1)
 
     def _draw(self):
         """draw(rng, count): vectors whose directions follow the measure."""

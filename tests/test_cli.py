@@ -86,6 +86,25 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
     assert len(evaluated) == 1
 
 
+def test_sgb_negative_dim_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sgb", "--random-simplex", "--dim", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --dim: must be a non-negative integer" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "s2-octahedron", "--measure", "round-mc"],
+    ["sgb", "--random-simplex"]])
+def test_negative_seed_is_rejected_by_every_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "-1", "--samples", "1000"] + command)
+    assert exit_info.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in (
+        capsys.readouterr().err)
+
+
 def test_sgb_exact_octant(capsys):
     code, out = run(capsys, "--format", "json", "sgb", "--vertices",
                     "[[1,0,0],[0,1,0],[0,0,1]]", "--measure", "round")

@@ -82,6 +82,11 @@ class TestSimplexFromVertices:
         for p, q in zip(scaled.planes, base.planes):
             assert np.allclose(p.normal, q.normal, atol=1e-12)
 
+    def test_random_simplex_rejects_negative_dimension(self):
+        # a (0, 0) vertex matrix is never a simplex, so it used to redraw
+        with pytest.raises(ValueError, match="dimension"):
+            random_simplex(-1, np.random.default_rng(0))
+
     def test_barycenter_strictly_interior(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

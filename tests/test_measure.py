@@ -13,7 +13,9 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
                        average_over_group, check_invariance,
                        finite_orbit_measure, measure_from_spec, random_region,
                        whole_sphere)
+from gbmeasure import measure as measure_module
 from gbmeasure._util import derive_seed
+from gbmeasure.measure import derive_mc, region_histogram
 
 
 def region(dim, *normals):
@@ -166,6 +168,89 @@ class TestMonteCarlo:
         mean = np.mean([e.value for e in ests])
         pooled = math.sqrt(sum(e.std_error ** 2 for e in ests)) / len(ests)
         assert abs(mean - 0.25) <= 4 * pooled
+
+    @staticmethod
+    def _coder_regions(dim, seed):
+        """Regions of 3, 3, 1, 17, 17, 17, 17, 2 and 2 planes: with
+        _GROUP_PLANES = 64 the 17-plane ones split into two stacks."""
+        rng = np.random.default_rng(seed)
+        axis = np.eye(dim + 1)[0]
+        return [Region([Hyperplane(axis + 0.3 * rng.standard_normal(dim + 1)
+                                   if h > measure_module._CODE_BITS
+                                   else rng.standard_normal(dim + 1))
+                        for _ in range(h)], dim)
+                for h in (3, 3, 1, 17, 17, 17, 17, 2, 2)]
+
+    def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch):
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        dim, width = 3, 4
+        regions = self._coder_regions(dim, 1)
+        mc = MCConfig(seed=9, samples=1200)
+        got = [region_histogram(est).counts
+               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
+                   regions, mc)]
+        assert [len(c) for c in got] == [8, 8, 2, 2, 2, 2, 2, 4, 4]
+        # rebuild every chunk's rotations and test one plane at a time
+        sizes = [g.count for g in mm._plane_groups(
+            [r.normals for r in regions])]
+        assert sizes == [2, 1, 3, 1, 2]
+        want = [np.zeros(len(c), dtype=int) for c in got]
+        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
+            x = mm._rng(mc, mm._ROLE_BLOCK, b).standard_normal(
+                (min(mm._BLOCK, mc.samples - start), width))
+            rotations = mm._rng(mc, mm._ROLE_REGION, b)
+            chunks = range(0, len(x), mm._CHUNK)
+            first = 0
+            for size in sizes:
+                q = mm._haar_rotations(rotations, (len(chunks), size), width)
+                assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
+                for c, row in enumerate(chunks):
+                    rows = x[row:row + mm._CHUNK]
+                    for i in range(first, first + size):
+                        signs = [rows @ (u @ q[c, i - first]) > 0.0
+                                 for u in regions[i].normals]
+                        if len(signs) > mm._CODE_BITS:
+                            code = np.all(signs, axis=0).astype(int)
+                        else:
+                            code = sum(s.astype(int) << j
+                                       for j, s in enumerate(signs))
+                        want[i] += np.bincount(code, minlength=len(want[i]))
+                first += size
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert 0 < want[3][1] < mc.samples   # the wide region is hit
+
+    @pytest.mark.parametrize("measure", [
+        RoundMeasure(3),
+        SubsphereUniform(np.linalg.qr(
+            np.random.default_rng(4).standard_normal((4, 3)))[0].T)])
+    def test_union_matches_region_by_region_reference(self, monkeypatch,
+                                                      measure):
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        # a single plane and its antipode would cover the whole sphere
+        regions = [r for r in self._coder_regions(3, 2) if len(r.halves) > 1]
+        mc = MCConfig(seed=5, samples=1200)
+        sub = derive_mc(mc, mm._ROLE_UNION)
+        hits = 0
+        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
+            x = measure._draw()(mm._rng(sub, mm._ROLE_BLOCK, b),
+                                min(mm._BLOCK, mc.samples - start))
+            hit = np.zeros(len(x), dtype=bool)
+            for r in regions:
+                dots = x @ r.normals.T
+                hit |= np.all(dots > 0.0, axis=1) | np.all(dots < 0.0, axis=1)
+            hits += int(np.count_nonzero(hit))
+        assert 0 < hits < mc.samples
+        est = measure.union_mass(regions, mc)
+        assert est.samples == mc.samples
+        assert est.value == 2.0 * hits / mc.samples
+        # a region without planes is the whole sphere
+        whole = measure.union_mass(regions + [Region([], 3)], mc)
+        assert (whole.value, whole.std_error) == (2.0, 0.0)
 
     def test_hemisphere_std_error_calibrated(self):
         m = RoundMeasure(2, monte_carlo=True)

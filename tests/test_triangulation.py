@@ -257,6 +257,21 @@ class TestGBReport:
             assert np.count_nonzero(np.abs(scores) > 4.0) <= 1, key
             assert 0.75 <= np.std(scores) <= 1.3, key
 
+    def test_monte_carlo_link_gaps_have_gaussian_tails(self):
+        # z-scores of the 18 link gaps over 200 seeds, pooled.  Each top
+        # turned by one rotation for a whole run makes them a scale mixture
+        # of Gaussians: kurtosis 3.56, and 21 beyond 3 sigma (9.7 expected)
+        tri = octahedron()
+        m = RoundMeasure(2, monte_carlo=True)
+        z = []
+        for seed in range(200):
+            rep = gb_report(tri, m, MCConfig(seed=seed, samples=20_000))
+            z += [(est.value - 1.0) / est.std_error
+                  for (r, _), est in rep.link_sums.items() if r < tri.dim]
+        z = np.array(z)
+        assert len(z) == 200 * 18
+        assert np.mean(z ** 4) / np.mean(z ** 2) ** 2 <= 3.25
+
     def test_circle_polygon_odd_dimension(self):
         tri = load(builtin_document("s1-polygon", m=6))
         rep = gb_report(tri, tri.default_measure())
