@@ -1,5 +1,7 @@
 """Small numeric helpers shared by the geometry and measure modules."""
 
+import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -34,19 +36,13 @@ def canonical_matrix(m):
 
     Deterministic representative for storage; sign choice can differ
     between float-perturbed copies of projectively equal matrices (when
-    entry magnitudes tie), so equality testing must use
-    matrices_projectively_equal, which tries both signs.
+    entry magnitudes tie), so equality testing must try both signs, as
+    matrices_projectively_equal and a projective PointIndex do.
     """
-    m = np.asarray(m, dtype=float)
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        raise ValueError("zero matrix")
-    m = m / norm
-    flat = m.ravel()
-    lead = flat[np.argmax(np.abs(flat))]
-    if lead < 0:
-        m = -m
-    return m
+    flat = scaled_flat(m)
+    if flat[np.argmax(np.abs(flat))] < 0:
+        flat = -flat
+    return flat.reshape(np.shape(m))
 
 
 def scaled_flat(m):
@@ -60,6 +56,85 @@ def scaled_flat(m):
 
 def matrices_projectively_equal(a, b, tol=MATCH_TOL):
     return points_projectively_equal(scaled_flat(a), scaled_flat(b), tol)
+
+
+class PointIndex:
+    """Rows hashed by grid cell, so that a match within tol costs O(1).
+
+    find(x) answers as a linear scan would: the index of the nearest stored
+    row p with |p - x| <= tol (or |p + x|, when projective), the lowest on
+    ties, or None.  A row p is filed under the cells floor(p / w + 1/2) of
+    its coordinates (and of -p's, when projective), w being 2^-16 or the
+    power of two at or below 64 tol if wider; a lookup probes each cell that
+    the box of half-width tol around x meets (README, "Projective matching").
+    """
+
+    def __init__(self, tol=MATCH_TOL, projective=True):
+        self.tol = tol
+        self.rows = []
+        self._cells = {}
+        self._signs = np.array([[1.0], [-1.0]] if projective else [[1.0]])
+        self._scale = 2.0 ** -math.floor(math.log2(max(64.0 * tol, 2 ** -16)))
+        # a hair over tol, so that rounding in a distance hides no match
+        self._reach = tol * (1.0 + 2.0 ** -20)
+
+    def add(self, row):
+        """Store a 1-D row (and -row, when projective); returns its index."""
+        row = np.asarray(row, dtype=float)
+        for q in (self._signs * row).tolist():
+            key = tuple(math.floor(c * self._scale + 0.5) for c in q)
+            self._cells.setdefault(key, []).append(len(self.rows))
+        self.rows.append(row)
+        return len(self.rows) - 1
+
+    def find(self, x):
+        """Index of the nearest stored row within tol, or None."""
+        x = np.asarray(x, dtype=float)
+        scale, reach, hits = self._scale, self._reach, set()
+        spans = [range(math.floor((c - reach) * scale + 0.5),
+                       math.floor((c + reach) * scale + 0.5) + 1)
+                 for c in x.tolist()]
+        for cell in itertools.product(*spans):
+            hits.update(self._cells.get(cell, ()))
+        if not hits:
+            return None
+        hits = sorted(hits)
+        # the distances np.linalg.norm(rows - x, axis=1) of a linear scan
+        diff = (np.array([self.rows[i] for i in hits])
+                - (self._signs * x)[:, None])
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=2)).min(axis=0)
+        best = dist.argmin()
+        return hits[best] if dist[best] <= self.tol else None
+
+    def insert(self, row):
+        """Index of the stored row matching row; stores row if none does."""
+        i = self.find(row)
+        return self.add(row) if i is None else i
+
+
+def projective_closure(seeds, steps, row, depth=None, limit=None):
+    """Breadth-first closure of seeds under steps, up to projective equality.
+
+    Two items are equal when their rows row(item) agree up to sign within
+    MATCH_TOL.  Returns the distinct items in discovery order: level after
+    level, each level in (item, step) order.  Stops after depth levels, or
+    once more than limit items are found, so a longer result overflowed.
+    """
+    index, items = PointIndex(), []
+    candidates, level = list(seeds), 0
+    while candidates:
+        frontier = []
+        for item in candidates:
+            if index.insert(row(item)) == len(items):   # a new item
+                items.append(item)
+                frontier.append(item)
+                if limit is not None and len(items) > limit:
+                    return items
+        if level == depth:
+            break
+        level += 1
+        candidates = [step(item) for item in frontier for step in steps]
+    return items
 
 
 def derive_seed(seed, *key):

@@ -243,6 +243,10 @@ def _named_group(name, dim):
 def cmd_invariance(args, cfg):
     measure = _resolve_measure(args.measure, None, args.dim)
     generators = _named_group(args.group, args.dim)
+    if not generators:
+        raise GBError("--group %r has no elements" % args.group)
+    if args.regions < 1:
+        raise GBError("--regions must be positive, got %d" % args.regions)
     rng = np.random.default_rng(cfg.seed)
     regions = [random_region(args.dim, rng, int(rng.integers(1, 4)))
                for _ in range(args.regions)]

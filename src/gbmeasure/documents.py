@@ -17,7 +17,8 @@ document format (see README), ready for load().  The shipped examples:
 import numpy as np
 
 from .geom import ProjectiveMap
-from ._util import matrices_projectively_equal, MATCH_TOL
+from ._util import (PointIndex, normalized, points_projectively_equal,
+                    projective_closure, scaled_flat)
 
 
 def rotation_about(axis, theta):
@@ -67,18 +68,9 @@ def icosahedral_rotation_group():
     faces = icosahedron_faces(verts)
     g5 = rotation_about(verts[0], 2.0 * np.pi / 5.0)
     g3 = rotation_about(verts[list(faces[0])].sum(axis=0), 2.0 * np.pi / 3.0)
-    elems = [ProjectiveMap.identity(2)]
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for s in (g5, g3):
-                nxt = w.compose(s)
-                if not any(matrices_projectively_equal(nxt.matrix, e.matrix)
-                           for e in elems):
-                    elems.append(nxt)
-                    fresh.append(nxt)
-        frontier = fresh
+    elems = projective_closure([ProjectiveMap.identity(2)],
+                               [lambda w, s=s: w.compose(s) for s in (g5, g3)],
+                               lambda w: scaled_flat(w.matrix))
     assert len(elems) == 60
     return elems
 
@@ -118,17 +110,9 @@ def rp2_icosahedral():
     triangles, each developed onto one face of the antipodal pair."""
     verts = icosahedron_vertices()
     faces = icosahedron_faces(verts)
-    reps = []
-    cls = {}
-    for i, v in enumerate(verts):
-        for c, r in enumerate(reps):
-            if np.linalg.norm(v + verts[r]) < 1e-9:
-                cls[i] = c
-                break
-        else:
-            cls[i] = len(reps)
-            reps.append(i)
-    assert len(reps) == 6
+    classes = PointIndex()
+    cls = [classes.insert(v) for v in verts]   # vertex -> antipodal pair
+    assert len(classes.rows) == 6
     seen = {}
     tri_faces, developed = [], []
     for f in faces:
@@ -274,16 +258,9 @@ def _shared_chart_pairings(doc, candidate_maps=None):
         dev_a = tri.developed[ra.top].vertices
         dev_b = tri.developed[rb.top].vertices
         for mat in candidate_maps:
-            ok = True
-            for slot in range(n):
-                va = mat @ dev_a[ra.positions[slot]]
-                va = va / np.linalg.norm(va)
-                vb = dev_b[rb.positions[slot]]
-                if min(np.linalg.norm(va - vb),
-                       np.linalg.norm(va + vb)) > MATCH_TOL:
-                    ok = False
-                    break
-            if ok:
+            if all(points_projectively_equal(normalized(mat @ dev_a[i]),
+                                             dev_b[j])
+                   for i, j in zip(ra.positions, rb.positions)):
                 pairings.append({"face": idx, "simplex_a": ra.top,
                                  "simplex_b": rb.top,
                                  "matrix": np.asarray(mat,

@@ -31,8 +31,8 @@ from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
                      NotAGroup, OrbitOverflow, SchemaError,
                      UnsupportedMeasure)
 from .geom import Hyperplane, ProjectiveMap, Region, apply_map
-from ._util import (UNIT_TOL, MATCH_TOL, derive_seed, normalized,
-                    ordered_map, points_projectively_equal)
+from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, normalized,
+                    ordered_map, projective_closure, scaled_flat)
 
 ATOM_TOL = 1e-12
 Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
@@ -657,24 +657,16 @@ class AtomicMeasure(MeasureSpec):
             if weight <= 0:
                 raise ValueError("atom weights must be positive")
             p = normalized(coords)
-            points.append(p)
-            weights.append(0.5 * weight)
-            points.append(-p)
-            weights.append(0.5 * weight)
-        if not points and dim is None:
-            raise ValueError("empty atom list needs an explicit dim")
-        self._dim = int(dim) if dim is not None else len(points[0]) - 1
-        self._points, self._weights = self._merge(points, weights)
+            points += [p, -p]
+            weights += [0.5 * weight, 0.5 * weight]
+        self._merge(points, weights, dim)
 
     @classmethod
     def from_sphere_atoms(cls, points, weights, dim=None):
         """Build from explicit sphere atoms (already symmetric)."""
         self = cls.__new__(cls)
-        pts = [normalized(p) for p in points]
-        if not pts and dim is None:
-            raise ValueError("empty atom list needs an explicit dim")
-        self._dim = int(dim) if dim is not None else len(pts[0]) - 1
-        self._points, self._weights = cls._merge(pts, [float(w) for w in weights])
+        self._merge([normalized(p) for p in points],
+                    [float(w) for w in weights], dim)
         return self
 
     @classmethod
@@ -682,27 +674,26 @@ class AtomicMeasure(MeasureSpec):
         """The antipodalized point mass; total=2 is the probability lift."""
         return cls([(coords, total)])
 
-    @staticmethod
-    def _merge(points, weights):
-        width = len(points[0]) if points else 0
-        pts = np.empty((len(points), width))
-        wts = np.empty(len(points))
-        count = 0
+    def _merge(self, points, weights, dim):
+        """Store the atoms, adding each weight to the nearest earlier atom
+        within ATOM_TOL."""
+        if not points and dim is None:
+            raise ValueError("empty atom list needs an explicit dim")
+        self._dim = int(dim) if dim is not None else len(points[0]) - 1
+        index = PointIndex(ATOM_TOL, projective=False)
+        wts = []
         for p, w in zip(points, weights):
-            if count:
-                d = np.linalg.norm(pts[:count] - p, axis=1)
-                i = int(np.argmin(d))
-                if d[i] <= ATOM_TOL:
-                    wts[i] += w
-                    continue
-            pts[count] = p
-            wts[count] = w
-            count += 1
-        pts = pts[:count].copy()
-        wts = wts[:count].copy()
+            i = index.insert(p)
+            if i < len(wts):
+                wts[i] += w
+            else:
+                wts.append(w)
+        width = len(points[0]) if points else 0
+        pts = np.array(index.rows, dtype=float).reshape(len(wts), width)
+        wts = np.array(wts, dtype=float)
         pts.flags.writeable = False
         wts.flags.writeable = False
-        return pts, wts
+        self._points, self._weights = pts, wts
 
     @property
     def dim(self):
@@ -769,11 +760,9 @@ class AtomicMeasure(MeasureSpec):
         return MeasureEstimate(math.fsum(self._weights[covered]))
 
     def support_subspaces(self):
-        reps = []
-        for p in self._points:
-            if not any(points_projectively_equal(p, q[0]) for q in reps):
-                reps.append(p.reshape(1, -1))
-        return reps
+        # one line per projective atom: the closure of the atoms under no map
+        return [p.reshape(1, -1)
+                for p in projective_closure(self._points, [], lambda p: p)]
 
     def __repr__(self):
         return "AtomicMeasure(%d sphere atoms, mass %.6g)" % (
@@ -982,16 +971,8 @@ class RestrictedNormalized(MeasureSpec):
         self._region = region
         if region is not None and region.ambient_dim != base.dim:
             raise DimensionMismatch("restriction region dimension mismatch")
-        if subspace is not None:
-            b = np.asarray(subspace, dtype=float)
-            gram = b @ b.T
-            if np.linalg.norm(gram - np.eye(b.shape[0])) > MATCH_TOL:
-                raise ValueError("subspace basis not orthonormal within 1e-9")
-            if b.shape[1] != base.dim + 1:
-                raise DimensionMismatch("subspace basis width mismatch")
-            self._subspace = b
-        else:
-            self._subspace = None
+        self._subspace = (None if subspace is None else
+                          SubsphereUniform(subspace, dim=base.dim).basis)
 
     @property
     def dim(self):
@@ -1086,19 +1067,6 @@ class FiniteOrbitMeasure(AtomicMeasure):
 # ---------------------------------------------------------------------------
 # constructions
 
-def _scaled_rows(mats):
-    """Matrices flattened to unit-Frobenius rows (projective up to sign)."""
-    flat = mats.reshape(len(mats), -1)
-    return flat / np.linalg.norm(flat, axis=1, keepdims=True)
-
-
-def _projective_row_distances(rows, targets):
-    """Min distance of each row to the target set, allowing either sign."""
-    plus = np.linalg.norm(rows[:, None, :] - targets[None, :, :], axis=2)
-    minus = np.linalg.norm(rows[:, None, :] + targets[None, :, :], axis=2)
-    return np.minimum(plus, minus).min(axis=1)
-
-
 def average_over_group(base, group, tol=MATCH_TOL):
     """Average an atomic measure over an explicit finite matrix group.
 
@@ -1114,30 +1082,24 @@ def average_over_group(base, group, tol=MATCH_TOL):
     elems = list(group)
     if not elems:
         raise NotAGroup("empty group list")
+    listed = PointIndex(tol)
     for g in elems:
         if g.dim != base.dim:
             raise DimensionMismatch("group element dimension mismatch")
+        listed.add(scaled_flat(g.matrix))
+    for i, g in enumerate(elems):
+        if listed.find(scaled_flat(g.inverse_matrix)) is None:
+            raise NotAGroup("inverse of element %d is not in the list" % i)
     mats = np.array([g.matrix for g in elems])
-    listed = _scaled_rows(mats)
-    inv_dist = _projective_row_distances(
-        _scaled_rows(np.array([g.inverse_matrix for g in elems])), listed)
-    if (inv_dist > tol).any():
-        raise NotAGroup("inverse of element %d is not in the list"
-                        % int(np.argmax(inv_dist > tol)))
     products = np.einsum("iab,jbc->ijac", mats, mats)
-    prod_dist = _projective_row_distances(
-        _scaled_rows(products.reshape(-1, *mats.shape[1:])), listed)
-    if (prod_dist > tol).any():
-        bad = int(np.argmax(prod_dist > tol))
-        raise NotAGroup("product of elements %d and %d is not in the list"
-                        % (bad // len(elems), bad % len(elems)))
-    points, weights = [], []
+    for bad, prod in enumerate(products.reshape(len(elems) ** 2, -1)):
+        if listed.find(scaled_flat(prod)) is None:
+            raise NotAGroup("product of elements %d and %d is not in the list"
+                            % divmod(bad, len(elems)))
     scale = 1.0 / len(elems)
-    for g in elems:
-        inv = g.inverse_matrix
-        for p, w in zip(base.points, base.weights):
-            points.append(normalized(inv @ p))
-            weights.append(w * scale)
+    points = [normalized(g.inverse_matrix @ p)
+              for g in elems for p in base.points]
+    weights = [w * scale for _ in elems for w in base.weights]
     return AtomicMeasure.from_sphere_atoms(points, weights, dim=base.dim)
 
 
@@ -1153,25 +1115,12 @@ def finite_orbit_measure(seed_point, generators, max_orbit):
         raise ValueError("max_orbit must be >= 1")
     seed = normalized(seed_point if not hasattr(seed_point, "coords")
                       else seed_point.coords)
-    mats = []
-    for g in generators:
-        mats.append(g.matrix)
-        mats.append(g.inverse_matrix)
-    points = [seed]
-    frontier = [seed]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for m in mats:
-                q = normalized(m @ p)
-                if not any(points_projectively_equal(q, r) for r in points):
-                    points.append(q)
-                    fresh.append(q)
-                    if len(points) > max_orbit:
-                        raise OrbitOverflow(
-                            "orbit exceeded max_orbit=%d points" % max_orbit,
+    steps = [lambda p, m=m: normalized(m @ p)
+             for g in generators for m in (g.matrix, g.inverse_matrix)]
+    points = projective_closure([seed], steps, lambda p: p, limit=max_orbit)
+    if len(points) > max_orbit:
+        raise OrbitOverflow("orbit exceeded max_orbit=%d points" % max_orbit,
                             size=len(points))
-        frontier = fresh
     return FiniteOrbitMeasure(points)
 
 
@@ -1296,9 +1245,16 @@ def measure_from_spec(spec, dim):
             base, subspace=np.asarray(_required(spec, "subspace", kind),
                                       dtype=float))
     if kind == "orbit":
-        gens = [ProjectiveMap(np.asarray(m, dtype=float))
-                for m in _required(spec, "generators", kind)]
-        return finite_orbit_measure(
-            np.asarray(_required(spec, "seed_point", kind), dtype=float),
-            gens, int(spec.get("max_orbit", 10000)))
+        gens = np.asarray(_required(spec, "generators", kind), dtype=float)
+        seed = np.asarray(_required(spec, "seed_point", kind), dtype=float)
+        if gens.size and gens.shape[1:] != (dim + 1, dim + 1):
+            raise SchemaError("orbit measure: 'generators' must be %dx%d "
+                              "matrices, got shape %s"
+                              % (dim + 1, dim + 1, gens.shape))
+        if seed.shape != (dim + 1,):
+            raise SchemaError("orbit measure: 'seed_point' must have %d "
+                              "coordinates, got shape %s"
+                              % (dim + 1, seed.shape))
+        return finite_orbit_measure(seed, [ProjectiveMap(m) for m in gens],
+                                    int(spec.get("max_orbit", 10000)))
     raise ValueError("unknown measure type %r" % kind)

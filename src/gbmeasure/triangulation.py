@@ -33,8 +33,9 @@ from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
-from ._util import (MATCH_TOL, matrices_projectively_equal,
-                    points_projectively_equal, projective_distance)
+from ._util import (MATCH_TOL, PointIndex, normalized,
+                    points_projectively_equal, projective_closure,
+                    projective_distance, scaled_flat)
 
 _SUPPORT_TOL = 1e-12
 
@@ -601,23 +602,13 @@ class DichotomyReport:
     detail: str
 
 
-def _holonomy_words(generators, length):
-    if not generators:
-        return []
-    words = [ProjectiveMap.identity(generators[0].dim)]
-    frontier = list(words)
-    steps = [g for g in generators] + [g.inverse() for g in generators]
-    for _ in range(length):
-        fresh = []
-        for w in frontier:
-            for s in steps:
-                nxt = w.compose(s)
-                if not any(matrices_projectively_equal(nxt.matrix, q.matrix)
-                           for q in words):
-                    words.append(nxt)
-                    fresh.append(nxt)
-        frontier = fresh
-    return words
+def _holonomy_words(generators, dim, length):
+    """Distinct words of at most length letters, identity first."""
+    moves = list(generators) + [g.inverse() for g in generators]
+    return projective_closure([ProjectiveMap.identity(dim)],
+                              [lambda w, s=s: w.compose(s) for s in moves],
+                              lambda w: scaled_flat(w.matrix),
+                              depth=max(length, 0))
 
 
 def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
@@ -631,10 +622,7 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     some (translated) chart.
     """
     chi = euler_combinatorial(tri)
-    if tri.holonomy and word_length > 0:
-        words = _holonomy_words(list(tri.holonomy), word_length)
-    else:
-        words = [ProjectiveMap.identity(tri.dim)]
+    words = _holonomy_words(tri.holonomy, tri.dim, word_length)
     regions = []
     for w in words:
         for dev in tri.developed:
@@ -644,8 +632,7 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     atoms_total = atoms_covered = None
     covered_positive = False
     if invariant_set is not None:
-        pts = [np.asarray(p, dtype=float) for p in invariant_set]
-        pts = [p / np.linalg.norm(p) for p in pts]
+        pts = [normalized(p) for p in invariant_set]
         _require_invariant(pts, tri.holonomy)
         orbit = FiniteOrbitMeasure(pts)
         cov = orbit.union_mass(regions)
@@ -683,10 +670,10 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
 
 
 def _require_invariant(points, generators):
-    for g in generators:
-        for p in points:
-            q = g.apply_to_vector(p)
-            if not any(points_projectively_equal(q, r) for r in points):
-                raise ValueError(
-                    "supplied point set is not invariant under the holonomy "
-                    "generators")
+    index = PointIndex()
+    for p in points:
+        index.add(p)
+    if any(index.find(g.apply_to_vector(p)) is None
+           for g in generators for p in points):
+        raise ValueError("supplied point set is not invariant under the "
+                         "holonomy generators")

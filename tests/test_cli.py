@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gbmeasure import _util, cli, errors
+from gbmeasure import _util, cli, errors, measure
 from gbmeasure.cli import main
 from gbmeasure.documents import builtin_document
 
@@ -131,6 +131,25 @@ def test_invariance_round_icosahedral(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--group", "cyclic:0"], "--group"),
+    (["--group", "cyclic:-2"], "--group"),
+    (["--group", "@EMPTY"], "--group"),
+    (["--group", "klein4", "--regions", "0"], "--regions"),
+    (["--group", "klein4", "--regions", "-3"], "--regions"),
+], ids=["cyclic-0", "cyclic-negative", "empty-file", "regions-0",
+        "regions-negative"])
+def test_invariance_without_comparisons_is_rejected(tmp_path, capsys, args,
+                                                    option):
+    empty = tmp_path / "group.json"
+    empty.write_text("[]")
+    args = [a.replace("@EMPTY", "@%s" % empty) for a in args]
+    code, out = run(capsys, "invariance", "--measure", "round", *args)
+    assert code == 2
+    assert option in out
+    assert "PASS" not in out
+
+
 def test_invariance_failure(capsys):
     # an atom off the rotation axis cannot be invariant under cyclic:5
     spec = json.dumps({"type": "atomic",
@@ -205,7 +224,12 @@ def test_malformed_mixture_is_schema_error(capsys):
     ({"type": "mixture"}, "components"),
     ({"type": "orbit", "seed_point": [1, 0, 0]}, "generators"),
     ({"type": "subsphere"}, "basis"),
-], ids=["atomic", "mixture", "orbit", "subsphere"])
+    ({"type": "orbit", "seed_point": [1, 0, 0],
+      "generators": [[[1, 0], [0, 1]]]}, "generators"),
+    ({"type": "orbit", "seed_point": [1, 0],
+      "generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}, "seed_point"),
+], ids=["atomic", "mixture", "orbit", "subsphere", "orbit-generator-shape",
+        "orbit-seed-length"])
 def test_missing_measure_field_is_schema_error(capsys, spec, field):
     code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
                     "--measure", json.dumps(spec))
@@ -217,23 +241,36 @@ def test_missing_measure_field_is_schema_error(capsys, spec, field):
 
 
 def test_thread_pools_do_not_nest(capsys, monkeypatch):
-    workers = set()
+    lock = threading.Lock()
+    busy = {"now": 0, "peak": 0, "items": 0}   # worker threads running items
 
     class Recording(ThreadPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             def run_item(*a, **kw):
-                workers.add(threading.current_thread())
-                return fn(*a, **kw)
+                with lock:
+                    busy["now"] += 1
+                    busy["items"] += 1
+                    busy["peak"] = max(busy["peak"], busy["now"])
+                try:
+                    return fn(*a, **kw)
+                finally:
+                    with lock:
+                        busy["now"] -= 1
             return super().submit(run_item, *args, **kwargs)
 
     monkeypatch.setattr(_util, "ThreadPoolExecutor", Recording)
-    # three sample blocks per top, so a nested pool would start threads
-    argv = ("--format", "json", "--seed", "3", "--samples", "300000",
-            "check", "s2-octahedron", "--measure", "round-mc")
+    monkeypatch.setattr(measure, "_BLOCK", 1000)
+    # a mixture is read cut set by cut set on a pool, and each reading
+    # draws three sample blocks, so a nested pool would start threads
+    half = {"weight": 0.5, "measure": {"type": "round", "monte_carlo": True}}
+    argv = ("--format", "json", "--seed", "3", "--samples", "3000",
+            "check", "s2-octahedron", "--measure",
+            json.dumps({"type": "mixture", "components": [half, half]}))
     monkeypatch.setenv("GBM_THREADS", "1")
     _, sequential = run(capsys, *argv)
-    assert not workers
+    assert busy["items"] == 0
     monkeypatch.setenv("GBM_THREADS", "2")
     _, threaded = run(capsys, *argv)
     assert threaded == sequential
-    assert 1 <= len(workers) <= 2
+    assert busy["items"] > 0
+    assert 1 <= busy["peak"] <= 2

@@ -421,8 +421,24 @@ class TestFiniteOrbit:
         assert np.allclose(m.weights, 1.0 / 5.0)
 
     def test_irrational_rotation_overflows(self):
-        with pytest.raises(OrbitOverflow):
+        with pytest.raises(OrbitOverflow) as overflow:
             finite_orbit_measure([1.0, 0, 0], [rotation_z(1.0)], 100)
+        assert overflow.value.size == 101
+
+    def test_large_orbit_in_discovery_order(self):
+        n = 3000
+        m = finite_orbit_measure([0.6, 0, 0.8], [rotation_z(2 * np.pi / n)], n)
+        assert len(m.orbit) == n
+        # breadth first: seed, g seed, g^-1 seed, g^2 seed, ...; the two
+        # half turns meet, so the last point is the seed turned by pi
+        turns = [(i + 1) // 2 * (1 if i % 2 else -1) for i in range(n)]
+        expected = [[0.6 * np.cos(2 * np.pi * k / n),
+                     0.6 * np.sin(2 * np.pi * k / n), 0.8] for k in turns]
+        assert np.allclose(m.orbit, expected, atol=1e-9)
+        with pytest.raises(OrbitOverflow) as overflow:
+            finite_orbit_measure([0.6, 0, 0.8], [rotation_z(2 * np.pi / n)],
+                                 n - 1)
+        assert overflow.value.size == n
 
 
 class TestEstimateAlgebra:
