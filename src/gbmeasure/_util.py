@@ -21,6 +21,19 @@ def normalized(v, tol=UNIT_TOL):
     return v / n
 
 
+def numeric_array(value, shape):
+    """value as a float array of the given shape, where None matches any
+    length; None when it is ragged, not numbers or of another shape."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if a.ndim == len(shape) and all(
+            want in (None, n) for n, want in zip(a.shape, shape)):
+        return a
+    return None
+
+
 def projective_distance(x, y):
     """Distance between two unit vectors taken up to sign."""
     return min(np.linalg.norm(x - y), np.linalg.norm(x + y))

@@ -6,19 +6,21 @@ returns a MeasureEstimate: exact values carry std_error 0 and samples 0,
 Monte Carlo values carry the estimated standard error of the mean, the
 sample count and the sample histogram they were read from.
 
-Monte Carlo evaluation draws standard Gaussian vectors (unnormalized: only
-signs are tested) in fixed blocks with per-block derived seeds, and bins
-each sample's sign code against the region's planes into a SignHistogram,
-so a result is a pure function of (seed, samples) no matter how blocks are
-scheduled across threads.  The mass of every sub-region cut out by a subset
-of those planes is a superset sum over the same histogram, and estimates
+Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
+per-block derived seeds and bins each sample's sign code against a
+region's planes into a SignHistogram, so a result is a pure function of
+(seed, samples) however blocks are scheduled across threads.  eval_many
+draws once for all its sampled regions (see _region_masses), and estimates
 read from one histogram carry their shared samples into the error bar.
-eval_many draws once for all its sampled regions and tests them in chunks
-of _CHUNK samples, with one matrix product for the stacked planes of many
-regions against one or more chunks.  Each region reads each chunk turned by a Haar rotation
-drawn afresh for it, which makes the readings of distinct regions exactly
-uncorrelated, so their histograms stay separate sources whose errors add
-in quadrature, and keeps the tails of sums over regions Gaussian.
+
+The draw is float32 Box-Muller on uniforms of the generator's grid
+k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
+float32 rounding bias the law by order 2^-24 per uniform, about 1e-7 of a
+region mass, below any standard error short of 1e14 samples; region
+masses do not see it at all, since a Haar rotation turns any nonzero
+sample into a uniform direction.  Sign products stay float64: the float32
+samples convert exactly, while a float32 product would flip the signs of
+samples within 6e-8 relative of a plane.
 """
 
 import math
@@ -32,7 +34,8 @@ from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
                      UnsupportedMeasure)
 from .geom import Hyperplane, ProjectiveMap, Region, apply_map
 from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, normalized,
-                    ordered_map, projective_closure, scaled_flat)
+                    numeric_array, ordered_map, projective_closure,
+                    scaled_flat)
 
 ATOM_TOL = 1e-12
 Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
@@ -278,7 +281,6 @@ def _exact_round_value(dim, normals):
                 d = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
                 area -= math.acos(d)
             return area / (2.0 * math.pi)
-        return None
     return None
 
 
@@ -314,15 +316,27 @@ def _arc_mass(normals):
 # Monte Carlo engine
 
 def _gaussian_draw(width):
-    """Standard Gaussian vectors: directions uniform on S^(width-1).
+    """draw(rng, count): count x width float32 standard Gaussian vectors.
 
-    They are not normalized, since a sign test does not need it.
+    Box-Muller: the first half of one array of uniforms u gives radii
+    sqrt(-2 log u), the second angles 2 pi u, and the radii times their
+    cos and sin fill the two halves of the block.
     """
-    return lambda rng, count: rng.standard_normal((count, width))
-
-
-def _unit_rows(x):
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    def draw(rng, count):
+        half = -(-count * width // 2)
+        u = rng.random(2 * half, dtype=np.float32)
+        np.maximum(u, 2.0 ** -25, out=u)   # 0 moves to its cell's midpoint
+        radius, angle = u[:half], u[half:]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * math.pi
+        x = np.empty((2, half), dtype=np.float32)
+        np.cos(angle, out=x[0])
+        np.sin(angle, out=x[1])
+        x *= radius
+        return x.reshape(-1)[:count * width].reshape(count, width)
+    return draw
 
 
 def _rng(mc, role, index):
@@ -571,17 +585,11 @@ class MeasureSpec(ABC):
         returns [].  Used by transversality checking.
         """
 
-    def sample(self, rng, count):
-        """Draw count points distributed as this measure (if meaningful)."""
-        raise UnsupportedMeasure("%s cannot be sampled from"
-                                 % type(self).__name__)
-
     def union_mass(self, regions, mc=None):
         """Mass of the union of the regions and their antipodal images."""
         regs = list(regions)
         for r in regs:
-            if r.ambient_dim != self.dim:
-                raise DimensionMismatch("region dimension mismatch in union")
+            self._check_region(r)
         return self._union_mass(regs, mc)
 
     def _union_mass(self, regions, mc):
@@ -631,9 +639,6 @@ class RoundMeasure(MeasureSpec):
 
     def _draw(self):
         return _gaussian_draw(self._dim + 1)
-
-    def sample(self, rng, count):
-        return _unit_rows(self._draw()(rng, count))
 
     def __repr__(self):
         return "RoundMeasure(dim=%d%s)" % (
@@ -716,8 +721,6 @@ class AtomicMeasure(MeasureSpec):
         return self._points @ region.normals.T
 
     def _eval(self, region, mc):
-        if len(region.halves) == 0:
-            return MeasureEstimate(self.total_mass)
         dots = self._dots(region)
         band = np.abs(dots) <= ATOM_TOL
         if band.any():
@@ -736,9 +739,6 @@ class AtomicMeasure(MeasureSpec):
         banded = np.zeros(len(self._points), dtype=bool)
         ctx = [None] * len(self._points)
         for r in regions:
-            if len(r.halves) == 0:
-                covered[:] = True
-                continue
             dots = self._dots(r)
             band_rows = np.any(np.abs(dots) <= ATOM_TOL, axis=1)
             in_r = np.all(dots > ATOM_TOL, axis=1)
@@ -846,9 +846,6 @@ class SubsphereUniform(MeasureSpec):
         base = _gaussian_draw(self._basis.shape[0])
         basis = self._basis
         return lambda rng, count: base(rng, count) @ basis
-
-    def sample(self, rng, count):
-        return _unit_rows(self._draw()(rng, count))
 
     def __repr__(self):
         return "SubsphereUniform(S^%d in S^%d)" % (self.subsphere_dim,
@@ -977,10 +974,6 @@ class RestrictedNormalized(MeasureSpec):
     @property
     def dim(self):
         return self._base.dim
-
-    @property
-    def base(self):
-        return self._base
 
     def _eval(self, region, mc):
         if self._subspace is not None:
@@ -1141,9 +1134,6 @@ class InvarianceReport:
     max_discrepancy: float
     passed: bool
 
-    def worst(self):
-        return max(self.entries, key=lambda e: e.discrepancy)
-
     def per_region(self):
         """Region index -> (max discrepancy, passed) over all generators."""
         out = {}
@@ -1201,12 +1191,27 @@ def _required(spec, key, kind):
 
 
 def _spec_objects(spec, key):
-    """spec[key], which must be a list of JSON objects."""
+    """spec[key], which must be a non-empty list of JSON objects."""
     items = _required(spec, key, spec["type"])
-    if isinstance(items, list) and all(isinstance(i, dict) for i in items):
+    if (isinstance(items, list) and items
+            and all(isinstance(i, dict) for i in items)):
         return items
-    raise SchemaError("%s measure: %r must be a list of objects, got %r"
-                      % (spec["type"], key, items))
+    raise SchemaError("%s measure: %r must be a non-empty list of objects, "
+                      "got %r" % (spec["type"], key, items))
+
+
+def _spec_array(spec, key, kind, shape, empty=False):
+    """spec[key] as a float array of the given shape (see numeric_array);
+    a ragged, misshapen or (unless empty) empty value is a SchemaError."""
+    value = _required(spec, key, kind)
+    if empty and value == []:
+        return np.empty((0,) + shape[1:])
+    a = numeric_array(value, shape)
+    if a is None or a.size == 0:
+        raise SchemaError("%s measure: %r must be a [%s] array of numbers, "
+                          "got %r" % (kind, key, ", ".join(
+                              str(n or "k") for n in shape), value))
+    return a
 
 
 def measure_from_spec(spec, dim):
@@ -1215,22 +1220,23 @@ def measure_from_spec(spec, dim):
     See README for the field-by-field format of each "type".
     """
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("measure spec must be an object with a 'type' field")
+        raise SchemaError("measure spec must be an object with a 'type' "
+                          "field, got %r" % (spec,))
     if "dim" in spec and int(spec["dim"]) != dim:
         raise DimensionMismatch("measure dim %s vs document dim %d"
                                 % (spec["dim"], dim))
-    kind = spec["type"]
+    kind, width = spec["type"], dim + 1
     if kind == "round":
         return RoundMeasure(dim, monte_carlo=bool(spec.get("monte_carlo",
                                                            False)))
     if kind == "atomic":
-        atoms = [(_required(a, "point", kind),
+        atoms = [(_spec_array(a, "point", kind, (width,)),
                   float(_required(a, "weight", kind)))
                  for a in _spec_objects(spec, "atoms")]
         return AtomicMeasure(atoms, dim=dim)
     if kind == "subsphere":
         return SubsphereUniform(
-            np.asarray(_required(spec, "basis", kind), dtype=float), dim=dim)
+            _spec_array(spec, "basis", kind, (None, width)), dim=dim)
     if kind == "mixture":
         comps = [(float(_required(c, "weight", kind)),
                   measure_from_spec(_required(c, "measure", kind), dim))
@@ -1239,22 +1245,15 @@ def measure_from_spec(spec, dim):
     if kind == "restricted":
         base = measure_from_spec(_required(spec, "base", kind), dim)
         if "region" in spec:
-            region = Region([Hyperplane(u) for u in spec["region"]], dim)
-            return RestrictedNormalized(base, region=region)
+            normals = _spec_array(spec, "region", kind, (None, width), True)
+            return RestrictedNormalized(
+                base, region=Region([Hyperplane(u) for u in normals], dim))
         return RestrictedNormalized(
-            base, subspace=np.asarray(_required(spec, "subspace", kind),
-                                      dtype=float))
+            base, subspace=_spec_array(spec, "subspace", kind, (None, width)))
     if kind == "orbit":
-        gens = np.asarray(_required(spec, "generators", kind), dtype=float)
-        seed = np.asarray(_required(spec, "seed_point", kind), dtype=float)
-        if gens.size and gens.shape[1:] != (dim + 1, dim + 1):
-            raise SchemaError("orbit measure: 'generators' must be %dx%d "
-                              "matrices, got shape %s"
-                              % (dim + 1, dim + 1, gens.shape))
-        if seed.shape != (dim + 1,):
-            raise SchemaError("orbit measure: 'seed_point' must have %d "
-                              "coordinates, got shape %s"
-                              % (dim + 1, seed.shape))
+        gens = _spec_array(spec, "generators", kind, (None, width, width),
+                           True)
+        seed = _spec_array(spec, "seed_point", kind, (width,))
         return finite_orbit_measure(seed, [ProjectiveMap(m) for m in gens],
                                     int(spec.get("max_orbit", 10000)))
-    raise ValueError("unknown measure type %r" % kind)
+    raise SchemaError("unknown measure type %r" % (kind,))

@@ -33,7 +33,7 @@ from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
-from ._util import (MATCH_TOL, PointIndex, normalized,
+from ._util import (MATCH_TOL, PointIndex, normalized, numeric_array,
                     points_projectively_equal, projective_closure,
                     projective_distance, scaled_flat)
 
@@ -132,11 +132,8 @@ def _list_field(document, key, diag):
 
 def _square_matrix(value, n, what, diag):
     """value as an (n+1)x(n+1) float array, or None with a diagnostic."""
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        m = None
-    if m is None or m.shape != (n + 1, n + 1):
+    m = numeric_array(value, (n + 1, n + 1))
+    if m is None:
         diag.append("%s must be a %dx%d matrix of numbers"
                     % (what, n + 1, n + 1))
         return None

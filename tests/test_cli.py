@@ -1,8 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbmeasure import _util, cli, errors, measure
 from gbmeasure.cli import main
@@ -238,6 +242,107 @@ def test_missing_measure_field_is_schema_error(capsys, spec, field):
     assert diagnostic["error"] == "SchemaError"
     assert spec["type"] in diagnostic["detail"]
     assert repr(field) in diagnostic["detail"]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"type": "atomic", "atoms": []}, "atoms"),
+    ({"type": "atomic", "atoms": [{"point": [1, 2], "weight": 2}]}, "point"),
+    ({"type": "orbit", "seed_point": [1, 0, 0],
+      "generators": [[[1, 0, 0], [0, 1]]]}, "generators"),
+    ({"type": "orbit", "seed_point": [1, [0], 0], "generators": []},
+     "seed_point"),
+    ({"type": "subsphere", "basis": [[1, 0, 0], [0, 1]]}, "basis"),
+], ids=["atoms-empty", "point-length", "generators-ragged",
+        "seed-point-ragged", "basis-ragged"])
+def test_malformed_measure_array_names_the_field(capsys, spec, field):
+    code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
+                    "--measure", json.dumps(spec))
+    assert code == 2
+    diagnostic = json.loads(out)
+    assert diagnostic["error"] == "SchemaError"
+    assert repr(field) in diagnostic["detail"]
+
+
+def _builtin_measure_specs():
+    """The named measures on s2-octahedron, and one spec of each composite
+    type built from them."""
+    document = builtin_document("s2-octahedron")
+    named = [cli._named_measure(name, document, 2) for name in
+             ("round", "round-mc", "infinity-line", "atomic-on-edge")]
+    turn = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    return named + [
+        {"type": "mixture", "components": [
+            {"weight": 0.5, "measure": named[1]},
+            {"weight": 0.5, "measure": named[2]}]},
+        {"type": "restricted", "base": named[0],
+         "region": [[0.0, 0.6, 0.8], [0.8, 0.0, 0.6]]},
+        {"type": "restricted", "base": named[0],
+         "subspace": named[2]["basis"]},
+        {"type": "orbit", "seed_point": [0.6, 0.1, 0.8], "generators": [turn],
+         "max_orbit": 10}]
+
+
+_OPTIONAL_FIELDS = {"monte_carlo", "max_orbit", "dim"}
+_MAY_BE_EMPTY = {"generators", "region"}   # the seed's Dirac mass; all S^n
+
+
+def _malforming_mutations(node, path=()):
+    """(path, mutation) pairs, each of which makes a valid spec malformed:
+    drop a required field, empty a list, make a list ragged, or make a
+    vector one too short or too long."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key not in _OPTIONAL_FIELDS:
+                yield path + (key,), "drop"
+            yield from _malforming_mutations(value, path + (key,))
+    elif isinstance(node, list) and node:
+        if path[-1] not in _MAY_BE_EMPTY:
+            yield path, "empty"
+        if all(isinstance(x, (int, float)) for x in node):
+            yield from ((path, m) for m in ("ragged", "short", "long"))
+        elif all(isinstance(x, list) for x in node):
+            yield path, "ragged"
+        for i, value in enumerate(node):
+            yield from _malforming_mutations(value, path + (i,))
+
+
+def _mutated(spec, path, mutation):
+    spec = copy.deepcopy(spec)
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation == "empty":
+        node.clear()
+    elif mutation == "ragged":
+        node[0] = [node[0]] if not isinstance(node[0], list) else node[0][:-1]
+    elif mutation == "short":
+        node.pop()
+    else:
+        node.append(0.5)
+    return spec
+
+
+_MALFORMED_SPECS = [(spec, path, mutation)
+                    for spec in _builtin_measure_specs()
+                    for path, mutation in _malforming_mutations(spec)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MALFORMED_SPECS))
+def test_malformed_measure_spec_is_a_named_error(case):
+    spec, path, mutation = case
+    argv = ["--format", "json", "--samples", "2000", "check",
+            "s2-octahedron", "--measure",
+            json.dumps(_mutated(spec, path, mutation))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 2, (path, mutation)
+    error = getattr(errors, json.loads(out.getvalue())["error"], None)
+    assert error is not None and issubclass(error, errors.GBError)
 
 
 def test_thread_pools_do_not_nest(capsys, monkeypatch):

@@ -198,8 +198,8 @@ class TestMonteCarlo:
         assert sizes == [2, 1, 3, 1, 2]
         want = [np.zeros(len(c), dtype=int) for c in got]
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
-            x = mm._rng(mc, mm._ROLE_BLOCK, b).standard_normal(
-                (min(mm._BLOCK, mc.samples - start), width))
+            x = mm._gaussian_draw(width)(mm._rng(mc, mm._ROLE_BLOCK, b),
+                                         min(mm._BLOCK, mc.samples - start))
             rotations = mm._rng(mc, mm._ROLE_REGION, b)
             chunks = range(0, len(x), mm._CHUNK)
             first = 0
@@ -260,6 +260,80 @@ class TestMonteCarlo:
         scatter = np.std([e.value for e in ests], ddof=1)
         reported = np.mean([e.std_error for e in ests])
         assert reported / 2 <= scatter <= reported * 2
+
+
+class _GridGenerator:
+    """Stands in for a generator: random() returns the given uniforms for
+    the radii and again for the angles, so cell k pairs with cell k."""
+
+    def __init__(self, cells):
+        self.cells = cells
+
+    def random(self, size, dtype):
+        assert size == 2 * len(self.cells) and dtype == np.float32
+        return np.concatenate([self.cells, self.cells])
+
+
+class TestGaussianDraw:
+    def test_generator_returns_the_2_to_minus_24_grid(self):
+        u = np.random.default_rng(3).random(1 << 20, dtype=np.float32)
+        k = u.astype(np.float64) * 2 ** 24
+        assert np.array_equal(k, np.floor(k)) and k.max() < 2 ** 24
+
+    def test_no_uniform_gives_a_zero_coordinate(self):
+        # every uniform the generator can return, as radius and as angle:
+        # r cos(theta) and r sin(theta) are products of float32 factors
+        # far above the underflow threshold, so each is 0 only if r,
+        # cos(theta) or sin(theta) is
+        draw = measure_module._gaussian_draw(2)
+        step = 1 << 21
+        for first in range(0, 1 << 24, step):
+            cells = (np.arange(first, first + step, dtype=np.float32)
+                     * np.float32(2.0 ** -24))
+            x = draw(_GridGenerator(cells), step).reshape(2, step)
+            assert np.all(np.isfinite(x))
+            assert np.all(np.hypot(x[0], x[1]) > 0.0)      # r > 0
+            assert np.all(x[0] != 0.0)                      # cos theta != 0
+            assert np.all(x[1] != 0.0)                      # sin theta != 0
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_orthants_and_marginals_follow_the_gaussian_law(self, width):
+        draw = measure_module._gaussian_draw(width)
+        rng = np.random.default_rng(100 + width)
+        count = (1 << 17) + 1          # odd count x odd width: odd total
+        orthants = np.zeros(1 << width, dtype=np.int64)
+        cuts = np.array([-2.0, -1.0, -0.3, 0.3, 1.0, 2.0])
+        below = np.zeros(len(cuts), dtype=np.int64)
+        pair_moments = np.zeros(2)   # sums of a b and (a b)^2
+        blocks = -(-5_000_000 // count)
+        for _ in range(blocks):
+            x = draw(rng, count)
+            assert x.shape == (count, width) and x.dtype == np.float32
+            codes = ((x > 0) << np.arange(width)).sum(axis=1)
+            orthants += np.bincount(codes, minlength=1 << width)
+            below += (x[:, 0, None] < cuts).sum(axis=0)
+            # the cos and sin coordinates of one uniform pair lie half a
+            # block apart, and must be uncorrelated
+            flat = x.ravel().astype(np.float64)
+            half = -(-len(flat) // 2)
+            ab = flat[:len(flat) - half] * flat[half:]
+            pair_moments += ab.sum(), (ab * ab).sum()
+        n = blocks * count
+        p = 2.0 ** -width
+        z = (orthants - n * p) / math.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(z) < 4.0)
+        phi = np.array([0.5 * (1 + math.erf(c / math.sqrt(2))) for c in cuts])
+        z = (below - n * phi) / np.sqrt(n * phi * (1 - phi))
+        assert np.all(np.abs(z) < 4.0)
+        assert abs(pair_moments[0]) < 4.0 * math.sqrt(pair_moments[1])
+
+    def test_same_seed_and_count_give_the_same_bits(self):
+        draw = measure_module._gaussian_draw(3)
+        a = draw(np.random.default_rng(7), 1001)
+        b = draw(np.random.default_rng(7), 1001)
+        assert a.shape == (1001, 3) and a.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != draw(np.random.default_rng(8), 1001).tobytes()
 
 
 class TestAtomic:
