@@ -33,9 +33,9 @@ from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
-from ._util import (MATCH_TOL, PointIndex, normalized, numeric_array,
-                    points_projectively_equal, projective_closure,
-                    projective_distance, scaled_flat)
+from ._util import (MATCH_TOL, PointIndex, all_integers, is_integer,
+                    normalized, numeric_array, points_projectively_equal,
+                    projective_closure, projective_distance, scaled_flat)
 
 _SUPPORT_TOL = 1e-12
 
@@ -115,11 +115,10 @@ class GeometricTriangulation:
 # loading and validation
 
 def _as_int(value, what, diag):
-    try:
+    if is_integer(value):
         return int(value)
-    except (TypeError, ValueError):
-        diag.append("%s must be an integer, got %r" % (what, value))
-        return None
+    diag.append("%s must be an integer, got %r" % (what, value))
+    return None
 
 
 def _list_field(document, key, diag):
@@ -134,7 +133,7 @@ def _square_matrix(value, n, what, diag):
     """value as an (n+1)x(n+1) float array, or None with a diagnostic."""
     m = numeric_array(value, (n + 1, n + 1))
     if m is None:
-        diag.append("%s must be a %dx%d matrix of numbers"
+        diag.append("%s must be a %dx%d matrix of finite numbers"
                     % (what, n + 1, n + 1))
         return None
     return m
@@ -176,12 +175,11 @@ def load(document):
             continue
         level = []
         for idx, tup in enumerate(faces_doc[key]):
-            try:
-                tup = tuple(int(v) for v in tup)
-            except (TypeError, ValueError):
+            if not isinstance(tup, (list, tuple)) or not all_integers(tup):
                 diag.append("face %d of dim %d is not a vertex tuple: %r"
                             % (idx, r, tup))
                 continue
+            tup = tuple(map(int, tup))
             if len(tup) != r + 1:
                 diag.append("face %d of dim %d has %d vertices, expected %d"
                             % (idx, r, len(tup), r + 1))
@@ -241,14 +239,18 @@ def load(document):
     bad = []
     for pidx, p in enumerate(_list_field(document, "pairings", diag)):
         try:
-            ids = (int(p["face"]), int(p["simplex_a"]), int(p["simplex_b"]))
+            ids = (p["face"], p["simplex_a"], p["simplex_b"])
             m = _square_matrix(p["matrix"], n, "pairing %d matrix" % pidx,
                                diag)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError) as err:
             diag.append("pairing %d is malformed: %s" % (pidx, err))
             continue
+        if not all_integers(ids):
+            diag.append("pairing %d face and simplices must be integers, "
+                        "got %r" % (pidx, ids))
+            continue
         if m is not None:
-            pairings.append(Pairing(*ids, ProjectiveMap(m)))
+            pairings.append(Pairing(*map(int, ids), ProjectiveMap(m)))
     if diag:
         raise SchemaError(diag)
     tri = GeometricTriangulation(n, n_vertices, tuple(faces),

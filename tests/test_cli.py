@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gbmeasure import _util, cli, errors, measure
 from gbmeasure.cli import main
-from gbmeasure.documents import builtin_document
+from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 
 
 def run(capsys, *argv):
@@ -284,26 +286,55 @@ def _builtin_measure_specs():
 
 _OPTIONAL_FIELDS = {"monte_carlo", "max_orbit", "dim"}
 _MAY_BE_EMPTY = {"generators", "region"}   # the seed's Dirac mass; all S^n
+_INTEGER_FIELDS = {"max_orbit", "dim", "vertices", "face", "simplex_a",
+                   "simplex_b"}
 
 
-def _malforming_mutations(node, path=()):
+def _scalar_mutations(value, path):
+    """Replacements that make a scalar malformed: wrapped in a list, as a
+    string, NaN, infinite, a boolean (or a number for a boolean), and a
+    fraction where an integer is required (a field of _INTEGER_FIELDS or
+    a vertex of a face)."""
+    yield from ("wrap", "nan", "inf")
+    if not isinstance(value, str):
+        yield "string"
+    yield "number" if isinstance(value, bool) else "bool"
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (path[0] == "faces" or set(path) & _INTEGER_FIELDS)):
+        yield "fraction"
+
+
+def _malforming_mutations(node, path=(), structural=True):
     """(path, mutation) pairs, each of which makes a valid spec malformed:
-    drop a required field, empty a list, make a list ragged, or make a
-    vector one too short or too long."""
+    drop a required field, empty a list, make a list ragged, make a
+    vector one too short or too long, or replace a scalar (see
+    _scalar_mutations).  Without structural, only ragged lists and
+    scalar replacements."""
     if isinstance(node, dict):
         for key, value in node.items():
-            if key not in _OPTIONAL_FIELDS:
+            if structural and key not in _OPTIONAL_FIELDS:
                 yield path + (key,), "drop"
-            yield from _malforming_mutations(value, path + (key,))
+            yield from _malforming_mutations(value, path + (key,),
+                                             structural)
     elif isinstance(node, list) and node:
-        if path[-1] not in _MAY_BE_EMPTY:
+        if structural and path[-1] not in _MAY_BE_EMPTY:
             yield path, "empty"
         if all(isinstance(x, (int, float)) for x in node):
-            yield from ((path, m) for m in ("ragged", "short", "long"))
+            yield path, "ragged"
+            if structural:
+                yield from ((path, m) for m in ("short", "long"))
         elif all(isinstance(x, list) for x in node):
             yield path, "ragged"
         for i, value in enumerate(node):
-            yield from _malforming_mutations(value, path + (i,))
+            yield from _malforming_mutations(value, path + (i,), structural)
+    elif not isinstance(node, list):
+        yield from ((path, m) for m in _scalar_mutations(node, path))
+
+
+_SCALAR_REPLACEMENTS = {
+    "wrap": lambda v: [v], "string": str, "nan": lambda v: float("nan"),
+    "inf": lambda v: float("inf"), "bool": lambda v: True,
+    "number": lambda v: 1, "fraction": lambda v: v + 0.5}
 
 
 def _mutated(spec, path, mutation):
@@ -312,7 +343,9 @@ def _mutated(spec, path, mutation):
     for key in path[:-1]:
         parent = parent[key]
     node = parent[path[-1]]
-    if mutation == "drop":
+    if mutation in _SCALAR_REPLACEMENTS:
+        parent[path[-1]] = _SCALAR_REPLACEMENTS[mutation](node)
+    elif mutation == "drop":
         del parent[path[-1]]
     elif mutation == "empty":
         node.clear()
@@ -330,7 +363,7 @@ _MALFORMED_SPECS = [(spec, path, mutation)
                     for path, mutation in _malforming_mutations(spec)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_MALFORMED_SPECS))
 def test_malformed_measure_spec_is_a_named_error(case):
     spec, path, mutation = case
@@ -379,3 +412,84 @@ def test_thread_pools_do_not_nest(capsys, monkeypatch):
     assert threaded == sequential
     assert busy["items"] > 0
     assert 1 <= busy["peak"] <= 2
+
+
+_BUILTIN_DOCUMENTS = {name: builtin_document(name)
+                      for name in sorted(BUILTIN_DOCUMENTS)}
+
+
+def _malformed_documents():
+    """Ragged lists and scalar replacements in every built-in document,
+    grouped by (document, top-level key) so that each group is drawn
+    alike however many entries it has."""
+    groups = {}
+    for name, document in _BUILTIN_DOCUMENTS.items():
+        for path, mutation in _malforming_mutations(document,
+                                                    structural=False):
+            groups.setdefault((name, path[0]), []).append(
+                (name, path, mutation))
+    return list(groups.values())
+
+
+_MALFORMED_DOCUMENTS = _malformed_documents()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MALFORMED_DOCUMENTS).flatmap(st.sampled_from))
+def test_malformed_document_is_a_named_error(case):
+    name, path, mutation = case
+    document = _mutated(_BUILTIN_DOCUMENTS[name], path, mutation)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = os.path.join(tmp, "doc.json")
+        with open(doc_path, "w") as fh:
+            json.dump(document, fh)
+        with contextlib.redirect_stdout(out):
+            code = main(["--format", "json", "--samples", "2000", "check",
+                         doc_path])
+    assert code == 2, (name, path, mutation)
+    error = getattr(errors, json.loads(out.getvalue())["error"], None)
+    assert error is not None and issubclass(error, errors.GBError)
+
+
+def test_builtin_documents_pass_unmutated(tmp_path, capsys):
+    # the documents the fuzzer mutates are valid as they are
+    for name, document in _BUILTIN_DOCUMENTS.items():
+        doc_path = tmp_path / (name + ".json")
+        doc_path.write_text(json.dumps(document))
+        assert run(capsys, "--samples", "2000", "check", str(doc_path))[0] \
+            == 0, name
+
+
+@pytest.mark.parametrize("argv, name, path, named", [
+    (["--dichotomy"], "t2-grid", ("holonomy_generators", 0, 0, 0),
+     "holonomy generator 0"),
+    (["--dichotomy", "--orbit-depth", "1"], "t2-grid",
+     ("holonomy_generators", 0, 0, 0), "holonomy generator 0"),
+    ([], "s2-octahedron", ("pairings", 0, "matrix", 1, 2),
+     "pairing 0 matrix"),
+    ([], "s2-octahedron", ("developed", 3, 0, 1), "developed[3]"),
+    ([], "s2-octahedron", ("faces", "1", 0, 0), "face 0 of dim 1"),
+    ([], "s2-octahedron", ("measure", "point"), "'point'"),
+], ids=["holonomy-dichotomy", "holonomy-orbit", "pairing", "developed",
+        "face", "atomic-point"])
+@pytest.mark.parametrize("number", [float("nan"), float("inf")])
+def test_non_finite_number_is_a_named_error(tmp_path, capsys, argv, name,
+                                            path, named, number):
+    document = copy.deepcopy(_BUILTIN_DOCUMENTS[name])
+    if path[0] == "measure":
+        document["measure"] = {"type": "atomic", "atoms": [
+            {"point": [number, 0.2, 1.0], "weight": 1.0}]}
+    else:
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = number
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(document))
+    code, out = run(capsys, "--format", "json", "--samples", "2000",
+                    "check", str(doc_path), *argv)
+    assert code == 2
+    diagnostic = json.loads(out)
+    assert diagnostic["error"] == "SchemaError"
+    assert named in diagnostic["detail"]

@@ -222,6 +222,51 @@ class TestMonteCarlo:
             assert np.array_equal(g, w)
         assert 0 < want[3][1] < mc.samples   # the wide region is hit
 
+    def test_sign_coder_rereads_rows_beyond_the_fresh_row_cap(self,
+                                                             monkeypatch):
+        # blocks of 500 readings draw 128 fresh rows, two row chunks of
+        # 64: reading chunk c reads row chunk c mod 2 through its rotation
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        monkeypatch.setattr(mm, "_ROWS", 128)
+        dim, width = 3, 4
+        regions = self._coder_regions(dim, 3)
+        mc = MCConfig(seed=11, samples=1200)
+        got = [region_histogram(est).counts
+               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
+                   regions, mc)]
+        sizes = [g.count for g in mm._plane_groups(
+            [r.normals for r in regions])]
+        want = [np.zeros(len(c), dtype=int) for c in got]
+        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
+            size = min(mm._BLOCK, mc.samples - start)
+            x = mm._gaussian_draw(width)(mm._rng(mc, mm._ROLE_BLOCK, b),
+                                         min(size, mm._ROWS))
+            assert len(x) == 128
+            rotations = mm._rng(mc, mm._ROLE_REGION, b)
+            chunks = range(0, size, mm._CHUNK)
+            first = 0
+            for count in sizes:
+                q = mm._haar_rotations(rotations, (len(chunks), count), width)
+                for c, row in enumerate(chunks):
+                    fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
+                    rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
+                    for i in range(first, first + count):
+                        signs = [rows @ (u @ q[c, i - first]) > 0.0
+                                 for u in regions[i].normals]
+                        if len(signs) > mm._CODE_BITS:
+                            code = np.all(signs, axis=0).astype(int)
+                        else:
+                            code = sum(s.astype(int) << j
+                                       for j, s in enumerate(signs))
+                        want[i] += np.bincount(code, minlength=len(want[i]))
+                first += count
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert all(w.sum() == mc.samples for w in want)
+        assert 0 < want[3][1] < mc.samples   # the wide region is hit
+
     @pytest.mark.parametrize("measure", [
         RoundMeasure(3),
         SubsphereUniform(np.linalg.qr(
