@@ -38,31 +38,24 @@ def is_integer(value):
 
 def all_integers(values):
     """Whether every value is an integer (see is_integer)."""
-    return set(map(type, values)) <= {int} or all(map(is_integer, values))
+    return all(map(is_integer, values))
 
 
 def numeric_array(value, shape):
-    """value as a float array of the given shape, whose first length may be
-    None to match any; None when it is ragged, of another shape or holds
-    anything but finite numbers (a string, a boolean, NaN or an infinity)."""
+    """value as a float array of the given shape, where None matches any
+    length; None when it is ragged, of another shape or holds anything but
+    finite numbers (a string, a boolean, NaN or an infinity)."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if (a.ndim != len(shape) or a.shape[1:] != shape[1:]
-            or shape[0] not in (None, a.shape[0])):
+    if a.ndim != len(shape) or not all(
+            want in (None, n) for n, want in zip(a.shape, shape)):
         return None
-    if isinstance(value, np.ndarray):
-        valid = value.dtype.kind in "iuf" and np.isfinite(a).all()
-    else:
-        leaves = value
-        for _ in range(a.ndim - 1):
-            leaves = list(itertools.chain.from_iterable(leaves))
-        # JSON numbers pass the first test, numpy scalars the second
-        valid = (set(map(type, leaves)) <= {int, float}
-                 and all(map(math.isfinite, leaves))
-                 or all(map(is_number, leaves)))
-    return a if valid else None
+    leaves = value
+    for _ in range(a.ndim - 1):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    return a if all(map(is_number, leaves)) else None
 
 
 def projective_distance(x, y):

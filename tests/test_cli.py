@@ -358,13 +358,23 @@ def _mutated(spec, path, mutation):
     return spec
 
 
-_MALFORMED_SPECS = [(spec, path, mutation)
-                    for spec in _builtin_measure_specs()
-                    for path, mutation in _malforming_mutations(spec)]
+def _malformed_specs():
+    """Every malformed spec, in two groups drawn alike: structural
+    mutations and scalar replacements, so that adding scalar cases does
+    not draw the structural ones less often."""
+    groups = ([], [])
+    for spec in _builtin_measure_specs():
+        for path, mutation in _malforming_mutations(spec):
+            groups[mutation in _SCALAR_REPLACEMENTS].append(
+                (spec, path, mutation))
+    return list(groups)
+
+
+_MALFORMED_SPECS = _malformed_specs()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_MALFORMED_SPECS))
+@given(st.sampled_from(_MALFORMED_SPECS).flatmap(st.sampled_from))
 def test_malformed_measure_spec_is_a_named_error(case):
     spec, path, mutation = case
     argv = ["--format", "json", "--samples", "2000", "check",
