@@ -32,8 +32,7 @@ from .measure import (AtomicMeasure, FiniteOrbitMeasure, MCConfig,
                       RestrictedNormalized, RoundMeasure, SubsphereUniform,
                       average_over_group, check_invariance, combine_estimates,
                       derive_mc, finite_orbit_measure, measure_from_spec)
-from .simplex import (AngleValue, angle, angles_by_cut_set, k_value,
-                      sgb_residual)
+from .simplex import angle, angles_by_cut_set, k_value, sgb_residual
 from .triangulation import (GBReport, GeometricTriangulation, angle_table,
                             chart_independence, defect_sums, dichotomy_check,
                             euler_combinatorial, gb_report, load,

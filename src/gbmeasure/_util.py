@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -190,25 +189,16 @@ def thread_count():
         return 1
 
 
-_worker = threading.local()
-
-
 def ordered_map(fn, items):
     """Map fn over items, optionally on GBM_THREADS workers.
 
     Results are combined in input order, so the output is identical to the
-    sequential map whatever the interleaving.  A call made from inside a
-    worker runs sequentially, so GBM_THREADS=N never starts more than N
-    threads.
+    sequential map whatever the interleaving.  fn must not call
+    ordered_map itself, so GBM_THREADS=N never starts more than N threads.
     """
     items = list(items)
     workers = thread_count()
-    if workers <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
+    if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-
-    def run(item):
-        _worker.active = True
-        return fn(item)
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+        return list(pool.map(fn, items))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .documents import (BUILTIN_DOCUMENTS, builtin_document,
                         icosahedral_rotation_group, rotation_about)
-from .errors import GBError
+from .errors import GBError, SchemaError
 from .geom import ProjectiveMap, random_region, random_simplex
 from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
@@ -33,6 +33,7 @@ from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
 from .simplex import k_value, sgb_residual
 from .triangulation import dichotomy_check, gb_report, load
 from . import triangulation as _tri
+from ._util import is_integer, numeric_array
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,21 @@ def _named_group(name, dim):
                 for d in ([1.0, 1, 1], [-1.0, -1, 1], [1.0, -1, -1],
                           [-1.0, 1, -1])]
     if name.startswith("cyclic:"):
-        order = int(name.split(":", 1)[1])
-        return [rotation_about([0.0, 0, 1], 2 * np.pi * j / order)
-                for j in range(order)]
+        order = name.split(":", 1)[1]
+        if not order.isdecimal():
+            raise GBError("--group cyclic:N needs an integer N, got %r"
+                          % name)
+        return [rotation_about([0.0, 0, 1], 2 * np.pi * j / int(order))
+                for j in range(int(order))]
     if name.startswith("@"):
         with open(name[1:]) as fh:
-            return [ProjectiveMap(np.asarray(m, dtype=float))
-                    for m in json.load(fh)]
+            listed = json.load(fh)
+        matrices = ([numeric_array(m, (dim + 1, dim + 1)) for m in listed]
+                    if isinstance(listed, list) else [None])
+        if any(m is None for m in matrices):
+            raise SchemaError("--group %s must hold a list of %dx%d matrices "
+                              "of finite numbers" % (name, dim + 1, dim + 1))
+        return [ProjectiveMap(m) for m in matrices]
     raise GBError("unknown group %r" % name)
 
 
@@ -270,16 +279,37 @@ def cmd_invariance(args, cfg):
     return 0 if report.passed else 1
 
 
+def _check_pullback_input(data):
+    """Raise a SchemaError naming the first malformed field of a pullback
+    input; an empty list is left to the constructions to judge."""
+    def pairs(value):
+        return value == [] or numeric_array(value, (None, 2)) is not None
+
+    if not isinstance(data, dict):
+        raise SchemaError("pullback input must be a JSON object, got %r"
+                          % (data,))
+    arcs = data.get("coverings", [])
+    for key, valid, want in (
+            ("degree", is_integer(data.get("degree")), "an integer"),
+            ("atoms", pairs(data.get("atoms")), "a list of [angle, weight] "
+             "pairs of finite numbers"),
+            ("coverings", isinstance(arcs, list) and all(map(pairs, arcs)),
+             "a list of lists of [start, length] pairs of finite numbers")):
+        if not valid:
+            raise SchemaError("pullback input: %r must be %s, got %r"
+                              % (key, want, data.get(key)))
+
+
 def cmd_pullback(args, cfg):
     if args.input.startswith("@"):
         with open(args.input[1:]) as fh:
             data = json.load(fh)
     else:
         data = json.loads(args.input)
-    f = PowerMap(int(data["degree"]))
-    lam = CircleAtomicMeasure([(a, w) for a, w in data["atoms"]])
-    coverings = [AdaptedCovering([(s, l) for s, l in arcs])
-                 for arcs in data.get("coverings", [])]
+    _check_pullback_input(data)
+    f = PowerMap(data["degree"])
+    lam = CircleAtomicMeasure(data["atoms"])
+    coverings = [AdaptedCovering(arcs) for arcs in data.get("coverings", [])]
     if not coverings:
         coverings = [default_covering(f)]
     up = pullback(f, lam, coverings[0])
@@ -307,12 +337,7 @@ def cmd_pullback(args, cfg):
 
 
 def cmd_example(args, cfg):
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.m is not None:
-        params["m"] = args.m
-    doc = builtin_document(args.name, **params)
+    doc = _load_document(args.name, args)
     out = args.output or (args.name + ".json")
     with open(out, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -321,12 +346,17 @@ def cmd_example(args, cfg):
     return 0
 
 
-def _non_negative_int(text):
-    """argparse type: an integer >= 0, in decimal digits."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            "must be a non-negative integer, got %r" % text)
-    return int(text)
+def _integer_from(least, kind):
+    """argparse type: a kind integer, >= least, in decimal digits."""
+    def parse(text):
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                "must be a %s integer, got %r" % (kind, text))
+        return int(text)
+    return parse
+
+
+_non_negative_int = _integer_from(0, "non-negative")
 
 
 def build_parser():
@@ -335,7 +365,8 @@ def build_parser():
         description="Euler characteristic vs invariant-measure checks for "
                     "triangulated projective manifolds")
     parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--samples", type=int, default=1_000_000)
+    parser.add_argument("--samples", type=_integer_from(1, "positive"),
+                        default=1_000_000)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,9 +9,12 @@ sample count and the sample histogram they were read from.
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
 per-block derived seeds and bins each sample's sign code against a
 region's planes into a SignHistogram, so a result is a pure function of
-(seed, samples) however blocks are scheduled across threads.  eval_many
-draws once for all its sampled regions (see _region_masses), and estimates
-read from one histogram carry their shared samples into the error bar.
+(seed, samples) however blocks are scheduled across threads.  Every
+measure answers eval_many as one batch: a round or subsphere measure draws
+once for all its sampled regions (see _region_masses), a mixture asks each
+component once, a restriction asks its base once, and estimates read from
+one histogram carry their shared samples into the error bar.  A union is
+sampled from the same draw, against the same reduced normals.
 A block of readings draws at most _ROWS fresh rows and reads each of them
 up to _BLOCK / _ROWS times, each time through a fresh Haar rotation; the
 error bars stay exact (see _region_masses), and samples counts readings.
@@ -52,7 +55,7 @@ _GROUP_PLANES = 64   # a product has at most 64 x _CHUNK entries (1 MB)
 _ROLE_BLOCK = 0
 _ROLE_COMPONENT = 1
 _ROLE_RESTRICT = 2
-_ROLE_REGION = 3      # region i of an eval_many call: seed or rotation
+_ROLE_REGION = 3      # the Haar rotations of one block of readings
 _ROLE_UNION = 4
 _ROLE_INVARIANCE = 5
 
@@ -501,9 +504,10 @@ def _region_histograms(normal_sets, width, mc):
             for start in range(first, first + group.size, group.bins)]
 
 
-def _union_hits(normal_sets, draw, mc):
-    """How many of mc.samples draws lie inside some region or the
-    antipodal image of one: all its planes positive, or all negative."""
+def _union_hits(normal_sets, width, mc):
+    """How many of mc.samples Gaussian draws of the given width lie inside
+    some region or the antipodal image of one: all its planes positive, or
+    all negative."""
     groups = _plane_groups(normal_sets)
 
     def count(b, x):
@@ -514,7 +518,7 @@ def _union_hits(normal_sets, draw, mc):
                 hit[start:stop] |= group.hits(group.planes @ rows).ravel()
         return int(np.count_nonzero(hit))
 
-    return _block_sum(count, draw, mc)
+    return _block_sum(count, _gaussian_draw(width), mc)
 
 
 def _region_masses(normal_sets, exact_value, width, mc):
@@ -569,36 +573,34 @@ class MeasureSpec(ABC):
     def dim(self):
         """Dimension n of the sphere the measure lives on."""
 
-    @abstractmethod
-    def _eval(self, region, mc):
-        ...
-
     def eval(self, region, mc=None):
         """Measure of a Region, exact where supported, else Monte Carlo."""
-        self._check_region(region)
-        return self._eval(region, mc)
+        return self.eval_many([region], mc)[0]
 
     def eval_many(self, regions, mc=None):
         """Measures of several Regions, as a list in input order.
 
-        A pure function of (regions, mc).  By default region i is
-        evaluated on its own with a seed derived from (mc, i); a sampled
-        round or subsphere measure draws once for all regions instead.
+        A pure function of (regions, mc), answered as one batch: a sampled
+        round or subsphere measure draws once for all regions, a mixture
+        asks each component once for all of them, and a region restriction
+        asks its base once for the four regions R∩A, R∩-A, A and -A of
+        every region R.
         """
+        return self._eval_many(self._checked(regions), mc)
+
+    @abstractmethod
+    def _eval_many(self, regions, mc):
+        ...
+
+    def _checked(self, regions):
+        """regions as a list, each a region of this measure's sphere."""
         regions = list(regions)
         for region in regions:
-            self._check_region(region)
-        return self._eval_many(regions, mc)
-
-    def _eval_many(self, regions, mc):
-        return [self._eval(region, derive_mc(mc, _ROLE_REGION, i))
-                for i, region in enumerate(regions)]
-
-    def _check_region(self, region):
-        if region.ambient_dim != self.dim:
-            raise DimensionMismatch(
-                "region on S^%d evaluated against a measure on S^%d"
-                % (region.ambient_dim, self.dim))
+            if region.ambient_dim != self.dim:
+                raise DimensionMismatch(
+                    "region on S^%d evaluated against a measure on S^%d"
+                    % (region.ambient_dim, self.dim))
+        return regions
 
     @abstractmethod
     def support_subspaces(self):
@@ -610,24 +612,32 @@ class MeasureSpec(ABC):
 
     def union_mass(self, regions, mc=None):
         """Mass of the union of the regions and their antipodal images."""
-        regs = list(regions)
-        for r in regs:
-            self._check_region(r)
-        return self._union_mass(regs, mc)
+        return self._union_mass(self._checked(regions), mc)
+
+    @abstractmethod
+    def _union_mass(self, regions, mc):
+        ...
+
+
+class _UniformMeasure(MeasureSpec):
+    """The uniform measure on a great subsphere S^(_width - 1), read
+    through region normals reduced to the subsphere's coordinates: a closed
+    form (_exact_value) or one Gaussian draw of width _width per batch of
+    regions (_region_masses) or per union (_union_hits)."""
+
+    def _eval_many(self, regions, mc):
+        return _region_masses([self._reduced_normals(r) for r in regions],
+                              self._exact_value, self._width, mc)
 
     def _union_mass(self, regions, mc):
         mc = derive_mc(mc, _ROLE_UNION)
-        hits = _union_hits([r.normals for r in regions], self._draw(), mc)
+        hits = _union_hits([self._reduced_normals(r) for r in regions],
+                           self._width, mc)
         return SignHistogram(np.array([int(mc.samples) - hits,
                                        hits])).mass(1)
 
-    def _draw(self):
-        """draw(rng, count): vectors whose directions follow the measure."""
-        raise UnsupportedMeasure("%s has no sampler; union_mass unsupported"
-                                 % type(self).__name__)
 
-
-class RoundMeasure(MeasureSpec):
+class RoundMeasure(_UniformMeasure):
     """The uniform measure, normalized to total mass 2.
 
     Exact closed forms are used on S^1 (arc length) and S^2 (angle excess,
@@ -640,17 +650,14 @@ class RoundMeasure(MeasureSpec):
         self.monte_carlo = bool(monte_carlo)
         if self._dim < 0:
             raise ValueError("dimension must be >= 0")
+        self._width = self._dim + 1
 
     @property
     def dim(self):
         return self._dim
 
-    def _eval(self, region, mc):
-        return self._eval_many([region], mc)[0]
-
-    def _eval_many(self, regions, mc):
-        return _region_masses([r.normals for r in regions],
-                              self._exact_value, self._dim + 1, mc)
+    def _reduced_normals(self, region):
+        return region.normals
 
     def _exact_value(self, normals):
         if self.monte_carlo and len(normals):
@@ -659,9 +666,6 @@ class RoundMeasure(MeasureSpec):
 
     def support_subspaces(self):
         return []
-
-    def _draw(self):
-        return _gaussian_draw(self._dim + 1)
 
     def __repr__(self):
         return "RoundMeasure(dim=%d%s)" % (
@@ -743,7 +747,10 @@ class AtomicMeasure(MeasureSpec):
     def _dots(self, region):
         return self._points @ region.normals.T
 
-    def _eval(self, region, mc):
+    def _eval_many(self, regions, mc):
+        return [self._mass(region) for region in regions]
+
+    def _mass(self, region):
         dots = self._dots(region)
         band = np.abs(dots) <= ATOM_TOL
         if band.any():
@@ -792,7 +799,7 @@ class AtomicMeasure(MeasureSpec):
             len(self._points), self.total_mass)
 
 
-class SubsphereUniform(MeasureSpec):
+class SubsphereUniform(_UniformMeasure):
     """Uniform measure on the great subsphere of a linear subspace V.
 
     The subspace is given by an orthonormal row basis (k rows in R^{n+1});
@@ -819,6 +826,7 @@ class SubsphereUniform(MeasureSpec):
         b = b.copy()
         b.flags.writeable = False
         self._basis = b
+        self._width = b.shape[0]
 
     @classmethod
     def from_spanning(cls, rows, dim=None):
@@ -851,24 +859,13 @@ class SubsphereUniform(MeasureSpec):
                     % np.array2string(u, precision=6), normal=u)
             reduced.append(v / norm)
         return np.array(reduced, dtype=float).reshape(len(reduced),
-                                                      self._basis.shape[0])
+                                                      self._width)
 
-    def _eval(self, region, mc):
-        return self._eval_many([region], mc)[0]
-
-    def _eval_many(self, regions, mc):
-        k = self.subsphere_dim
-        return _region_masses([self._reduced_normals(r) for r in regions],
-                              lambda normals: _exact_round_value(k, normals),
-                              k + 1, mc)
+    def _exact_value(self, normals):
+        return _exact_round_value(self.subsphere_dim, normals)
 
     def support_subspaces(self):
         return [self._basis]
-
-    def _draw(self):
-        base = _gaussian_draw(self._basis.shape[0])
-        basis = self._basis
-        return lambda rng, count: base(rng, count) @ basis
 
     def __repr__(self):
         return "SubsphereUniform(S^%d in S^%d)" % (self.subsphere_dim,
@@ -899,10 +896,13 @@ class Mixture(MeasureSpec):
     def components(self):
         return self._components
 
-    def _eval(self, region, mc):
-        terms = [(c, m.eval(region, derive_mc(mc, _ROLE_COMPONENT, i)))
-                 for i, (c, m) in enumerate(self._components)]
-        return combine_estimates(terms)
+    def _eval_many(self, regions, mc):
+        weights = [c for c, _ in self._components]
+        per_component = [m.eval_many(regions,
+                                     derive_mc(mc, _ROLE_COMPONENT, i))
+                         for i, (_, m) in enumerate(self._components)]
+        return [combine_estimates(zip(weights, ests))
+                for ests in zip(*per_component)]
 
     def _union_mass(self, regions, mc):
         terms = [(c, m.union_mass(regions, derive_mc(mc, _ROLE_COMPONENT, i)))
@@ -927,7 +927,7 @@ def _subspace_mass(measure, basis, region):
     lying in V, and subsphere supports contained in V; the uniform measure
     contributes 0 to any proper subspace.
     """
-    k, width = basis.shape
+    width = basis.shape[1]
     if isinstance(measure, AtomicMeasure):
         pts = measure.points
         inside_v = np.linalg.norm(pts - (pts @ basis.T) @ basis, axis=1) <= ATOM_TOL
@@ -946,28 +946,18 @@ def _subspace_mass(measure, basis, region):
             keep = np.all(dots > 0.0, axis=1)
             wts = wts[keep]
         return math.fsum(wts)
-    if isinstance(measure, SubsphereUniform):
-        w = measure.basis
-        contained = np.linalg.norm(w - (w @ basis.T) @ basis) <= MATCH_TOL
-        if contained:
-            if region is None:
-                return 2.0
-            est = measure.eval(region)
-            if not est.exact:
-                raise UnsupportedMeasure(
-                    "subspace restriction over a Monte Carlo subsphere")
-            return est.value
-        return 0.0
-    if isinstance(measure, RoundMeasure):
-        if k == width:
-            if region is None:
-                return 2.0
-            est = measure.eval(Region(region.halves, measure.dim))
-            if not est.exact:
-                raise UnsupportedMeasure(
-                    "subspace restriction of a Monte Carlo round measure")
-            return est.value
-        return 0.0
+    if isinstance(measure, _UniformMeasure):
+        w = (measure.basis if isinstance(measure, SubsphereUniform)
+             else np.eye(width))
+        if np.linalg.norm(w - (w @ basis.T) @ basis) > MATCH_TOL:
+            return 0.0
+        if region is None:
+            return 2.0
+        est = measure.eval(region)
+        if not est.exact:
+            raise UnsupportedMeasure(
+                "subspace restriction of a Monte Carlo %r" % measure)
+        return est.value
     if isinstance(measure, Mixture):
         return math.fsum(c * _subspace_mass(m, basis, region)
                          for c, m in measure.components)
@@ -998,32 +988,37 @@ class RestrictedNormalized(MeasureSpec):
     def dim(self):
         return self._base.dim
 
-    def _eval(self, region, mc):
+    def _eval_many(self, regions, mc):
         if self._subspace is not None:
             den = _subspace_mass(self._base, self._subspace, None)
             if den <= 0.0:
                 raise UnsupportedMeasure("restriction subsphere has no mass")
-            num = _subspace_mass(self._base, self._subspace, region)
-            return MeasureEstimate(2.0 * num / den)
+            return [MeasureEstimate(2.0 * _subspace_mass(
+                self._base, self._subspace, region) / den)
+                    for region in regions]
+        # every region reads A and -A afresh, so no two ratios share a
+        # denominator that the estimate algebra could not see
         a, neg_a = self._region, self._region.antipodal()
-        num = combine_estimates([
-            (1.0, self._base.eval(region.intersect(a),
-                                  derive_mc(mc, _ROLE_RESTRICT, 0))),
-            (1.0, self._base.eval(region.intersect(neg_a),
-                                  derive_mc(mc, _ROLE_RESTRICT, 1)))])
-        den = combine_estimates([
-            (1.0, self._base.eval(a, derive_mc(mc, _ROLE_RESTRICT, 2))),
-            (1.0, self._base.eval(neg_a, derive_mc(mc, _ROLE_RESTRICT, 3)))])
-        if den.value <= 0.0:
-            raise UnsupportedMeasure("restriction region has no mass")
-        value = 2.0 * num.value / den.value
-        rel = 0.0
-        if num.value != 0.0:
-            rel += (num.std_error / num.value) ** 2
-        if den.value != 0.0:
-            rel += (den.std_error / den.value) ** 2
-        err = abs(value) * math.sqrt(rel) if not (num.exact and den.exact) else 0.0
-        return MeasureEstimate(value, err, num.samples + den.samples)
+        ests = self._base.eval_many(
+            [q for r in regions
+             for q in (r.intersect(a), r.intersect(neg_a), a, neg_a)],
+            derive_mc(mc, _ROLE_RESTRICT))
+        out = []
+        for i in range(0, len(ests), 4):
+            num, den = (combine_estimates([(1.0, e) for e in ests[j:j + 2]])
+                        for j in (i, i + 2))
+            if den.value <= 0.0:
+                raise UnsupportedMeasure("restriction region has no mass")
+            value = 2.0 * num.value / den.value
+            rel = 0.0
+            if num.value != 0.0:
+                rel += (num.std_error / num.value) ** 2
+            if den.value != 0.0:
+                rel += (den.std_error / den.value) ** 2
+            err = (abs(value) * math.sqrt(rel)
+                   if not (num.exact and den.exact) else 0.0)
+            out.append(MeasureEstimate(value, err, num.samples + den.samples))
+        return out
 
     def support_subspaces(self):
         subs = self._base.support_subspaces()
@@ -1178,20 +1173,15 @@ def check_invariance(measure, generators, trial_regions, mc=None,
     entries = []
     gens = list(generators)
     for ridx, region in enumerate(trial_regions):
+        images = [region] + [apply_map(g, region) for g in gens]
         try:
-            base = measure.eval(region, derive_mc(mc, _ROLE_INVARIANCE, ridx, 0))
+            base, *others = [measure.eval(r, derive_mc(mc, _ROLE_INVARIANCE,
+                                                       ridx, i))
+                             for i, r in enumerate(images)]
         except BoundaryAtom as err:
             err.face = ("region", ridx)
             raise
-        for gidx, g in enumerate(gens):
-            moved = apply_map(g, region)
-            try:
-                other = measure.eval(moved,
-                                     derive_mc(mc, _ROLE_INVARIANCE, ridx,
-                                               gidx + 1))
-            except BoundaryAtom as err:
-                err.face = ("region", ridx)
-                raise
+        for gidx, other in enumerate(others):
             diff = base - other
             entries.append(InvarianceEntry(ridx, gidx, base.value,
                                            other.value, diff.std_error,
@@ -1274,6 +1264,9 @@ def measure_from_spec(spec, dim):
         atoms = [(_spec_array(a, "point", kind, (width,)),
                   float(_spec_scalar(a, "weight", kind)))
                  for a in _spec_objects(spec, "atoms")]
+        if any(w <= 0.0 for _, w in atoms):
+            raise SchemaError("atomic measure: every 'weight' must be "
+                              "positive, got %r" % [w for _, w in atoms])
         return AtomicMeasure(atoms, dim=dim)
     if kind == "subsphere":
         return SubsphereUniform(
@@ -1282,6 +1275,11 @@ def measure_from_spec(spec, dim):
         comps = [(float(_spec_scalar(c, "weight", kind)),
                   measure_from_spec(_required(c, "measure", kind), dim))
                  for c in _spec_objects(spec, "components")]
+        weights = [c for c, _ in comps]
+        if min(weights) < 0.0 or abs(math.fsum(weights) - 1.0) > MATCH_TOL:
+            raise SchemaError("mixture measure: the 'weight' of each of its "
+                              "'components' must be nonnegative, and the "
+                              "weights must sum to 1, got %r" % weights)
         return Mixture(comps)
     if kind == "restricted":
         base = measure_from_spec(_required(spec, "base", kind), dim)

@@ -10,27 +10,14 @@ in odd dimension and equals the simplex mass in even dimension.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .geom import face_region
 from .measure import (MeasureEstimate, SignHistogram, combine_estimates,
                       derive_mc, region_histogram)
-from ._util import ordered_map
 
 _ROLE_CUTSET = 10
 _ROLE_SIMPLEX = 11
-
-
-@dataclass(frozen=True)
-class AngleValue:
-    """An angle at a face, identified by the cut set of bounding planes."""
-    cut_set: tuple
-    estimate: MeasureEstimate
-
-    @property
-    def value(self):
-        return self.estimate.value
 
 
 def _cut_mask(cut):
@@ -51,13 +38,13 @@ def angle(simplex, cut_set, measure, mc=None):
     """Half the measure of the region cut out by the planes in cut_set."""
     cut = tuple(sorted(int(i) for i in cut_set))
     region = face_region(simplex, cut)
-    est = measure.eval(region, derive_mc(mc, _ROLE_CUTSET, _cut_mask(cut)))
-    return AngleValue(cut, est.scaled(0.5))
+    return measure.eval(region, derive_mc(mc, _ROLE_CUTSET,
+                                          _cut_mask(cut))).scaled(0.5)
 
 
-def angles_by_cut_set(simplices, measure, mc=None, include_full=True):
+def angles_by_cut_set(simplices, measure, mc=None):
     """Angles of several simplices: one dict per simplex, keyed by cut set
-    in cut_sets order.
+    in cut_sets order, each angle a halved MeasureEstimate.
 
     The full cut sets, whose angles are the halved simplex masses, come
     first, from one measure.eval_many call, so a sampled measure draws once
@@ -65,8 +52,8 @@ def angles_by_cut_set(simplices, measure, mc=None, include_full=True):
     reading of a sign-code histogram against its n+1 planes, every other
     cut set is a superset sum over the same histogram, so the entries share
     samples (and say so in their parts); the empty cut set is the exact
-    angle 1.  Otherwise each cut set of simplex i is evaluated on its own
-    with a seed derived from (mc, i) and its planes.
+    angle 1.  The cut sets of every other simplex go to a second
+    eval_many call, all of them at once, with a seed derived from mc.
     """
     simplices = list(simplices)
     masses = _simplex_masses(simplices, measure, mc)
@@ -75,22 +62,20 @@ def angles_by_cut_set(simplices, measure, mc=None, include_full=True):
         n = simplex.dim
         hist = region_histogram(mass)
         if hist is not None and hist.bits == n + 1:
-            tables.append({cut: AngleValue(
-                cut, hist.mass(_cut_mask(cut)).scaled(0.5) if cut
-                else MeasureEstimate(1.0)) for cut in cut_sets(n, n)})
+            tables.append({cut: hist.mass(_cut_mask(cut)).scaled(0.5) if cut
+                           else MeasureEstimate(1.0)
+                           for cut in cut_sets(n, n)})
         else:
             tables.append({})
-            sub = derive_mc(mc, _ROLE_SIMPLEX, i)
-            pending += [(i, cut, sub) for cut in cut_sets(n, n)]
-    evaluated = ordered_map(
-        lambda item: angle(simplices[item[0]], item[1], measure, item[2]),
-        pending)
-    for (i, cut, _), a in zip(pending, evaluated):
-        tables[i][cut] = a
-    if include_full:
-        for simplex, mass, table in zip(simplices, masses, tables):
-            full = tuple(range(simplex.dim + 1))
-            table[full] = AngleValue(full, mass.scaled(0.5))
+            pending += [(i, cut) for cut in cut_sets(n, n)]
+    if pending:
+        ests = measure.eval_many([face_region(simplices[i], cut)
+                                  for i, cut in pending],
+                                 derive_mc(mc, _ROLE_SIMPLEX))
+        for (i, cut), est in zip(pending, ests):
+            tables[i][cut] = est.scaled(0.5)
+    for simplex, mass, table in zip(simplices, masses, tables):
+        table[tuple(range(simplex.dim + 1))] = mass.scaled(0.5)
     return tables
 
 
@@ -109,9 +94,9 @@ def k_value(simplex, measure, mc=None):
     the simplex mass in even dimension for antipodally invariant measures.
     """
     n = simplex.dim
-    table = angles_by_cut_set([simplex], measure, mc, include_full=False)[0]
+    table = angles_by_cut_set([simplex], measure, mc)[0]
     return combine_estimates([(-1.0 if (n - len(cut)) % 2 else 1.0,
-                               table[cut].estimate)
+                               table[cut])
                               for cut in cut_sets(n, n)])
 
 

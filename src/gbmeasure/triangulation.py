@@ -407,8 +407,9 @@ def angle_table(tri, measure, mc=None):
     Includes the empty cut set (value exactly 1 for mass-2 measures) and
     the full cut set (half the developed interior mass, used for the
     induced-measure totals).  All tops go through one angles_by_cut_set
-    call, so a Monte Carlo table makes one draw in all and its entries
-    carry the samples they share.  A BoundaryAtom raised by the measure is
+    call, so the measure answers at most two eval_many calls, a sampled
+    round or subsphere table makes one draw in all, and its entries carry
+    the samples they share.  A BoundaryAtom raised by the measure is
     re-raised naming the codimension-1 face whose developed hyperplane
     carries the mass.
     """
@@ -417,9 +418,9 @@ def angle_table(tri, measure, mc=None):
     except BoundaryAtom as err:
         _name_boundary_face(tri, err)
         raise
-    return AngleTable(tri, {(t, cut): a.estimate
+    return AngleTable(tri, {(t, cut): est
                             for t, angles in enumerate(tables)
-                            for cut, a in angles.items()})
+                            for cut, est in angles.items()})
 
 
 def _name_boundary_face(tri, err):
@@ -618,7 +619,9 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     image's mass.  chi = 0 demands the bound stay 0; a certified positive
     bound with chi = 0 raises InconsistentDichotomy.  With a finite
     invariant point set supplied and chi > 0, every point must lie inside
-    some (translated) chart.
+    some (translated) chart.  In odd dimension chi = 0 whatever the
+    measure, as chi = mu holds in even dimension only, so the check does
+    not apply there and reads consistent.
     """
     chi = euler_combinatorial(tri)
     words = _holonomy_words(tri.holonomy, tri.dim, word_length)
@@ -642,7 +645,11 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
 
     certified_positive = mass.value > 0.0 and not mass.is_zero(1e-12)
 
-    if chi == 0:
+    if tri.dim % 2 == 1:
+        consistent = True
+        detail = ("odd dimension: chi = 0 for every manifold, so the "
+                  "chart union decides nothing")
+    elif chi == 0:
         if certified_positive or covered_positive:
             raise InconsistentDichotomy(
                 "chi = 0 but the chart union carries certified mass "

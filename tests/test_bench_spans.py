@@ -19,10 +19,10 @@ def spans():
 
 
 @pytest.mark.parametrize("argv, layers", [
-    # an exact measure still evaluates its cut sets one by one
+    # an exact table is two eval_many calls, which the proxy forwards
+    # untraced
     (["sgb", "--random-simplex", "--dim", "2", "--measure", "round"],
-     {"simplex.k_value", "simplex.sgb_residual", "simplex.angle",
-      "measure.eval"}),
+     {"simplex.k_value", "simplex.sgb_residual"}),
     # a sampled table is one eval_many call, which the proxy forwards
     # untraced; the union kernel stays traced
     (["check", "s2-octahedron", "--measure", "round-mc", "--dichotomy"],
@@ -30,7 +30,11 @@ def spans():
       "triangulation.gb_report", "triangulation.angle_table",
       "triangulation.transversality_check",
       "triangulation.dichotomy_check", "measure.union_mass"}),
-], ids=["sgb", "check"])
+    # an invariance check evaluates region by region
+    (["invariance", "--measure", "round", "--group", "klein4",
+      "--regions", "3"],
+     {"measure.eval"}),
+], ids=["sgb", "check", "invariance"])
 def test_traced_cli_invocation(spans, capsys, argv, layers):
     tracer = spans.Tracer()
     with spans.installed(tracer):

@@ -254,8 +254,16 @@ def test_missing_measure_field_is_schema_error(capsys, spec, field):
     ({"type": "orbit", "seed_point": [1, [0], 0], "generators": []},
      "seed_point"),
     ({"type": "subsphere", "basis": [[1, 0, 0], [0, 1]]}, "basis"),
+    ({"type": "atomic", "atoms": [{"point": [0.3, 0.5, 0.8], "weight": -1}]},
+     "weight"),
+    ({"type": "mixture", "components": [
+        {"weight": -0.5, "measure": {"type": "round"}},
+        {"weight": 1.5, "measure": {"type": "round"}}]}, "weight"),
+    ({"type": "mixture", "components": [
+        {"weight": 0.5, "measure": {"type": "round"}}]}, "components"),
 ], ids=["atoms-empty", "point-length", "generators-ragged",
-        "seed-point-ragged", "basis-ragged"])
+        "seed-point-ragged", "basis-ragged", "atom-weight-negative",
+        "mixture-weight-negative", "mixture-weights-sum"])
 def test_malformed_measure_array_names_the_field(capsys, spec, field):
     code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
                     "--measure", json.dumps(spec))
@@ -263,6 +271,55 @@ def test_malformed_measure_array_names_the_field(capsys, spec, field):
     diagnostic = json.loads(out)
     assert diagnostic["error"] == "SchemaError"
     assert repr(field) in diagnostic["detail"]
+
+
+_MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["pullback", '{"degree": [2], "atoms": [[0.1, 1]]}'], "'degree'"),
+    (["pullback", "[1]"], "pullback input"),
+    (["pullback", '{"degree": 2, "atoms": [[0.1, 1]], "coverings": [[0.5]]}'],
+     "'coverings'"),
+    (["pullback", '{"degree": 2.7, "atoms": [[0.1, 1]]}'], "'degree'"),
+    (["pullback", '{"degree": true, "atoms": [[0.1, 1]]}'], "'degree'"),
+    (["pullback", '{"degree": 2, "atoms": [[0.1, "1"]]}'], "'atoms'"),
+    (["pullback", '{"degree": 2, "atoms": [[NaN, 1]]}'], "'atoms'"),
+    (["invariance", "--measure", "round", "--group", "@ONE_TWO"], "--group"),
+    (["invariance", "--measure", "round", "--group", "@STRINGS"], "--group"),
+    (["invariance", "--measure", "round", "--group", "cyclic:x"], "--group"),
+    (["--samples", "0", "sgb", "--random-simplex"], "--samples"),
+    (["--samples", "-5", "sgb", "--random-simplex"], "--samples"),
+], ids=["degree-list", "not-an-object", "covering-arc", "degree-fraction",
+        "degree-bool", "weight-string", "angle-nan", "group-numbers",
+        "group-strings", "cyclic-order", "samples-0", "samples-negative"])
+def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
+    for key, matrices in _MATRIX_FILES.items():
+        (tmp_path / key[1:]).write_text(json.dumps(matrices))
+    argv = ["@%s/%s" % (tmp_path, a[1:]) if a in _MATRIX_FILES else a
+            for a in argv]
+    try:
+        code = main(["--format", "json"] + argv)
+    except SystemExit as exit_info:       # argparse rejects the value
+        code = exit_info.code
+        assert "argument %s" % named in capsys.readouterr().err
+    else:
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert issubclass(getattr(errors, diagnostic["error"], type(None)),
+                          errors.GBError)
+        assert named in diagnostic["detail"]
+    assert code == 2
+
+
+def test_odd_dimensional_dichotomy_does_not_apply(capsys):
+    # chi = 0 on every odd-dimensional manifold, so a chart union of
+    # positive mass contradicts nothing
+    code, out = run(capsys, "--format", "json", "--samples", "2000",
+                    "check", "s1-polygon", "--dichotomy")
+    assert code == 0
+    dichotomy = json.loads(out)["dichotomy"]
+    assert dichotomy["consistent"]
+    assert "odd dimension" in dichotomy["detail"]
 
 
 def _builtin_measure_specs():
@@ -408,8 +465,9 @@ def test_thread_pools_do_not_nest(capsys, monkeypatch):
 
     monkeypatch.setattr(_util, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(measure, "_BLOCK", 1000)
-    # a mixture is read cut set by cut set on a pool, and each reading
-    # draws three sample blocks, so a nested pool would start threads
+    # each component of a mixture draws its three sample blocks on a
+    # pool; no pool is started from inside another, so at most
+    # GBM_THREADS workers run at once
     half = {"weight": 0.5, "measure": {"type": "round", "monte_carlo": True}}
     argv = ("--format", "json", "--seed", "3", "--samples", "3000",
             "check", "s2-octahedron", "--measure",

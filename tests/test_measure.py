@@ -280,10 +280,12 @@ class TestMonteCarlo:
         regions = [r for r in self._coder_regions(3, 2) if len(r.halves) > 1]
         mc = MCConfig(seed=5, samples=1200)
         sub = derive_mc(mc, mm._ROLE_UNION)
+        basis = getattr(measure, "basis", np.eye(4))
         hits = 0
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
-            x = measure._draw()(mm._rng(sub, mm._ROLE_BLOCK, b),
-                                min(mm._BLOCK, mc.samples - start))
+            x = mm._gaussian_draw(len(basis))(
+                mm._rng(sub, mm._ROLE_BLOCK, b),
+                min(mm._BLOCK, mc.samples - start)) @ basis
             hit = np.zeros(len(x), dtype=bool)
             for r in regions:
                 dots = x @ r.normals.T
@@ -440,6 +442,12 @@ class TestSubsphere:
     def test_normal_orthogonal_to_support_raises(self):
         with pytest.raises(BoundaryAtom):
             self.inf.eval(region(2, [0, 0, 1]))
+
+    def test_union_raises_on_a_plane_containing_the_support(self):
+        # a union reads the same reduced normals as eval
+        with pytest.raises(BoundaryAtom):
+            self.inf.union_mass([region(2, [0, 0, 1], [1, 0, 0])],
+                                MCConfig(seed=1, samples=1000))
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):

@@ -182,7 +182,7 @@ class TestInvariants:
             for cut in [(0,), (0, 1), (0, 1, 2)]:
                 a = angle(s, cut, m)
                 b = angle(moved, cut, m)
-                if a.estimate.exact and b.estimate.exact:
+                if a.exact and b.exact:
                     assert abs(a.value - b.value) < 1e-9
 
     def test_group_equivariance_averaged_atomic(self):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
-                       InconsistentDichotomy, MCConfig, NotAManifold,
+                       Hyperplane, InconsistentDichotomy, MCConfig, Mixture,
+                       NotAManifold, Region, RestrictedNormalized,
                        RoundMeasure, SchemaError, chart_independence, defect_sums, dichotomy_check,
                        euler_combinatorial, gb_report, load,
                        transversality_check)
@@ -16,6 +17,16 @@ from gbmeasure.triangulation import Incidence, angle_table
 
 def octahedron():
     return load(builtin_document("s2-octahedron"))
+
+
+def _batched_measures():
+    """A mixture of two sampled round measures and a sampled round measure
+    restricted to a hemisphere: each answers a whole angle table through
+    one eval_many call per component or base."""
+    sampled = RoundMeasure(2, monte_carlo=True)
+    return [Mixture([(0.5, sampled), (0.5, sampled)]),
+            RestrictedNormalized(sampled, region=Region(
+                [Hyperplane([0.0, 0.6, 0.8])], 2))]
 
 
 class TestLoad:
@@ -191,6 +202,29 @@ class TestAngleTable:
         # each top still counts its 2500 readings once
         assert table.induced_mass().samples == len(tri.tops) * 2500
 
+    @pytest.mark.parametrize("measure, calls", zip(_batched_measures(),
+                                                   (4, 2)),
+                             ids=["mixture", "restriction"])
+    def test_batched_table_draws_each_block_once_per_call(self, monkeypatch,
+                                                          measure, calls):
+        # two eval_many calls (full cut sets, then the rest), each asking
+        # every sampled component or the base once for all regions
+        draws = []
+        gaussian = measure_module._gaussian_draw
+
+        def counting(width):
+            draw = gaussian(width)
+
+            def counted(rng, count):
+                draws.append(count)
+                return draw(rng, count)
+            return counted
+
+        monkeypatch.setattr(measure_module, "_gaussian_draw", counting)
+        monkeypatch.setattr(measure_module, "_BLOCK", 1000)
+        angle_table(octahedron(), measure, MCConfig(seed=4, samples=2500))
+        assert draws == [1000, 1000, 500] * calls
+
     def test_monte_carlo_table_draws_at_most_the_fresh_rows(self,
                                                             monkeypatch):
         # a block of readings draws at most _ROWS fresh rows and reads
@@ -283,6 +317,23 @@ class TestGBReport:
             scores = np.array(scores)
             assert np.count_nonzero(np.abs(scores) > 4.0) <= 1, key
             assert 0.75 <= np.std(scores) <= 1.3, key
+
+    @pytest.mark.parametrize("measure", _batched_measures(),
+                             ids=["mixture", "restriction"])
+    def test_batched_measure_error_bars_calibrated(self, measure):
+        # z-scores over 100 seeds: mu and the link sums are 2 and 1 for
+        # any measure without mass on the octahedron's planes
+        tri = octahedron()
+        z = {"mu": [], "link": []}
+        for seed in range(100):
+            rep = gb_report(tri, measure, MCConfig(seed=seed, samples=20_000))
+            z["mu"].append((rep.mu_total.value - 2.0)
+                           / rep.mu_total.std_error)
+            z["link"] += [(est.value - 1.0) / est.std_error
+                          for (r, _), est in rep.link_sums.items()
+                          if r < tri.dim]
+        for key, scores in z.items():
+            assert 0.8 <= np.std(scores) <= 1.25, key
 
     def test_monte_carlo_link_gaps_have_gaussian_tails(self):
         # z-scores of the 18 link gaps over 200 seeds, pooled.  Each top

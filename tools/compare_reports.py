@@ -1,0 +1,137 @@
+"""Run one battery of gbm invocations on two source trees and compare them.
+
+    python tools/compare_reports.py OLD_SRC NEW_SRC
+
+Each path is a checkout (holding src/gbmeasure) or the directory holding
+the gbmeasure package itself.  The battery runs every built-in document
+under eleven measures, its own, four named and six specs (check,
+check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and
+invariance of three measures under three groups, at seeds 1 and 2
+and 3000 and 40000 samples, with JSON output.  Each tree runs in one
+subprocess with GBM_THREADS=1 and writes no bytecode.  The script prints
+how many invocations are byte-identical, each differing invocation with
+the top-level report keys that differ, and every exit-code change; it
+exits 1 if any exit code changed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DOCUMENTS = ("s2-octahedron", "rp2-icosahedral", "t2-grid", "klein-grid",
+             "s1-polygon")
+POINTS = {2: ([0.6, 0.8], [-0.28, 0.96]),
+          3: ([0.3, 0.5, 0.8], [-0.7, 0.2, 0.4])}
+ROTATION = {2: [[0, -1], [1, 0]], 3: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}
+
+
+def _measures(width):
+    """The battery's measures on S^(width-1): names and inline specs."""
+    first, second = POINTS[width]
+    atomic = {"type": "atomic", "atoms": [{"point": first, "weight": 1.2},
+                                          {"point": second, "weight": 0.8}]}
+    round_mc = {"type": "round", "monte_carlo": True}
+    plane = [[0.0] * (width - 2) + [0.6, 0.8]]
+    specs = [
+        atomic,
+        {"type": "orbit", "seed_point": first,
+         "generators": [ROTATION[width]]},
+        {"type": "mixture", "components": [
+            {"weight": 0.5, "measure": round_mc},
+            {"weight": 0.5, "measure": atomic}]},
+        {"type": "mixture", "components": [
+            {"weight": 0.25, "measure": {"type": "round"}},
+            {"weight": 0.75, "measure": atomic}]},
+        {"type": "restricted", "base": round_mc, "region": plane},
+        {"type": "restricted", "base": atomic, "subspace": [first]}]
+    return ([None, "round", "round-mc", "infinity-line", "atomic-on-edge"]
+            + [json.dumps(spec) for spec in specs])
+
+
+def battery():
+    """Every argv of the battery, in a fixed order."""
+    runs = []
+    for seed in ("1", "2"):
+        for samples in ("3000", "40000"):
+            head = ["--format", "json", "--seed", seed, "--samples", samples]
+            for doc in DOCUMENTS:
+                width = 2 if doc == "s1-polygon" else 3
+                for measure in _measures(width):
+                    opt = [] if measure is None else ["--measure", measure]
+                    runs += [head + ["check", doc] + opt,
+                             head + ["check", doc, "--dichotomy",
+                                     "--orbit-depth", "1"] + opt,
+                             head + ["angles", doc] + opt]
+            runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
+                     for d in (1, 2, 3, 4)]
+            runs += [head + ["invariance", "--measure", measure, "--group",
+                             group, "--regions", "5"]
+                     for group in ("icosahedral", "klein4", "cyclic:5")
+                     for measure in _measures(3)[2:]]
+    return runs
+
+
+_RUNNER = """
+import contextlib, io, json, sys
+from gbmeasure.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def run_battery(path, runs):
+    """[exit code, output] per argv of runs, from the tree at path."""
+    src = Path(path) / "src" if (Path(path) / "src").is_dir() else Path(path)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), GBM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-B", "-c", _RUNNER],
+                          input=json.dumps(runs), env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def differing_keys(old, new):
+    """Top-level report keys whose values differ, or ["<output>"] when a
+    report is no JSON object."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return ["<output>"]
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return ["<output>"]
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: compare_reports.py OLD_SRC NEW_SRC")
+    runs = battery()
+    old, new = (run_battery(path, runs) for path in argv)
+    same, code_changes = 0, 0
+    for args, (old_code, old_out), (new_code, new_out) in zip(runs, old, new):
+        if (old_code, old_out) == (new_code, new_out):
+            same += 1
+            continue
+        line = "DIFFERS %s: %s" % (" ".join(args),
+                                   differing_keys(old_out, new_out))
+        if old_code != new_code:
+            code_changes += 1
+            line += " exit %s -> %s" % (old_code, new_code)
+        print(line)
+    print("%d of %d invocations identical, %d exit codes changed"
+          % (same, len(runs), code_changes))
+    return 1 if code_changes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
