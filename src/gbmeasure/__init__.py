@@ -37,8 +37,8 @@ from .triangulation import (GBReport, GeometricTriangulation, angle_table,
                             chart_independence, defect_sums, dichotomy_check,
                             euler_combinatorial, gb_report, load,
                             transversality_check)
-from .pullback import (AdaptedCovering, CircleAtomicMeasure, CircleMap,
-                       PowerMap, covering_independence, equivariance_check,
+from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
+                       covering_independence, equivariance_check,
                        induce_quotient, pullback)
 from . import documents
 

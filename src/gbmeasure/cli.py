@@ -11,21 +11,21 @@ Subcommands wrap the library operations one-to-one:
 
 Exit code 0 means every verdict passed; 1 means a verdict failed; 2 means
 a structural error (schema violation, boundary atom, ...), reported as
-structured diagnostics.  Reports are byte-identical across runs for a
-fixed RunConfig and inputs.
+structured diagnostics.  Reports are byte-identical across runs for
+fixed arguments and inputs.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .documents import (BUILTIN_DOCUMENTS, builtin_document,
                         icosahedral_rotation_group, rotation_about)
 from .errors import GBError, SchemaError
-from .geom import ProjectiveMap, random_region, random_simplex
+from .geom import (ProjectiveMap, random_region, random_simplex,
+                   simplex_from_vertices)
 from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, default_covering,
@@ -36,25 +36,13 @@ from . import triangulation as _tri
 from ._util import is_integer, numeric_array
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    samples: int = 1_000_000
-    tolerance: float = 1e-9
-    fmt: str = "text"
-
-    @property
-    def mc(self):
-        return MCConfig(seed=self.seed, samples=self.samples)
-
-
 def _estimate_dict(est):
     return {"value": est.value, "std_error": est.std_error,
             "samples": est.samples}
 
 
-def _emit(cfg, payload, text_lines):
-    if cfg.fmt == "json":
+def _emit(args, payload, text_lines):
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -63,12 +51,12 @@ def _emit(cfg, payload, text_lines):
 
 def _load_document(name_or_path, args):
     if name_or_path in BUILTIN_DOCUMENTS:
-        params = {}
-        if getattr(args, "k", None) is not None:
-            params["k"] = args.k
-        if getattr(args, "m", None) is not None:
-            params["m"] = args.m
-        return builtin_document(name_or_path, **params)
+        params = {key: getattr(args, key) for key in ("k", "m")
+                  if getattr(args, key) is not None}
+        try:
+            return builtin_document(name_or_path, **params)
+        except ValueError as err:
+            raise SchemaError("--%s: %s" % (" or --".join(params), err))
     with open(name_or_path) as fh:
         return json.load(fh)
 
@@ -118,11 +106,11 @@ def _verdict_dict(v):
     return {"passed": v.passed, "worst": v.worst, "detail": v.detail}
 
 
-def cmd_check(args, cfg):
+def cmd_check(args):
     document = _load_document(args.document, args)
     tri = load(document)
     measure = _resolve_measure(args.measure, document, tri.dim)
-    report = gb_report(tri, measure, cfg.mc, tol=cfg.tolerance)
+    report = gb_report(tri, measure, args.mc, tol=args.tolerance)
     payload = {
         "document": args.document,
         "chi": report.chi_comb,
@@ -163,7 +151,7 @@ def cmd_check(args, cfg):
                         "PASS" if report.chi_equals_mu.passed else "FAIL"))
     ok = report.passed
     if args.dichotomy:
-        dich = dichotomy_check(tri, measure, mc=cfg.mc,
+        dich = dichotomy_check(tri, measure, mc=args.mc,
                                word_length=args.orbit_depth)
         payload["dichotomy"] = {
             "chart_mass": _estimate_dict(dich.chart_mass),
@@ -176,26 +164,28 @@ def cmd_check(args, cfg):
         ok = ok and dich.consistent
     payload["passed"] = ok
     lines.append("overall             : %s" % ("PASS" if ok else "FAIL"))
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
-def cmd_sgb(args, cfg):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_sgb(args):
     if args.vertices:
-        from .geom import simplex_from_vertices
-        simplex = simplex_from_vertices(json.loads(args.vertices))
+        vertices = numeric_array(json.loads(args.vertices), (None, None))
+        if vertices is None:
+            raise SchemaError("--vertices must be a list of rows of finite "
+                              "numbers, got %s" % args.vertices)
+        simplex = simplex_from_vertices(vertices)
     elif args.random_simplex:
-        simplex = random_simplex(args.dim, rng)
+        simplex = random_simplex(args.dim, np.random.default_rng(args.seed))
     else:
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
-    k = k_value(simplex, measure, cfg.mc)
-    residual = sgb_residual(simplex, measure, cfg.mc, k=k)
-    ok = abs(residual.value) <= max(cfg.tolerance, 4.0 * residual.std_error)
+    k = k_value(simplex, measure, args.mc)
+    residual = sgb_residual(simplex, measure, args.mc, k=k)
+    ok = residual.is_zero(args.tolerance)
     payload = {"dim": simplex.dim, "k": _estimate_dict(k),
                "residual": _estimate_dict(residual), "passed": ok}
-    _emit(cfg, payload, [
+    _emit(args, payload, [
         "dim       = %d" % simplex.dim,
         "k         = %.9g (sigma %.3g)" % (k.value, k.std_error),
         "residual  = %.3g (sigma %.3g)" % (residual.value,
@@ -204,11 +194,11 @@ def cmd_sgb(args, cfg):
     return 0 if ok else 1
 
 
-def cmd_angles(args, cfg):
+def cmd_angles(args):
     document = _load_document(args.document, args)
     tri = load(document)
     measure = _resolve_measure(args.measure, document, tri.dim)
-    table = _tri.angle_table(tri, measure, cfg.mc)
+    table = _tri.angle_table(tri, measure, args.mc)
     entries = []
     for rec, est in table.incidence_angles():
         entries.append({"face_dim": rec.dim, "face": rec.face,
@@ -219,7 +209,7 @@ def cmd_angles(args, cfg):
         lines.append("%4d %6d %6d %-12s %.9g" %
                      (e["face_dim"], e["face"], e["top"], e["cut"],
                       e["angle"]["value"]))
-    _emit(cfg, {"angles": entries}, lines)
+    _emit(args, {"angles": entries}, lines)
     return 0
 
 
@@ -249,18 +239,18 @@ def _named_group(name, dim):
     raise GBError("unknown group %r" % name)
 
 
-def cmd_invariance(args, cfg):
+def cmd_invariance(args):
     measure = _resolve_measure(args.measure, None, args.dim)
     generators = _named_group(args.group, args.dim)
     if not generators:
         raise GBError("--group %r has no elements" % args.group)
     if args.regions < 1:
         raise GBError("--regions must be positive, got %d" % args.regions)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     regions = [random_region(args.dim, rng, int(rng.integers(1, 4)))
                for _ in range(args.regions)]
-    report = check_invariance(measure, generators, regions, cfg.mc,
-                              exact_tol=cfg.tolerance)
+    report = check_invariance(measure, generators, regions, args.mc,
+                              exact_tol=args.tolerance)
     by_region = report.per_region()
     payload = {"passed": report.passed,
                "max_discrepancy": report.max_discrepancy,
@@ -275,7 +265,7 @@ def cmd_invariance(args, cfg):
               for r, (d, ok) in sorted(by_region.items())]
     lines += ["max discrepancy  = %.3g" % report.max_discrepancy,
               "verdict          : %s" % ("PASS" if report.passed else "FAIL")]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if report.passed else 1
 
 
@@ -290,9 +280,11 @@ def _check_pullback_input(data):
                           % (data,))
     arcs = data.get("coverings", [])
     for key, valid, want in (
-            ("degree", is_integer(data.get("degree")), "an integer"),
-            ("atoms", pairs(data.get("atoms")), "a list of [angle, weight] "
-             "pairs of finite numbers"),
+            ("degree", is_integer(data.get("degree")) and data["degree"] != 0,
+             "a nonzero integer"),
+            ("atoms", pairs(data.get("atoms"))
+             and all(w > 0 for _, w in data["atoms"]), "a list of [angle, "
+             "weight] pairs of finite numbers with positive weights"),
             ("coverings", isinstance(arcs, list) and all(map(pairs, arcs)),
              "a list of lists of [start, length] pairs of finite numbers")):
         if not valid:
@@ -300,7 +292,7 @@ def _check_pullback_input(data):
                               % (key, want, data.get(key)))
 
 
-def cmd_pullback(args, cfg):
+def cmd_pullback(args):
     if args.input.startswith("@"):
         with open(args.input[1:]) as fh:
             data = json.load(fh)
@@ -332,17 +324,17 @@ def cmd_pullback(args, cfg):
              % ", ".join("(%.6g, %.6g)" % t for t in induced.atoms)]
     lines += ["%-20s: %s" % (k, "PASS" if v else "FAIL")
               for k, v in sorted(verdicts.items())]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
-def cmd_example(args, cfg):
+def cmd_example(args):
     doc = _load_document(args.name, args)
     out = args.output or (args.name + ".json")
     with open(out, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _emit(cfg, {"written": out}, ["wrote %s" % out])
+    _emit(args, {"written": out}, ["wrote %s" % out])
     return 0
 
 
@@ -421,14 +413,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(seed=args.seed, samples=args.samples,
-                    tolerance=args.tolerance, fmt=args.format)
+    args.mc = MCConfig(seed=args.seed, samples=args.samples)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (GBError, OSError, ValueError, KeyError,
             json.JSONDecodeError) as err:
         diagnostic = {"error": type(err).__name__, "detail": str(err)}
-        if cfg.fmt == "json":
+        if args.format == "json":
             print(json.dumps(diagnostic, sort_keys=True, indent=2))
         else:
             print("ERROR %s: %s" % (diagnostic["error"],

@@ -565,6 +565,27 @@ def _region_masses(normal_sets, exact_value, width, mc):
 # ---------------------------------------------------------------------------
 # measure interface
 
+def _span_distance(rows, basis, axis=None):
+    """Norm of rows minus their projection onto the span of the orthonormal
+    rows of basis: one per row with axis=1, else the Frobenius norm."""
+    return np.linalg.norm(rows - (rows @ basis.T) @ basis, axis=axis)
+
+
+def _atoms_inside(points, region):
+    """Whether each atom passes every strict sign test of region; an atom
+    within ATOM_TOL of a region plane raises BoundaryAtom naming both."""
+    dots = points @ region.normals.T
+    band = np.abs(dots) <= ATOM_TOL
+    if band.any():
+        i, j = np.argwhere(band)[0]
+        raise BoundaryAtom(
+            "atom %s lies on region hyperplane %s" %
+            (np.array2string(points[i], precision=6),
+             np.array2string(region.normals[j], precision=6)),
+            atom=points[i], normal=region.normals[j])
+    return np.all(dots > 0.0, axis=1)
+
+
 class MeasureSpec(ABC):
     """A measure on S^n: antipodally invariant, total mass 2."""
 
@@ -618,6 +639,15 @@ class MeasureSpec(ABC):
     def _union_mass(self, regions, mc):
         ...
 
+    def _subspace_mass(self, basis, region):
+        """Mass on {[V] intersect region}, or on all of [V] for region
+        None, exact; the orthonormal rows of basis span V.  Representable
+        for atoms lying in V and a uniform support inside V; a uniform
+        measure gives 0 to a V that does not contain its support."""
+        raise UnsupportedMeasure(
+            "subspace restriction over %s is not representable"
+            % type(self).__name__)
+
 
 class _UniformMeasure(MeasureSpec):
     """The uniform measure on a great subsphere S^(_width - 1), read
@@ -635,6 +665,18 @@ class _UniformMeasure(MeasureSpec):
                            self._width, mc)
         return SignHistogram(np.array([int(mc.samples) - hits,
                                        hits])).mass(1)
+
+    def _subspace_mass(self, basis, region):
+        support = (self.support_subspaces() or [np.eye(self._width)])[0]
+        if _span_distance(support, basis) > MATCH_TOL:
+            return 0.0
+        if region is None:
+            return 2.0
+        est = self.eval(region)
+        if not est.exact:
+            raise UnsupportedMeasure(
+                "subspace restriction of a Monte Carlo %r" % self)
+        return est.value
 
 
 class RoundMeasure(_UniformMeasure):
@@ -744,50 +786,41 @@ class AtomicMeasure(MeasureSpec):
     def total_mass(self):
         return math.fsum(self._weights)
 
-    def _dots(self, region):
-        return self._points @ region.normals.T
-
     def _eval_many(self, regions, mc):
-        return [self._mass(region) for region in regions]
-
-    def _mass(self, region):
-        dots = self._dots(region)
-        band = np.abs(dots) <= ATOM_TOL
-        if band.any():
-            i, j = np.argwhere(band)[0]
-            raise BoundaryAtom(
-                "atom %s lies on region hyperplane %s" %
-                (np.array2string(self._points[i], precision=6),
-                 np.array2string(region.normals[j], precision=6)),
-                atom=self._points[i], normal=region.normals[j])
-        inside = np.all(dots > 0.0, axis=1)
         # fsum is exactly rounded, so the value does not depend on atom order
-        return MeasureEstimate(math.fsum(self._weights[inside]))
+        return [MeasureEstimate(math.fsum(
+            self._weights[_atoms_inside(self._points, region)]))
+                for region in regions]
 
     def _union_mass(self, regions, mc):
         covered = np.zeros(len(self._points), dtype=bool)
         banded = np.zeros(len(self._points), dtype=bool)
-        ctx = [None] * len(self._points)
         for r in regions:
-            dots = self._dots(r)
-            band_rows = np.any(np.abs(dots) <= ATOM_TOL, axis=1)
-            in_r = np.all(dots > ATOM_TOL, axis=1)
-            in_neg = np.all(dots < -ATOM_TOL, axis=1)
-            covered |= in_r | in_neg
-            fresh = band_rows & ~banded
-            for i in np.nonzero(fresh)[0]:
-                j = int(np.argmin(np.abs(np.abs(dots[i]) - 0.0)))
-                ctx[i] = r.normals[j]
-            banded |= band_rows
+            dots = self._points @ r.normals.T
+            banded |= np.any(np.abs(dots) <= ATOM_TOL, axis=1)
+            covered |= (np.all(dots > ATOM_TOL, axis=1)
+                        | np.all(dots < -ATOM_TOL, axis=1))
         undecided = banded & ~covered
         if undecided.any():
             i = int(np.nonzero(undecided)[0][0])
+            # name the nearest plane of the first region the atom lies on
+            for r in regions:
+                dots = np.abs((self._points @ r.normals.T)[i])
+                if np.any(dots <= ATOM_TOL):
+                    break
             raise BoundaryAtom(
                 "atom %s lies on a chart boundary hyperplane and inside no "
                 "chart; perturb the configuration" %
                 np.array2string(self._points[i], precision=6),
-                atom=self._points[i], normal=ctx[i])
+                atom=self._points[i], normal=r.normals[np.argmin(dots)])
         return MeasureEstimate(math.fsum(self._weights[covered]))
+
+    def _subspace_mass(self, basis, region):
+        in_v = _span_distance(self._points, basis, axis=1) <= ATOM_TOL
+        points, weights = self._points[in_v], self._weights[in_v]
+        if region is not None:
+            weights = weights[_atoms_inside(points, region)]
+        return math.fsum(weights)
 
     def support_subspaces(self):
         # one line per projective atom: the closure of the atoms under no map
@@ -909,6 +942,10 @@ class Mixture(MeasureSpec):
                  for i, (c, m) in enumerate(self._components)]
         return combine_estimates(terms)
 
+    def _subspace_mass(self, basis, region):
+        return math.fsum(c * m._subspace_mass(basis, region)
+                         for c, m in self._components)
+
     def support_subspaces(self):
         out = []
         for c, m in self._components:
@@ -918,52 +955,6 @@ class Mixture(MeasureSpec):
 
     def __repr__(self):
         return "Mixture(%d components)" % len(self._components)
-
-
-def _subspace_mass(measure, basis, region):
-    """Mass the measure puts on {[V] intersect region}, exact.
-
-    Supported where positive subspace mass is representable: atomic atoms
-    lying in V, and subsphere supports contained in V; the uniform measure
-    contributes 0 to any proper subspace.
-    """
-    width = basis.shape[1]
-    if isinstance(measure, AtomicMeasure):
-        pts = measure.points
-        inside_v = np.linalg.norm(pts - (pts @ basis.T) @ basis, axis=1) <= ATOM_TOL
-        if not inside_v.any():
-            return 0.0
-        pts = pts[inside_v]
-        wts = measure.weights[inside_v]
-        if region is not None and len(region.halves) > 0:
-            dots = pts @ region.normals.T
-            band = np.abs(dots) <= ATOM_TOL
-            if band.any():
-                i, j = np.argwhere(band)[0]
-                raise BoundaryAtom(
-                    "restricted atom lies on a region hyperplane",
-                    atom=pts[i], normal=region.normals[j])
-            keep = np.all(dots > 0.0, axis=1)
-            wts = wts[keep]
-        return math.fsum(wts)
-    if isinstance(measure, _UniformMeasure):
-        w = (measure.basis if isinstance(measure, SubsphereUniform)
-             else np.eye(width))
-        if np.linalg.norm(w - (w @ basis.T) @ basis) > MATCH_TOL:
-            return 0.0
-        if region is None:
-            return 2.0
-        est = measure.eval(region)
-        if not est.exact:
-            raise UnsupportedMeasure(
-                "subspace restriction of a Monte Carlo %r" % measure)
-        return est.value
-    if isinstance(measure, Mixture):
-        return math.fsum(c * _subspace_mass(m, basis, region)
-                         for c, m in measure.components)
-    raise UnsupportedMeasure(
-        "subspace restriction over %s is not representable"
-        % type(measure).__name__)
 
 
 class RestrictedNormalized(MeasureSpec):
@@ -990,12 +981,11 @@ class RestrictedNormalized(MeasureSpec):
 
     def _eval_many(self, regions, mc):
         if self._subspace is not None:
-            den = _subspace_mass(self._base, self._subspace, None)
+            den = self._base._subspace_mass(self._subspace, None)
             if den <= 0.0:
                 raise UnsupportedMeasure("restriction subsphere has no mass")
-            return [MeasureEstimate(2.0 * _subspace_mass(
-                self._base, self._subspace, region) / den)
-                    for region in regions]
+            return [MeasureEstimate(2.0 * self._base._subspace_mass(
+                self._subspace, region) / den) for region in regions]
         # every region reads A and -A afresh, so no two ratios share a
         # denominator that the estimate algebra could not see
         a, neg_a = self._region, self._region.antipodal()
@@ -1023,34 +1013,25 @@ class RestrictedNormalized(MeasureSpec):
     def support_subspaces(self):
         subs = self._base.support_subspaces()
         if self._subspace is not None:
-            b = self._subspace
-            kept = []
-            for v in subs:
-                if np.linalg.norm(v - (v @ b.T) @ b) <= MATCH_TOL:
-                    kept.append(v)
-            return kept
+            return [v for v in subs
+                    if _span_distance(v, self._subspace) <= MATCH_TOL]
         return subs
 
     def _union_mass(self, regions, mc):
-        if isinstance(self._base, AtomicMeasure):
-            if self._subspace is not None:
-                den = _subspace_mass(self._base, self._subspace, None)
-                pts = self._base.points
-                basis = self._subspace
-                inside = (np.linalg.norm(pts - (pts @ basis.T) @ basis, axis=1)
-                          <= ATOM_TOL)
-                sub = AtomicMeasure.from_sphere_atoms(
-                    pts[inside], self._base.weights[inside], dim=self.dim)
-                est = sub.union_mass(regions)
-                return MeasureEstimate(2.0 * est.value / den)
+        base = self._base
+        if not isinstance(base, AtomicMeasure):
+            raise UnsupportedMeasure(
+                "union_mass of a restricted non-atomic measure")
+        if self._subspace is not None:
+            den = base._subspace_mass(self._subspace, None)
+            in_v = _span_distance(base.points, self._subspace, 1) <= ATOM_TOL
+            base = AtomicMeasure.from_sphere_atoms(
+                base.points[in_v], base.weights[in_v], dim=self.dim)
+        else:
             a, neg_a = self._region, self._region.antipodal()
-            den = (self._base.eval(a).value + self._base.eval(neg_a).value)
-            cut = [r.intersect(a) for r in regions]
-            cut += [r.intersect(neg_a) for r in regions]
-            est = self._base.union_mass(cut)
-            return MeasureEstimate(2.0 * est.value / den)
-        raise UnsupportedMeasure(
-            "union_mass of a restricted non-atomic measure")
+            den = base.eval(a).value + base.eval(neg_a).value
+            regions = [r.intersect(b) for b in (a, neg_a) for r in regions]
+        return MeasureEstimate(2.0 * base.union_mass(regions).value / den)
 
     def __repr__(self):
         what = "region" if self._region is not None else "subsphere"
@@ -1215,7 +1196,8 @@ def _spec_objects(spec, key):
 
 _SCALARS = {"weight": ("a finite number", is_number),
             "dim": ("an integer", is_integer),
-            "max_orbit": ("an integer", is_integer),
+            "max_orbit": ("a positive integer",
+                          lambda v: is_integer(v) and v >= 1),
             "monte_carlo": ("a boolean", lambda v: isinstance(v, bool))}
 
 
@@ -1245,6 +1227,15 @@ def _spec_array(spec, key, kind, shape, empty=False):
     return a
 
 
+def _spec_built(key, kind, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError a SchemaError naming key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise SchemaError("%s measure: %r is invalid: %s"
+                          % (kind, key, err)) from err
+
+
 def measure_from_spec(spec, dim):
     """Build a measure from its JSON description.
 
@@ -1267,10 +1258,10 @@ def measure_from_spec(spec, dim):
         if any(w <= 0.0 for _, w in atoms):
             raise SchemaError("atomic measure: every 'weight' must be "
                               "positive, got %r" % [w for _, w in atoms])
-        return AtomicMeasure(atoms, dim=dim)
+        return _spec_built("point", kind, AtomicMeasure, atoms, dim=dim)
     if kind == "subsphere":
-        return SubsphereUniform(
-            _spec_array(spec, "basis", kind, (None, width)), dim=dim)
+        return _spec_built("basis", kind, SubsphereUniform, _spec_array(
+            spec, "basis", kind, (None, width)), dim=dim)
     if kind == "mixture":
         comps = [(float(_spec_scalar(c, "weight", kind)),
                   measure_from_spec(_required(c, "measure", kind), dim))
@@ -1287,13 +1278,14 @@ def measure_from_spec(spec, dim):
             normals = _spec_array(spec, "region", kind, (None, width), True)
             return RestrictedNormalized(
                 base, region=Region([Hyperplane(u) for u in normals], dim))
-        return RestrictedNormalized(
-            base, subspace=_spec_array(spec, "subspace", kind, (None, width)))
+        return _spec_built("subspace", kind, RestrictedNormalized, base,
+                           subspace=_spec_array(spec, "subspace", kind,
+                                                (None, width)))
     if kind == "orbit":
         gens = _spec_array(spec, "generators", kind, (None, width, width),
                            True)
         seed = _spec_array(spec, "seed_point", kind, (width,))
-        return finite_orbit_measure(seed, [ProjectiveMap(m) for m in gens],
-                                    _spec_scalar(spec, "max_orbit", kind,
-                                                 10000))
+        return _spec_built("seed_point", kind, finite_orbit_measure, seed,
+                           [ProjectiveMap(m) for m in gens],
+                           _spec_scalar(spec, "max_orbit", kind, 10000))
     raise SchemaError("unknown measure type %r" % (kind,))

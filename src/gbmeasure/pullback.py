@@ -14,7 +14,6 @@ convention would otherwise decide the answer silently.
 """
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import (AtomOnBoundary, DuplicateAtom, NotAdapted,
@@ -33,32 +32,7 @@ def circle_distance(a, b):
     return min(d, TWO_PI - d)
 
 
-class CircleMap(ABC):
-    """A local homeomorphism of the circle with finite fibers.
-
-    Implementations provide the degree, pointwise values, the full preimage
-    list of an angle, and an injectivity test for open arcs.
-    """
-
-    @property
-    @abstractmethod
-    def degree(self):
-        ...
-
-    @abstractmethod
-    def value(self, theta):
-        ...
-
-    @abstractmethod
-    def preimages(self, theta):
-        ...
-
-    @abstractmethod
-    def arc_injective(self, length):
-        """Whether every open arc of this length maps injectively."""
-
-
-class PowerMap(CircleMap):
+class PowerMap:
     """theta -> k * theta (mod 2 pi) for a nonzero integer k."""
 
     def __init__(self, k):
@@ -79,6 +53,7 @@ class PowerMap(CircleMap):
         return [_mod((theta + TWO_PI * j) / self._k) for j in range(k)]
 
     def arc_injective(self, length):
+        """Whether every open arc of this length maps injectively."""
         return length <= TWO_PI / abs(self._k)
 
     def __repr__(self):
@@ -93,10 +68,6 @@ class Arc:
 
     def contains(self, theta):
         return 0.0 < _mod(theta - self.start) < self.length
-
-    def endpoint_distance(self, theta):
-        return min(circle_distance(theta, self.start),
-                   circle_distance(theta, self.start + self.length))
 
 
 class AdaptedCovering:
@@ -149,9 +120,6 @@ class AdaptedCovering:
                 return i
         raise NotAdapted("point %g not covered (covering invariant broken)"
                          % theta)
-
-    def endpoint_clearance(self, theta):
-        return min(a.endpoint_distance(theta) for a in self.arcs)
 
     def __repr__(self):
         return "AdaptedCovering(%d arcs)" % len(self.arcs)
@@ -225,14 +193,15 @@ def pullback(f, lam, covering):
     of an arc endpoint.
     """
     covering.check_adapted(f)
+    ends = [end for arc in covering.arcs
+            for end in (arc.start, arc.start + arc.length)]
     out = []
     for a, w in lam.atoms:
         for p in f.preimages(a):
-            if covering.endpoint_clearance(p) <= ANGLE_TOL:
+            if min(circle_distance(p, end) for end in ends) <= ANGLE_TOL:
                 raise AtomOnBoundary(
                     "preimage %g of atom %g lies on a covering arc endpoint"
                     % (p, a))
-            covering.piece_of(p)  # realize the disjointified lookup
             out.append((p, w))
     return CircleAtomicMeasure(out)
 
@@ -259,8 +228,6 @@ def equivariance_check(f, lam, covering=None):
     2 pi / |k|; the downstream measure is automatically fixed since the
     rotation covers the identity.
     """
-    if not isinstance(f, PowerMap):
-        raise NotAdapted("equivariance check needs a power map")
     covering = covering or default_covering(f)
     up = pullback(f, lam, covering)
     delta = TWO_PI / abs(f.degree)
@@ -278,8 +245,6 @@ def induce_quotient(p, lam_up):
     input exactly.  Raises NotDeckInvariant when the input is not invariant
     under rotation by 2 pi / |k|.
     """
-    if not isinstance(p, PowerMap):
-        raise NotAdapted("quotient induction needs a power map")
     k = abs(p.degree)
     delta = TWO_PI / k
     if not lam_up.same_as(lam_up.rotated(delta)):

@@ -89,16 +89,6 @@ class GeometricTriangulation:
     def incidences_of_face(self, r, index):
         return tuple(self._by_face.get((r, index), ()))
 
-    def face_hyperplanes(self, r, index):
-        """Developed hyperplanes carrying a codimension-1 face."""
-        if r != self.dim - 1:
-            raise ValueError("face hyperplanes only defined in codim 1")
-        out = []
-        for rec in self.incidences_of_face(r, index):
-            (i,) = rec.cut
-            out.append((rec.top, self.developed[rec.top].planes[i].normal))
-        return out
-
     def default_measure(self):
         from .measure import measure_from_spec
         if self.measure_spec is None:
@@ -479,10 +469,11 @@ def transversality_check(tri, measure):
     failures = []
     n = tri.dim
     for idx in range(len(tri.faces[n - 1])):
-        for top, normal in tri.face_hyperplanes(n - 1, idx):
+        for rec in tri.incidences_of_face(n - 1, idx):
+            normal = tri.developed[rec.top].planes[rec.cut[0]].normal
             for sidx, basis in enumerate(supports):
                 if np.max(np.abs(basis @ normal)) <= _SUPPORT_TOL:
-                    failures.append((idx, top, sidx))
+                    failures.append((idx, rec.top, sidx))
     return TransversalityReport(not failures, False, tuple(failures))
 
 

@@ -290,9 +290,33 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
     (["invariance", "--measure", "round", "--group", "cyclic:x"], "--group"),
     (["--samples", "0", "sgb", "--random-simplex"], "--samples"),
     (["--samples", "-5", "sgb", "--random-simplex"], "--samples"),
+    (["sgb", "--vertices", "[1, 2]"], "--vertices"),
+    (["sgb", "--vertices", "5"], "--vertices"),
+    (["sgb", "--vertices", '[[1, 0], [0, "a"]]'], "--vertices"),
+    (["pullback", '{"degree": 2, "atoms": [[0.1, -1]]}'], "'atoms'"),
+    (["pullback", '{"degree": 0, "atoms": [[0.1, 1]]}'], "'degree'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "atomic", "atoms": '
+      '[{"point": [0, 0, 0], "weight": 1}]}'], "'point'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "orbit", '
+      '"seed_point": [0, 0, 0], "generators": []}'], "'seed_point'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "orbit", '
+      '"seed_point": [0, 0, 1], "generators": [], "max_orbit": 0}'],
+     "'max_orbit'"),
+    (["check", "s2-octahedron", "--measure",
+      '{"type": "subsphere", "basis": [[1, 1, 0]]}'], "'basis'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "restricted", '
+      '"base": {"type": "round"}, "subspace": [[1, 1, 0]]}'], "'subspace'"),
+    (["check", "t2-grid", "--k", "1"], "--k"),
+    (["check", "klein-grid", "--k", "2"], "--k"),
+    (["check", "s1-polygon", "--m", "2"], "--m"),
 ], ids=["degree-list", "not-an-object", "covering-arc", "degree-fraction",
         "degree-bool", "weight-string", "angle-nan", "group-numbers",
-        "group-strings", "cyclic-order", "samples-0", "samples-negative"])
+        "group-strings", "cyclic-order", "samples-0", "samples-negative",
+        "vertices-flat", "vertices-number", "vertices-string",
+        "weight-negative", "degree-zero", "point-zero", "seed-point-zero",
+        "max-orbit-zero", "basis-not-orthonormal",
+        "subspace-not-orthonormal", "t2-grid-k", "klein-grid-k",
+        "s1-polygon-m"])
 def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
     for key, matrices in _MATRIX_FILES.items():
         (tmp_path / key[1:]).write_text(json.dumps(matrices))

@@ -423,6 +423,18 @@ class TestAtomic:
         assert len(m.points) == 2
         assert m.total_mass == 2.0
 
+    def test_union_names_the_nearest_plane_of_the_first_region_on_it(self):
+        m = AtomicMeasure.dirac([0.0, 0.0, 1.0])
+        # the first region neither holds the atom nor lies on it
+        regions = [region(2, [0, 0.6, 0.8], [0, 0.6, -0.8]),
+                   region(2, [1, 0, 1e-13], [0, 1, 0], [0.6, 0, 0.8]),
+                   region(2, [1, 1, 0])]
+        with pytest.raises(BoundaryAtom) as info:
+            m.union_mass(regions)
+        assert abs(info.value.atom[2]) == 1.0
+        # [0, 1, 0] holds the atom exactly, [1, 0, 1e-13] within ATOM_TOL
+        assert np.array_equal(info.value.normal, [0.0, 1.0, 0.0])
+
 
 class TestSubsphere:
     def setup_method(self):
@@ -492,6 +504,23 @@ class TestMixtureAndRestriction:
         assert abs(restr.eval(whole_sphere(2)).value - 2.0) < 1e-12
         est = restr.eval(region(2, [0.1, 0.2, 0.97]))
         assert abs(est.value - 1.0) < 1e-12
+
+    def test_restricted_subspace_atom_on_a_plane_names_atom_and_plane(self):
+        base = AtomicMeasure([([1, 0, 0], 1.0), ([0, 0, 1], 3.0)])
+        restr = RestrictedNormalized(base,
+                                     subspace=np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(BoundaryAtom) as info:
+            restr.eval(region(2, [0.6, 0.0, 0.8], [0.0, 1.0, 0.0]))
+        assert np.array_equal(np.abs(info.value.atom), [0.0, 0.0, 1.0])
+        assert np.array_equal(info.value.normal, [0.0, 1.0, 0.0])
+
+    def test_subspace_restriction_of_a_restriction_is_unsupported(self):
+        inner = RestrictedNormalized(AtomicMeasure.dirac([0.0, 0.0, 1.0]),
+                                     region=region(2, [0, 0.6, 0.8]))
+        restr = RestrictedNormalized(inner,
+                                     subspace=np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(UnsupportedMeasure):
+            restr.eval(whole_sphere(2))
 
     def test_restricted_round_to_subsphere_rejected(self):
         with pytest.raises(UnsupportedMeasure):

@@ -5,16 +5,19 @@
 Each path is a checkout (holding src/gbmeasure) or the directory holding
 the gbmeasure package itself.  The battery runs every built-in document
 under eleven measures, its own, four named and six specs (check,
-check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and
-invariance of three measures under three groups, at seeds 1 and 2
-and 3000 and 40000 samples, with JSON output.  Each tree runs in one
-subprocess with GBM_THREADS=1 and writes no bytecode.  The script prints
-how many invocations are byte-identical, each differing invocation with
-the top-level report keys that differ, and every exit-code change; it
-exits 1 if any exit code changed.
+check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and on
+one --vertices simplex and invariance of three measures under three
+groups, at seeds 1 and 2 and 3000 and 40000 samples, then pullback of
+degrees 1-3 with the default covering and with two explicit ones, all
+with JSON output.  Each tree runs in one subprocess with GBM_THREADS=1
+and writes no bytecode.  The script prints how many invocations are
+byte-identical, each differing invocation with the top-level report keys
+that differ, and every exit-code change; it exits 1 if any exit code
+changed.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +28,11 @@ DOCUMENTS = ("s2-octahedron", "rp2-icosahedral", "t2-grid", "klein-grid",
 POINTS = {2: ([0.6, 0.8], [-0.28, 0.96]),
           3: ([0.3, 0.5, 0.8], [-0.7, 0.2, 0.4])}
 ROTATION = {2: [[0, -1], [1, 0]], 3: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}
+VERTICES = [[1, 0.2, 0.1], [0.1, 1, 0.3], [0.2, 0.1, 1]]
+# two open covers of the circle by arcs shorter than 2 pi / 3, so both are
+# adapted to the power maps of degree 1 to 3
+COVERINGS = [[[0.3 + 2 * math.pi * j / 9, 1.9] for j in range(9)],
+             [[0.1 + 2 * math.pi * j / 7, 1.5] for j in range(7)]]
 
 
 def _measures(width):
@@ -45,7 +53,9 @@ def _measures(width):
             {"weight": 0.25, "measure": {"type": "round"}},
             {"weight": 0.75, "measure": atomic}]},
         {"type": "restricted", "base": round_mc, "region": plane},
-        {"type": "restricted", "base": atomic, "subspace": [first]}]
+        # a subspace basis must be orthonormal: first, scaled to unit length
+        {"type": "restricted", "base": atomic,
+         "subspace": [[x / math.hypot(*first) for x in first]]}]
     return ([None, "round", "round-mc", "infinity-line", "atomic-on-edge"]
             + [json.dumps(spec) for spec in specs])
 
@@ -66,10 +76,15 @@ def battery():
                              head + ["angles", doc] + opt]
             runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
                      for d in (1, 2, 3, 4)]
+            runs.append(head + ["sgb", "--vertices", json.dumps(VERTICES)])
             runs += [head + ["invariance", "--measure", measure, "--group",
                              group, "--regions", "5"]
                      for group in ("icosahedral", "klein4", "cyclic:5")
                      for measure in _measures(3)[2:]]
+    for degree in (1, 2, 3):
+        data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
+        runs += [["--format", "json", "pullback", json.dumps(
+            dict(data, **extra))] for extra in ({}, {"coverings": COVERINGS})]
     return runs
 
 
