@@ -16,6 +16,7 @@ fixed arguments and inputs.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -50,9 +51,17 @@ def _emit(args, payload, text_lines):
 
 
 def _load_document(name_or_path, args):
-    if name_or_path in BUILTIN_DOCUMENTS:
-        params = {key: getattr(args, key) for key in ("k", "m")
-                  if getattr(args, key) is not None}
+    """A built-in document built with the --k or --m it takes, or a JSON
+    file; an option the document does not take is a SchemaError."""
+    builtin = BUILTIN_DOCUMENTS.get(name_or_path)
+    takes = () if builtin is None else inspect.signature(builtin).parameters
+    params = {key: getattr(args, key) for key in ("k", "m")
+              if getattr(args, key) is not None}
+    for key in params:
+        if key not in takes:
+            raise SchemaError("--%s: document %r takes no --%s"
+                              % (key, name_or_path, key))
+    if builtin is not None:
         try:
             return builtin_document(name_or_path, **params)
         except ValueError as err:

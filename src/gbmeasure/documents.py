@@ -270,11 +270,11 @@ def _shared_chart_pairings(doc, candidate_maps=None):
 
 
 BUILTIN_DOCUMENTS = {
-    "s2-octahedron": lambda **kw: s2_octahedron(),
-    "rp2-icosahedral": lambda **kw: rp2_icosahedral(),
-    "t2-grid": lambda k=2, **kw: t2_grid(int(k)),
-    "klein-grid": lambda k=3, **kw: klein_grid(int(k)),
-    "s1-polygon": lambda m=6, **kw: s1_polygon(int(m)),
+    "s2-octahedron": s2_octahedron,
+    "rp2-icosahedral": rp2_icosahedral,
+    "t2-grid": lambda k=2: t2_grid(int(k)),
+    "klein-grid": lambda k=3: klein_grid(int(k)),
+    "s1-polygon": lambda m=6: s1_polygon(int(m)),
 }
 
 

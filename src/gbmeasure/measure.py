@@ -13,11 +13,14 @@ region's planes into a SignHistogram, so a result is a pure function of
 measure answers eval_many as one batch: a round or subsphere measure draws
 once for all its sampled regions (see _region_masses), a mixture asks each
 component once, a restriction asks its base once, and estimates read from
-one histogram carry their shared samples into the error bar.  A union is
-sampled from the same draw, against the same reduced normals.
-A block of readings draws at most _ROWS fresh rows and reads each of them
-up to _BLOCK / _ROWS times, each time through a fresh Haar rotation; the
-error bars stay exact (see _region_masses), and samples counts readings.
+one histogram carry their shared samples into the error bar.  A block of
+readings draws at most _ROWS fresh rows and reads each of them up to
+_BLOCK / _ROWS times, each time through a fresh Haar rotation: reading i
+is fresh row i mod _ROWS.  The error bars stay exact (see _region_masses),
+and samples counts readings.  A union whose reduced normals make at most
+_CODE_BITS distinct planes up to sign reads such readings for one region
+of those planes and counts the codes that some region or its antipode
+takes; a union of more planes tests fresh rows against every region.
 
 The draw is float32 Box-Muller on uniforms of the generator's grid
 k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
@@ -30,6 +33,7 @@ samples within 6e-8 relative of a plane.
 """
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -143,9 +147,9 @@ class SignHistogram:
 
     Against a region, bit j of a sample's code is set when the sample lies
     on the positive side of plane j, so the mass where all planes of a mask
-    are positive is a superset sum of the counts.  A union of regions (and
-    a region of more than _CODE_BITS planes) uses the one-bit code
-    "inside".
+    are positive is a superset sum of the counts.  A region of more than
+    _CODE_BITS planes uses the one-bit code "inside"; a union's estimate is
+    the two-bin histogram of its misses and hits (see _union_hits).
     """
 
     __slots__ = ("counts", "samples", "bits")
@@ -413,13 +417,17 @@ class _PlaneGroup:
             np.min_scalar_type(self.size - 1))
 
     def batches(self, size):
-        """Row ranges covering a block of size rows: whole chunks, as many
-        per range as keep its product within _GROUP_PLANES x _CHUNK
-        entries, then the rest."""
-        step = _CHUNK * max(1, _GROUP_PLANES // max(len(self.planes), 1))
-        full = size - size % _CHUNK
-        return ([(row, min(row + step, full)) for row in range(0, full, step)]
-                + ([(full, size)] if full < size else []))
+        """Batches (first chunk, stop chunk, rows per chunk) covering a
+        block of size readings: whole chunks, as many per batch as keep its
+        product within _GROUP_PLANES x _CHUNK entries and its chunks within
+        one window of _ROWS / _CHUNK, then the rest as one short chunk."""
+        step = max(1, _GROUP_PLANES // max(len(self.planes), 1))
+        window = _ROWS // _CHUNK
+        full, rest = divmod(size, _CHUNK)
+        return ([(c, min(c + step, w + window, full), _CHUNK)
+                 for w in range(0, full, window)
+                 for c in range(w, min(w + window, full), step)]
+                + ([(full, full + 1, rest)] if rest else []))
 
     def _by_region(self, flags):
         return flags.reshape(len(flags), self.count, self.h, flags.shape[2])
@@ -444,11 +452,6 @@ class _PlaneGroup:
         return np.logical_or.reduce(inside, axis=1)
 
 
-def _chunks(x, start, stop):
-    """Rows start:stop of a block as (chunk, row, coordinate)."""
-    return x[start:stop].reshape(-1, min(_CHUNK, stop - start), x.shape[1])
-
-
 def _plane_groups(normal_sets):
     """The regions as consecutive _PlaneGroups, each of at most
     _GROUP_PLANES planes unless a single region has more."""
@@ -465,23 +468,37 @@ def _plane_groups(normal_sets):
 def _region_histograms(normal_sets, width, mc):
     """One SignHistogram per region over the same mc.samples readings.
 
-    A block of readings draws at most _ROWS fresh Gaussian rows: reading
-    chunk c is row chunk c mod (_ROWS / _CHUNK).  Every chunk of a block is
-    read by region i through a fresh Haar rotation.  The rotations of block
-    b come from the stream (region, b): group after group, one per (chunk,
-    region of the group).
+    A block of readings draws at most _ROWS fresh Gaussian rows and copies
+    them into a float64 buffer laid out (chunk, coordinate, row), one
+    buffer per call and thread, reused block after block.  Reading i is
+    fresh row i mod _ROWS, so reading chunk c is row chunk c mod
+    (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
+    block is read by region i through a fresh Haar rotation.  The rotations
+    of block b come from the stream (region, b): group after group, one per
+    (chunk, region of the group).
     """
     groups = _plane_groups(normal_sets)
     offsets = np.cumsum([0] + [group.size for group in groups])
     fresh = _gaussian_draw(width)
+    window = _ROWS // _CHUNK
+    buffers = threading.local()
 
     def draw(rng, size):
         x = fresh(rng, min(size, _ROWS))
-        return x if size == len(x) else np.resize(x, (size, width))
+        rows = getattr(buffers, "rows", None)
+        if rows is None:
+            rows = buffers.rows = np.empty((window, width, _CHUNK))
+        full, rest = divmod(len(x), _CHUNK)
+        rows[:full] = x[:full * _CHUNK].reshape(full, _CHUNK,
+                                                width).transpose(0, 2, 1)
+        if rest:
+            rows[full, :, :rest] = x[full * _CHUNK:].T
+        return size, rows
 
-    def count(b, x):
+    def count(b, drawn):
+        size, rows = drawn
         rng = _rng(mc, _ROLE_REGION, b)
-        chunks = -(-len(x) // _CHUNK)
+        chunks = -(-size // _CHUNK)
         counts = np.zeros(offsets[-1], dtype=np.int64)
         for group, first, last in zip(groups, offsets, offsets[1:]):
             q = _haar_rotations(rng, (chunks, group.count), width)
@@ -489,11 +506,11 @@ def _region_histograms(normal_sets, width, mc):
                                group.planes.reshape(group.count, group.h,
                                                     width), q)
             turned = turned.reshape(chunks, -1, width)
-            for start, stop in group.batches(len(x)):
-                rows = _chunks(x, start, stop)
-                c = start // _CHUNK
-                codes = group.codes(turned[c:c + len(rows)]
-                                    @ rows.transpose(0, 2, 1))
+            for start, stop, length in group.batches(size):
+                fresh_start = start % window
+                codes = group.codes(
+                    turned[start:stop]
+                    @ rows[fresh_start:fresh_start + stop - start, :, :length])
                 counts[first:last] += np.bincount(codes.ravel(),
                                                   minlength=group.size)
         return counts
@@ -505,17 +522,52 @@ def _region_histograms(normal_sets, width, mc):
 
 
 def _union_hits(normal_sets, width, mc):
-    """How many of mc.samples Gaussian draws of the given width lie inside
-    some region or the antipodal image of one: all its planes positive, or
-    all negative."""
+    """How many of mc.samples readings lie inside some region or the
+    antipodal image of one: all its planes positive, or all negative.
+
+    The regions' normals are deduplicated exactly up to sign into k planes,
+    each signed so that its first nonzero coordinate is positive.  A region
+    then needs some of the k bits set and others clear (a region listing a
+    plane with both signs is empty), and its antipode needs the reverse.
+    For 0 < k <= _CODE_BITS the readings are those of _region_histograms
+    for one region of the k planes, and the hits are its counts over the
+    codes that some region or antipode takes; any two readings are
+    independent (see _region_masses), so the hit count's binomial error
+    bar is exact.  Otherwise each of mc.samples fresh Gaussian rows is
+    tested against every region's planes.
+    """
+    planes, needs = {}, set()
+    for normals in normal_sets:
+        bits = [0, 0]                       # the bits set and clear
+        for u in normals:
+            lead = u[np.flatnonzero(u)[0]] > 0.0
+            plane = planes.setdefault(tuple(u if lead else -u), len(planes))
+            bits[not lead] |= 1 << plane
+        needs.add(tuple(bits))
+        if len(planes) > _CODE_BITS:
+            break
+    if 0 < len(planes) <= _CODE_BITS:
+        codes = np.arange(1 << len(planes))
+        covered = np.zeros(len(codes), dtype=bool)
+        for set_bits, clear_bits in needs:
+            if not set_bits & clear_bits:
+                mask = set_bits | clear_bits
+                covered |= (codes & mask) == set_bits
+                covered |= (codes & mask) == clear_bits
+        hist, = _region_histograms([np.array(list(planes))], width, mc)
+        return int(hist.counts[covered].sum())
+
     groups = _plane_groups(normal_sets)
 
     def count(b, x):
         hit = np.zeros(len(x), dtype=bool)
         for group in groups:
-            for start, stop in group.batches(len(x)):
-                rows = _chunks(x, start, stop).transpose(0, 2, 1)
-                hit[start:stop] |= group.hits(group.planes @ rows).ravel()
+            for start, stop, length in group.batches(len(x)):
+                first = start * _CHUNK
+                last = first + (stop - start) * length
+                rows = x[first:last].reshape(stop - start, length, width)
+                hit[first:last] |= group.hits(
+                    group.planes @ rows.transpose(0, 2, 1)).ravel()
         return int(np.count_nonzero(hit))
 
     return _block_sum(count, _gaussian_draw(width), mc)
@@ -653,7 +705,9 @@ class _UniformMeasure(MeasureSpec):
     """The uniform measure on a great subsphere S^(_width - 1), read
     through region normals reduced to the subsphere's coordinates: a closed
     form (_exact_value) or one Gaussian draw of width _width per batch of
-    regions (_region_masses) or per union (_union_hits)."""
+    regions (_region_masses) or per union (_union_hits, which reads one
+    region of the union's distinct planes when they are at most
+    _CODE_BITS)."""
 
     def _eval_many(self, regions, mc):
         return _region_masses([self._reduced_normals(r) for r in regions],

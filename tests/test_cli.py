@@ -309,6 +309,8 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
     (["check", "t2-grid", "--k", "1"], "--k"),
     (["check", "klein-grid", "--k", "2"], "--k"),
     (["check", "s1-polygon", "--m", "2"], "--m"),
+    (["check", "s1-polygon", "--k", "7"], "--k"),
+    (["check", "t2-grid", "--m", "9"], "--m"),
 ], ids=["degree-list", "not-an-object", "covering-arc", "degree-fraction",
         "degree-bool", "weight-string", "angle-nan", "group-numbers",
         "group-strings", "cyclic-order", "samples-0", "samples-negative",
@@ -316,7 +318,7 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
         "weight-negative", "degree-zero", "point-zero", "seed-point-zero",
         "max-orbit-zero", "basis-not-orthonormal",
         "subspace-not-orthonormal", "t2-grid-k", "klein-grid-k",
-        "s1-polygon-m"])
+        "s1-polygon-m", "s1-polygon-takes-no-k", "t2-grid-takes-no-m"])
 def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
     for key, matrices in _MATRIX_FILES.items():
         (tmp_path / key[1:]).write_text(json.dumps(matrices))
@@ -490,15 +492,18 @@ def test_thread_pools_do_not_nest(capsys, monkeypatch):
     monkeypatch.setattr(_util, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(measure, "_BLOCK", 1000)
     # each component of a mixture draws its three sample blocks on a
-    # pool; no pool is started from inside another, so at most
-    # GBM_THREADS workers run at once
+    # pool, for the angle table and for the chart union, so each worker
+    # reuses its own row buffer while other blocks are in flight; no pool
+    # is started from inside another, so at most GBM_THREADS workers run
+    # at once
     half = {"weight": 0.5, "measure": {"type": "round", "monte_carlo": True}}
     argv = ("--format", "json", "--seed", "3", "--samples", "3000",
-            "check", "s2-octahedron", "--measure",
+            "check", "s2-octahedron", "--dichotomy", "--measure",
             json.dumps({"type": "mixture", "components": [half, half]}))
     monkeypatch.setenv("GBM_THREADS", "1")
     _, sequential = run(capsys, *argv)
     assert busy["items"] == 0
+    assert json.loads(sequential)["dichotomy"]["chart_mass"]["samples"] > 0
     monkeypatch.setenv("GBM_THREADS", "2")
     _, threaded = run(capsys, *argv)
     assert threaded == sequential

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +156,35 @@ class TestMonteCarlo:
         b = m.eval(r, MCConfig(seed=1, samples=300_000))
         assert a == b
 
+    def test_threads_keep_their_own_row_buffers(self, monkeypatch):
+        # 40 blocks on 4 workers, switching threads every microsecond:
+        # a row buffer shared between workers would be overwritten while
+        # another block reads it
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 1024)
+        monkeypatch.setattr(mm, "_CHUNK", 128)
+        monkeypatch.setattr(mm, "_ROWS", 512)
+        m = RoundMeasure(2, monte_carlo=True)
+        regions = [region(2, [1, 0, 0], [0, 1, 0]),
+                   region(2, [0, 1, 0], [0, 0, 1])]
+        mc = MCConfig(seed=2, samples=40 * 1024)
+
+        def run():
+            return ([region_histogram(e).counts.tolist()
+                     for e in m.eval_many(regions, mc)],
+                    m.union_mass(regions, mc))
+
+        monkeypatch.setenv("GBM_THREADS", "1")
+        sequential = run()
+        monkeypatch.setenv("GBM_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+
     def test_derived_seeds_use_64_bits(self):
         seeds = [derive_seed(1, key) for key in range(64)]
         assert all(0 <= seed < 2 ** 64 for seed in seeds)
@@ -181,74 +211,26 @@ class TestMonteCarlo:
                         for _ in range(h)], dim)
                 for h in (3, 3, 1, 17, 17, 17, 17, 2, 2)]
 
-    def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch):
+    @staticmethod
+    def _plane_by_plane_counts(regions, mc, bins):
+        """The regions' histograms rebuilt one plane at a time: every
+        chunk's rotations, with reading chunk c read from fresh row chunk
+        c mod (_ROWS / _CHUNK)."""
         mm = measure_module
-        monkeypatch.setattr(mm, "_BLOCK", 500)
-        monkeypatch.setattr(mm, "_CHUNK", 64)
-        dim, width = 3, 4
-        regions = self._coder_regions(dim, 1)
-        mc = MCConfig(seed=9, samples=1200)
-        got = [region_histogram(est).counts
-               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
-                   regions, mc)]
-        assert [len(c) for c in got] == [8, 8, 2, 2, 2, 2, 2, 4, 4]
-        # rebuild every chunk's rotations and test one plane at a time
+        width = regions[0].ambient_dim + 1
         sizes = [g.count for g in mm._plane_groups(
             [r.normals for r in regions])]
-        assert sizes == [2, 1, 3, 1, 2]
-        want = [np.zeros(len(c), dtype=int) for c in got]
-        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
-            x = mm._gaussian_draw(width)(mm._rng(mc, mm._ROLE_BLOCK, b),
-                                         min(mm._BLOCK, mc.samples - start))
-            rotations = mm._rng(mc, mm._ROLE_REGION, b)
-            chunks = range(0, len(x), mm._CHUNK)
-            first = 0
-            for size in sizes:
-                q = mm._haar_rotations(rotations, (len(chunks), size), width)
-                assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
-                for c, row in enumerate(chunks):
-                    rows = x[row:row + mm._CHUNK]
-                    for i in range(first, first + size):
-                        signs = [rows @ (u @ q[c, i - first]) > 0.0
-                                 for u in regions[i].normals]
-                        if len(signs) > mm._CODE_BITS:
-                            code = np.all(signs, axis=0).astype(int)
-                        else:
-                            code = sum(s.astype(int) << j
-                                       for j, s in enumerate(signs))
-                        want[i] += np.bincount(code, minlength=len(want[i]))
-                first += size
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        assert 0 < want[3][1] < mc.samples   # the wide region is hit
-
-    def test_sign_coder_rereads_rows_beyond_the_fresh_row_cap(self,
-                                                             monkeypatch):
-        # blocks of 500 readings draw 128 fresh rows, two row chunks of
-        # 64: reading chunk c reads row chunk c mod 2 through its rotation
-        mm = measure_module
-        monkeypatch.setattr(mm, "_BLOCK", 500)
-        monkeypatch.setattr(mm, "_CHUNK", 64)
-        monkeypatch.setattr(mm, "_ROWS", 128)
-        dim, width = 3, 4
-        regions = self._coder_regions(dim, 3)
-        mc = MCConfig(seed=11, samples=1200)
-        got = [region_histogram(est).counts
-               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
-                   regions, mc)]
-        sizes = [g.count for g in mm._plane_groups(
-            [r.normals for r in regions])]
-        want = [np.zeros(len(c), dtype=int) for c in got]
+        want = [np.zeros(n, dtype=int) for n in bins]
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
             size = min(mm._BLOCK, mc.samples - start)
             x = mm._gaussian_draw(width)(mm._rng(mc, mm._ROLE_BLOCK, b),
                                          min(size, mm._ROWS))
-            assert len(x) == 128
             rotations = mm._rng(mc, mm._ROLE_REGION, b)
             chunks = range(0, size, mm._CHUNK)
             first = 0
             for count in sizes:
                 q = mm._haar_rotations(rotations, (len(chunks), count), width)
+                assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
                 for c, row in enumerate(chunks):
                     fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
                     rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
@@ -262,9 +244,47 @@ class TestMonteCarlo:
                                        for j, s in enumerate(signs))
                         want[i] += np.bincount(code, minlength=len(want[i]))
                 first += count
+        return want
+
+    def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch):
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        dim = 3
+        regions = self._coder_regions(dim, 1)
+        mc = MCConfig(seed=9, samples=1200)
+        got = [region_histogram(est).counts
+               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
+                   regions, mc)]
+        assert [len(c) for c in got] == [8, 8, 2, 2, 2, 2, 2, 4, 4]
+        sizes = [g.count for g in mm._plane_groups(
+            [r.normals for r in regions])]
+        assert sizes == [2, 1, 3, 1, 2]
+        want = self._plane_by_plane_counts(regions, mc, map(len, got))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        assert all(w.sum() == mc.samples for w in want)
+        assert 0 < want[3][1] < mc.samples   # the wide region is hit
+
+    def test_sign_coder_rereads_rows_beyond_the_fresh_row_cap(self,
+                                                             monkeypatch):
+        # blocks of 500 readings draw 128 fresh rows, two row chunks of
+        # 64: reading chunk c reads row chunk c mod 2 through its rotation;
+        # sample counts below, at and above _ROWS and _BLOCK
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        monkeypatch.setattr(mm, "_ROWS", 128)
+        dim = 3
+        regions = self._coder_regions(dim, 3)
+        for samples in (100, 128, 161, 500, 501, 1200):
+            mc = MCConfig(seed=11, samples=samples)
+            got = [region_histogram(est).counts
+                   for est in RoundMeasure(dim, monte_carlo=True).eval_many(
+                       regions, mc)]
+            want = self._plane_by_plane_counts(regions, mc, map(len, got))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert all(w.sum() == mc.samples for w in want)
         assert 0 < want[3][1] < mc.samples   # the wide region is hit
 
     @pytest.mark.parametrize("measure", [
@@ -298,6 +318,76 @@ class TestMonteCarlo:
         # a region without planes is the whole sphere
         whole = measure.union_mass(regions + [Region([], 3)], mc)
         assert (whole.value, whole.std_error) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("measure", [
+        RoundMeasure(3),
+        SubsphereUniform(np.linalg.qr(
+            np.random.default_rng(4).standard_normal((4, 3)))[0].T)])
+    def test_coded_union_matches_region_by_region_reference(self,
+                                                          monkeypatch,
+                                                          measure):
+        # at most _CODE_BITS distinct planes: the union reads the readings
+        # of _region_histograms for one region of its planes, here with
+        # 128 fresh rows per block of 500 readings
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        monkeypatch.setattr(mm, "_ROWS", 128)
+        # planes merge when their normals agree exactly up to sign; the
+        # last normal, (1, 1, -1, 1) / 2, is negated exactly by flipped()
+        p = [Hyperplane(u) for u in
+             np.random.default_rng(6).standard_normal((4, 4))]
+        p.append(Hyperplane([1, 1, -1, 1]))
+        regions = [Region([p[0], p[1], p[2].flipped()], 3),
+                   Region([p[1], p[3], p[1]], 3),            # p1 twice
+                   Region([p[4], p[0], p[4].flipped()], 3),  # empty
+                   Region([p[3].flipped(), p[4]], 3)]
+        mc = MCConfig(seed=8, samples=1200)
+        sub = derive_mc(mc, mm._ROLE_UNION)
+        width = getattr(measure, "basis", np.eye(4)).shape[0]
+        normals = [measure._reduced_normals(r) for r in regions]
+        hits = 0
+        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
+            size = min(mm._BLOCK, mc.samples - start)
+            x = mm._gaussian_draw(width)(mm._rng(sub, mm._ROLE_BLOCK, b),
+                                         min(size, mm._ROWS))
+            chunks = range(0, size, mm._CHUNK)
+            q = mm._haar_rotations(mm._rng(sub, mm._ROLE_REGION, b),
+                                   (len(chunks), 1), width)
+            for c, row in enumerate(chunks):
+                fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
+                readings = (x[fresh:fresh + min(mm._CHUNK, size - row)]
+                            @ q[c, 0].T)
+                hit = np.zeros(len(readings), dtype=bool)
+                for u in normals:
+                    dots = readings @ u.T
+                    hit |= (np.all(dots > 0.0, axis=1)
+                            | np.all(dots < 0.0, axis=1))
+                hits += int(np.count_nonzero(hit))
+        assert 0 < hits < mc.samples
+        est = measure.union_mass(regions, mc)
+        assert est.samples == mc.samples
+        assert est.value == 2.0 * hits / mc.samples
+        # a region listing a plane with both signs holds nothing
+        assert measure.union_mass(regions[2:3], mc).value == 0.0
+        # a region without planes is the whole sphere
+        for extra in ([], regions):
+            whole = measure.union_mass(extra + [Region([], 3)], mc)
+            assert (whole.value, whole.std_error) == (2.0, 0.0)
+
+    def test_partial_union_std_error_calibrated(self):
+        # {x>0, y>0} and {y>0, z>0} with their antipodes miss the octants
+        # {x<0, y>0, z<0} and {x>0, y<0, z>0}: exact union mass 1.5
+        m = RoundMeasure(2, monte_carlo=True)
+        regions = [region(2, [1, 0, 0], [0, 1, 0]),
+                   region(2, [0, 1, 0], [0, 0, 1])]
+        ests = [m.union_mass(regions, MCConfig(seed=s, samples=20_000))
+                for s in range(100)]
+        values = [e.value for e in ests]
+        scatter = np.std(values, ddof=1)
+        reported = np.mean([e.std_error for e in ests])
+        assert reported / 2 <= scatter <= reported * 2
+        assert abs(np.mean(values) - 1.5) <= 4 * reported / 10
 
     def test_hemisphere_std_error_calibrated(self):
         m = RoundMeasure(2, monte_carlo=True)

@@ -7,13 +7,15 @@ the gbmeasure package itself.  The battery runs every built-in document
 under eleven measures, its own, four named and six specs (check,
 check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and on
 one --vertices simplex and invariance of three measures under three
-groups, at seeds 1 and 2 and 3000 and 40000 samples, then pullback of
-degrees 1-3 with the default covering and with two explicit ones, all
-with JSON output.  Each tree runs in one subprocess with GBM_THREADS=1
-and writes no bytecode.  The script prints how many invocations are
-byte-identical, each differing invocation with the top-level report keys
-that differ, and every exit-code change; it exits 1 if any exit code
-changed.
+groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
+and 300000 samples, so that Monte Carlo draws span several blocks, the
+octahedron check with round-mc and --dichotomy and sgb in dimension 4;
+then pullback of degrees 1-3 with the default covering and with two
+explicit ones, all with JSON output.  Each tree runs in one subprocess
+with GBM_THREADS=1 and writes no bytecode.  The script prints how many
+invocations are byte-identical, each differing invocation with the
+top-level report keys that differ, and every exit-code change; it exits 1
+if any exit code changed.
 """
 
 import json
@@ -81,6 +83,10 @@ def battery():
                              group, "--regions", "5"]
                      for group in ("icosahedral", "klein4", "cyclic:5")
                      for measure in _measures(3)[2:]]
+        head = ["--format", "json", "--seed", seed, "--samples", "300000"]
+        runs += [head + ["check", "s2-octahedron", "--measure", "round-mc",
+                         "--dichotomy"],
+                 head + ["sgb", "--random-simplex", "--dim", "4"]]
     for degree in (1, 2, 3):
         data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
         runs += [["--format", "json", "pullback", json.dumps(
