@@ -67,7 +67,12 @@ class Hyperplane:
         return self.side(point) > 0.0
 
     def flipped(self):
-        return Hyperplane(-self.normal)
+        """The plane with the exactly negated normal: the sides swap, and
+        flipping twice gives back the same normal bit for bit."""
+        plane = Hyperplane.__new__(Hyperplane)
+        plane.normal = -self.normal
+        plane.normal.flags.writeable = False
+        return plane
 
     def __repr__(self):
         return "Hyperplane(%s)" % np.array2string(self.normal, precision=6)

@@ -30,10 +30,11 @@ def spans():
       "triangulation.gb_report", "triangulation.angle_table",
       "triangulation.transversality_check",
       "triangulation.dichotomy_check", "measure.union_mass"}),
-    # an invariance check evaluates region by region
+    # an invariance check is one eval_many call, which the proxy forwards
+    # untraced; it derives its one seed through the wrapped derive_seed
     (["invariance", "--measure", "round", "--group", "klein4",
       "--regions", "3"],
-     {"measure.eval"}),
+     {"measure.measure_from_spec", "util.derive_seed"}),
 ], ids=["sgb", "check", "invariance"])
 def test_traced_cli_invocation(spans, capsys, argv, layers):
     tracer = spans.Tracer()

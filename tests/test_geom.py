@@ -227,3 +227,15 @@ def test_random_region_shape():
     rng = np.random.default_rng(0)
     r = random_region(4, rng, 3)
     assert r.normals.shape == (3, 5)
+
+
+def test_flipping_negates_the_normal_exactly():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        p = Hyperplane(rng.standard_normal(4))
+        flipped = p.flipped()
+        assert np.array_equal(flipped.normal, -p.normal)
+        assert not flipped.normal.flags.writeable
+        assert flipped.flipped().normal.tobytes() == p.normal.tobytes()
+    r = random_region(3, rng, 5)
+    assert r.antipodal().antipodal().normals.tobytes() == r.normals.tobytes()

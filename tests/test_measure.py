@@ -375,6 +375,54 @@ class TestMonteCarlo:
             whole = measure.union_mass(extra + [Region([], 3)], mc)
             assert (whole.value, whole.std_error) == (2.0, 0.0)
 
+    def test_union_merges_a_plane_with_its_flip(self, monkeypatch):
+        # nine planes, each region pairing one with the next one flipped:
+        # merged up to sign they are nine, within _CODE_BITS, so the union
+        # reads one region histogram of nine planes
+        mm = measure_module
+        rng = np.random.default_rng(13)
+        p = [Hyperplane(u) for u in rng.standard_normal((9, 4))]
+        regions = [Region([p[i], p[(i + 1) % 9].flipped()], 3)
+                   for i in range(9)]
+        histograms = mm._region_histograms
+        planes = []
+        monkeypatch.setattr(mm, "_region_histograms", lambda sets, *args: (
+            planes.append(len(sets[0])) or histograms(sets, *args)))
+        m = RoundMeasure(3, monte_carlo=True)
+        mc = MCConfig(seed=4, samples=5000)
+        assert 0.0 < m.union_mass(regions, mc).value < 2.0
+        assert planes == [9]
+        # a region listing a plane with both signs holds nothing
+        empty = m.union_mass([Region([p[0], p[1], p[0].flipped()], 3)], mc)
+        assert (empty.value, empty.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,
+                                         300001])
+    def test_popcount_tree_counts_like_the_code_bincount(self, monkeypatch,
+                                                         threads, samples):
+        # _TREE_BITS = 0 sends every group through codes and bincount;
+        # groups of 1-6 planes per region, some sharing a stack, next to
+        # a 7-plane one that takes the bincount path either way
+        mm = measure_module
+        monkeypatch.setenv("GBM_THREADS", threads)
+        rng = np.random.default_rng(samples)
+        mc = MCConfig(seed=samples, samples=samples)
+        for width in range(2, 8):
+            sets = [rng.standard_normal((h, width))
+                    for h in (1, 2, 2, 3, 7, 4, 4, 4, 5, 6, 6, 3)]
+            sets = [u / np.linalg.norm(u, axis=1, keepdims=True)
+                    for u in sets]
+            tree = [h.counts for h in mm._region_histograms(sets, width, mc)]
+            with monkeypatch.context() as patch:
+                patch.setattr(mm, "_TREE_BITS", 0)
+                coded = [h.counts
+                         for h in mm._region_histograms(sets, width, mc)]
+            assert [len(c) for c in tree] == [1 << len(u) for u in sets]
+            for t, c in zip(tree, coded):
+                assert np.array_equal(t, c)
+                assert t.sum() == samples
+
     def test_partial_union_std_error_calibrated(self):
         # {x>0, y>0} and {y>0, z>0} with their antipodes miss the octants
         # {x<0, y>0, z<0} and {x>0, y<0, z>0}: exact union mass 1.5
@@ -755,6 +803,44 @@ class TestInvarianceChecks:
         report = check_invariance(RoundMeasure(3), [ProjectiveMap(mrot)],
                                   regions, MCConfig(seed=2, samples=100_000))
         assert report.passed
+
+
+    def test_one_batch_for_every_region_and_image(self, monkeypatch):
+        m = RoundMeasure(2, monte_carlo=True)
+        batches = []
+        real = m._eval_many
+        monkeypatch.setattr(m, "_eval_many", lambda regions, mc: (
+            batches.append(len(regions)) or real(regions, mc)))
+        rng = np.random.default_rng(3)
+        regions = [random_region(2, rng, k) for k in (1, 2, 3)]
+        report = check_invariance(m, [rotation_z(0.9), rotation_x(0.4)],
+                                  regions, MCConfig(seed=1, samples=2000))
+        assert batches == [9]
+        assert [(e.region_index, e.generator_index)
+                for e in report.entries] == [(r, g) for r in range(3)
+                                             for g in range(2)]
+
+    def test_batched_error_bars_calibrated(self):
+        # a region and its images read independent rotations, so the
+        # discrepancies of an invariant measure are standard normal in
+        # units of their combined error
+        m = RoundMeasure(2, monte_carlo=True)
+        rng = np.random.default_rng(41)
+        regions = [random_region(2, rng, k) for k in (1, 2, 3)]
+        z = [e.discrepancy / e.combined_std_error
+             for seed in range(40)
+             for e in check_invariance(
+                 m, [rotation_z(0.9), rotation_x(0.4)], regions,
+                 MCConfig(seed=seed, samples=20_000)).entries]
+        assert 0.8 <= math.sqrt(np.mean(np.square(z))) <= 1.2
+
+    def test_boundary_atom_names_the_first_region_on_it(self):
+        m = AtomicMeasure.dirac([0, 0, 1.0])
+        regions = [region(2, [1, 0, 0.5]), region(2, [0, 1, 0.2]),
+                   region(2, [1, 0, 0]), region(2, [0, 1, 0])]
+        with pytest.raises(BoundaryAtom) as info:
+            check_invariance(m, [rotation_z(0.3)], regions)
+        assert info.value.face == ("region", 2)
 
 
 class TestSupportSubspaces:

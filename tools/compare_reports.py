@@ -9,9 +9,11 @@ check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and on
 one --vertices simplex and invariance of three measures under three
 groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
-octahedron check with round-mc and --dichotomy and sgb in dimension 4;
-then pullback of degrees 1-3 with the default covering and with two
-explicit ones, all with JSON output.  Each tree runs in one subprocess
+octahedron check with round-mc and --dichotomy and sgb in dimensions 4-7,
+whose simplices of 5-8 planes count sign codes by popcount up to 6
+planes and by bincount above, over several blocks; then pullback of
+degrees 1-3 with the default covering and with two explicit ones, all
+with JSON output.  Each tree runs in one subprocess
 with GBM_THREADS=1 and writes no bytecode.  The script prints how many
 invocations are byte-identical, each differing invocation with the
 top-level report keys that differ, and every exit-code change; it exits 1
@@ -85,8 +87,9 @@ def battery():
                      for measure in _measures(3)[2:]]
         head = ["--format", "json", "--seed", seed, "--samples", "300000"]
         runs += [head + ["check", "s2-octahedron", "--measure", "round-mc",
-                         "--dichotomy"],
-                 head + ["sgb", "--random-simplex", "--dim", "4"]]
+                         "--dichotomy"]]
+        runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
+                 for d in (4, 5, 6, 7)]
     for degree in (1, 2, 3):
         data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
         runs += [["--format", "json", "pullback", json.dumps(
