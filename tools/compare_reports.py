@@ -11,10 +11,9 @@ groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
 octahedron check with round-mc and --dichotomy and sgb in dimensions 4-7,
 whose simplices of 5-8 planes count sign codes by popcount up to 6
-planes and by bincount above, over several blocks; then pullback of
-degrees 1-3 with the default covering and with two explicit ones, all
-with JSON output.  Each tree runs in one subprocess
-with GBM_THREADS=1 and writes no bytecode.  The script prints how many
+planes and by bincount above; then pullback of degrees 1-3 with the
+default covering and with two explicit ones, all with JSON output.  Each
+tree runs in one subprocess with GBM_THREADS=1 and writes no bytecode.  The script prints how many
 invocations are byte-identical, each differing invocation with the
 top-level report keys that differ, and every exit-code change; it exits 1
 if any exit code changed.
