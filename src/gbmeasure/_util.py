@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import SingularMatrix
+
 UNIT_TOL = 1e-12
 MATCH_TOL = 1e-9
 
@@ -86,7 +88,7 @@ def scaled_flat(m):
     flat = np.asarray(m, dtype=float).ravel()
     norm = np.linalg.norm(flat)
     if norm == 0.0:
-        raise ValueError("zero matrix")
+        raise SingularMatrix("zero matrix")
     return flat / norm
 
 

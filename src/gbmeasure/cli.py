@@ -18,13 +18,14 @@ fixed arguments and inputs.
 import argparse
 import inspect
 import json
+import math
 import sys
 
 import numpy as np
 
 from .documents import (BUILTIN_DOCUMENTS, builtin_document,
                         icosahedral_rotation_group, rotation_about)
-from .errors import GBError, SchemaError
+from .errors import GBError, SchemaError, SingularMatrix
 from .geom import (ProjectiveMap, random_region, random_simplex,
                    simplex_from_vertices)
 from .measure import (MCConfig, check_invariance, measure_from_spec)
@@ -93,10 +94,7 @@ def _named_measure(name, document, dim):
     if name == "round-mc":
         return {"type": "round", "monte_carlo": True}
     if name == "infinity-line":
-        basis = [[0.0] * (dim + 1) for _ in range(dim)]
-        for i in range(dim):
-            basis[i][i] = 1.0
-        return {"type": "subsphere", "basis": basis}
+        return {"type": "subsphere", "basis": np.eye(dim, dim + 1).tolist()}
     if name == "atomic-on-edge":
         # deliberately invalid: an atom on a developed codim-1 face
         if document is None:
@@ -244,7 +242,10 @@ def _named_group(name, dim):
         if any(m is None for m in matrices):
             raise SchemaError("--group %s must hold a list of %dx%d matrices "
                               "of finite numbers" % (name, dim + 1, dim + 1))
-        return [ProjectiveMap(m) for m in matrices]
+        try:
+            return [ProjectiveMap(m) for m in matrices]
+        except SingularMatrix as err:
+            raise SchemaError("--group %s: %s" % (name, err)) from err
     raise GBError("unknown group %r" % name)
 
 
@@ -253,8 +254,6 @@ def cmd_invariance(args):
     generators = _named_group(args.group, args.dim)
     if not generators:
         raise GBError("--group %r has no elements" % args.group)
-    if args.regions < 1:
-        raise GBError("--regions must be positive, got %d" % args.regions)
     rng = np.random.default_rng(args.seed)
     regions = [random_region(args.dim, rng, int(rng.integers(1, 4)))
                for _ in range(args.regions)]
@@ -347,17 +346,24 @@ def cmd_example(args):
     return 0
 
 
-def _integer_from(least, kind):
-    """argparse type: a kind integer, >= least, in decimal digits."""
+def _number_from(least, kind, number=int):
+    """argparse type: a finite number >= least, of the given type; an int
+    written in decimal digits."""
     def parse(text):
-        if not text.strip().isdecimal() or int(text) < least:
-            raise argparse.ArgumentTypeError(
-                "must be a %s integer, got %r" % (kind, text))
-        return int(text)
+        try:
+            value = number(text)
+        except ValueError:
+            value = math.nan
+        if not (least <= value < math.inf
+                and (number is float or text.strip().isdecimal())):
+            raise argparse.ArgumentTypeError("must be %s, got %r"
+                                             % (kind, text))
+        return value
     return parse
 
 
-_non_negative_int = _integer_from(0, "non-negative")
+_non_negative_int = _number_from(0, "a non-negative integer")
+_positive_int = _number_from(1, "a positive integer")
 
 
 def build_parser():
@@ -366,9 +372,9 @@ def build_parser():
         description="Euler characteristic vs invariant-measure checks for "
                     "triangulated projective manifolds")
     parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--samples", type=_integer_from(1, "positive"),
-                        default=1_000_000)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--samples", type=_positive_int, default=1_000_000)
+    parser.add_argument("--tolerance", default=1e-9, type=_number_from(
+        0.0, "a finite number >= 0", float))
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,7 +385,7 @@ def build_parser():
     p.add_argument("--m", type=int, help="arc count for s1-polygon")
     p.add_argument("--dichotomy", action="store_true",
                    help="also run the chart-union dichotomy check")
-    p.add_argument("--orbit-depth", type=int, default=0,
+    p.add_argument("--orbit-depth", type=_non_negative_int, default=0,
                    help="holonomy word length enlarging the chart union")
     p.set_defaults(func=cmd_check)
 
@@ -401,8 +407,8 @@ def build_parser():
     p.add_argument("--measure", required=True)
     p.add_argument("--group", required=True,
                    help="icosahedral | klein4 | cyclic:N | @matrices.json")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--regions", type=int, default=20)
+    p.add_argument("--dim", type=_non_negative_int, default=2)
+    p.add_argument("--regions", type=_positive_int, default=20)
     p.set_defaults(func=cmd_invariance)
 
     p = sub.add_parser("pullback", help="circle pull-back / quotient checks")
@@ -425,8 +431,7 @@ def main(argv=None):
     args.mc = MCConfig(seed=args.seed, samples=args.samples)
     try:
         return args.func(args)
-    except (GBError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as err:
+    except (GBError, OSError, json.JSONDecodeError) as err:
         diagnostic = {"error": type(err).__name__, "detail": str(err)}
         if args.format == "json":
             print(json.dumps(diagnostic, sort_keys=True, indent=2))

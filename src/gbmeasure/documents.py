@@ -14,6 +14,8 @@ document format (see README), ready for load().  The shipped examples:
 - s1-polygon(m): the circle subdivided into m arcs (odd-dimension case).
 """
 
+from itertools import combinations, product
+
 import numpy as np
 
 from .geom import ProjectiveMap
@@ -35,13 +37,8 @@ def rotation_about(axis, theta):
 def icosahedron_vertices():
     """The 12 unit vertices built from the golden ratio."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
-    rows = []
-    for a in (1.0, -1.0):
-        for b in (phi, -phi):
-            rows.append([0.0, a, b])
-            rows.append([a, b, 0.0])
-            rows.append([b, 0.0, a])
-    v = np.array(rows)
+    v = np.array([row for a, b in product((1.0, -1.0), (phi, -phi))
+                  for row in ([0.0, a, b], [a, b, 0.0], [b, 0.0, a])])
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -50,14 +47,8 @@ def icosahedron_faces(verts):
     d = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
     edge = d[d > 1e-9].min()
     adj = np.abs(d - edge) < 1e-6
-    faces = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if not adj[i, j]:
-                continue
-            for k in range(j + 1, len(verts)):
-                if adj[i, k] and adj[j, k]:
-                    faces.append((i, j, k))
+    faces = [(i, j, k) for i, j, k in combinations(range(len(verts)), 3)
+             if adj[i, j] and adj[i, k] and adj[j, k]]
     assert len(faces) == 20
     return faces
 
@@ -82,12 +73,8 @@ def s2_octahedron():
     """Six vertices +-e_i, eight triangles developed onto the octants."""
     coords = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
               [-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]
-    triangles = []
-    for x in (0, 3):
-        for y in (1, 4):
-            for z in (2, 5):
-                triangles.append(tuple(sorted((x, y, z))))
-    triangles.sort()
+    triangles = sorted(tuple(sorted(corner))
+                       for corner in product((0, 3), (1, 4), (2, 5)))
     edges = sorted({(i, j) for i in range(6) for j in range(i + 1, 6)
                     if j != i + 3})
     developed = [[coords[v] for v in tri] for tri in triangles]

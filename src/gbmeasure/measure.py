@@ -16,23 +16,21 @@ same integers.  Every measure answers eval_many as one batch: a round or
 subsphere measure draws once for all its sampled regions (see
 _region_masses), a mixture asks each component once, a restriction asks
 its base once, and estimates read from one histogram carry their shared
-samples into the error bar.  A block of
-readings draws at most _ROWS fresh rows and reads each of them up to
-_BLOCK / _ROWS times, each time through a fresh Haar rotation: reading i
-is fresh row i mod _ROWS.  The error bars stay exact (see _region_masses),
-and samples counts readings.  A union whose reduced normals make at most
-_CODE_BITS distinct planes up to sign reads such readings for one region
-of those planes and counts the codes that some region or its antipode
-takes; a union of more planes tests fresh rows against every region.
+samples into the error bar.  A block of readings draws at most _ROWS
+fresh rows and reads each of them up to _BLOCK / _ROWS times, each time
+through a fresh Haar rotation: reading i is fresh row i mod _ROWS.  The
+error bars stay exact (see _region_masses), and samples counts readings.
+A union reads such readings for one region of its distinct planes and
+counts those inside some region or its antipode from their packed signs.
 
 The draw is float32 Box-Muller on uniforms of the generator's grid
 k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
 float32 rounding bias the law by order 2^-24 per uniform, about 1e-7 of a
-region mass, below any standard error short of 1e14 samples; region
-masses do not see it at all, since a Haar rotation turns any nonzero
-sample into a uniform direction.  Sign products stay float64: the float32
-samples convert exactly, while a float32 product would flip the signs of
-samples within 6e-8 relative of a plane.
+region mass, below any standard error short of 1e14 samples; no estimate
+sees it at all, since every reading is turned by a Haar rotation, which
+makes any nonzero sample a uniform direction.  Sign products stay
+float64: the float32 samples convert exactly, while a float32 product
+would flip the signs of samples within 6e-8 relative of a plane.
 """
 
 import math
@@ -44,7 +42,7 @@ import numpy as np
 
 from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
                      NotAGroup, OrbitOverflow, SchemaError,
-                     UnsupportedMeasure)
+                     SingularMatrix, UnsupportedMeasure)
 from .geom import Hyperplane, ProjectiveMap, Region, apply_map
 from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, is_integer,
                     is_number, normalized, numeric_array, ordered_map,
@@ -156,7 +154,7 @@ class SignHistogram:
     _region_histograms: a popcount tree over packed signs for at most
     _TREE_BITS planes, a bincount of codes above.  A region of more than
     _CODE_BITS planes uses the one-bit code "inside"; a union's estimate is
-    the two-bin histogram of its misses and hits (see _union_hits).
+    the two-bin histogram of its misses and hits (see _union_histogram).
     """
 
     __slots__ = ("counts", "samples", "bits")
@@ -364,26 +362,6 @@ def _rng(mc, role, index):
     return np.random.default_rng(ss)
 
 
-def _block_sum(count, draw, mc):
-    """The sum over the blocks of mc.samples draws x of count(b, x).
-
-    Block b draws from a seed derived from (mc.seed, b), so one block of
-    samples is live per thread.  Block counts are integers, so the sum does
-    not depend on scheduling.
-    """
-    n = int(mc.samples)
-    if n <= 0:
-        raise ValueError("samples must be positive")
-    blocks = [(b, min(_BLOCK, n - b * _BLOCK))
-              for b in range((n + _BLOCK - 1) // _BLOCK)]
-
-    def run(block):
-        b, size = block
-        return count(b, draw(_rng(mc, _ROLE_BLOCK, b), size))
-
-    return sum(ordered_map(run, blocks))
-
-
 def _haar_rotations(rng, shape, width):
     """An array of the given shape of Haar-random orthogonal
     width x width matrices.
@@ -412,18 +390,17 @@ class _PlaneGroup:
     positive side of plane j; a region of more than _CODE_BITS planes codes
     only "inside" (all h positive).  A group of at most _TREE_BITS planes
     per region packs its signs into bits and counts codes with
-    tree_counts; a wider one builds codes, offset by r times its bins for
+    packed_counts; a wider one builds codes, offset by r times its bins for
     region r, so one bincount counts the whole batch.
     """
 
-    def __init__(self, normal_sets):
+    def __init__(self, normal_sets, bins=None):
         self.count = len(normal_sets)
         self.h = len(normal_sets[0])
         self.planes = np.concatenate(normal_sets)
-        self.bins = 2 if self.h > _CODE_BITS else 1 << self.h
+        self.bins = bins or (2 if self.h > _CODE_BITS else 1 << self.h)
         self.size = self.count * self.bins
-        self.base = (np.arange(self.count)[:, None] * self.bins).astype(
-            np.min_scalar_type(self.size - 1))
+        self.zero = np.arange(0, self.size, self.bins)   # bins of code 0
         self.tree = self.h <= _TREE_BITS
         self.step = max(1, _GROUP_PLANES // max(len(self.planes), 1))
 
@@ -439,22 +416,22 @@ class _PlaneGroup:
                  for c in range(w, min(w + window, full), self.step)]
                 + ([(full, full + 1, rest)] if rest else []))
 
-    def _by_region(self, flags):
-        return flags.reshape(len(flags), self.count, self.h, flags.shape[2])
-
     def codes(self, signs):
         """Offset codes, (chunk, region, sample), from a batch's signs."""
-        positive = self._by_region(signs).view(np.uint8)
+        positive = signs.reshape(len(signs), self.count, self.h,
+                                 -1).view(np.uint8)
+        base = (np.arange(self.count)[:, None] * self.bins).astype(
+            np.min_scalar_type(self.size - 1))
         if self.h > _CODE_BITS:
-            return self.base + np.logical_and.reduce(positive, axis=2)
-        codes = self.base + positive[:, :, 0]
+            return base + np.logical_and.reduce(positive, axis=2)
+        codes = base + positive[:, :, 0]
         for j in range(1, self.h):
             bit = positive[:, :, j].astype(codes.dtype)
             bit <<= j
             codes |= bit
         return codes
 
-    def tree_counts(self, words):
+    def packed_counts(self, words):
         """Code counts of every region, (region, code) flattened, from its
         signs packed into uint64 words, (plane, word).
 
@@ -476,12 +453,43 @@ class _PlaneGroup:
             level = split
         return np.bitwise_count(level).sum(axis=2, dtype=np.int64).ravel()
 
-    def hits(self, dots):
-        """Whether each sample of a batch is inside some region of the
-        group or the antipodal image of one, (chunk, sample)."""
-        inside = np.logical_and.reduce(self._by_region(dots > 0.0), axis=2)
-        inside |= np.logical_and.reduce(self._by_region(dots < 0.0), axis=2)
-        return np.logical_or.reduce(inside, axis=1)
+
+class _UnionGroup(_PlaneGroup):
+    """The k planes of a union as one region whose packed signs count as
+    (miss, hit).  A need is a tuple of signed plane numbers, j + 1 met
+    where plane j is positive and -(j + 1) where it is not; the needs
+    become rows of plane indices and XOR masks (all ones for a negative
+    number), a shorter need repeating its first number."""
+
+    def __init__(self, planes, needs):
+        super().__init__([planes], bins=2)
+        self.tree = True
+        longest = max(map(len, needs))
+        signed = np.array([need + need[:1] * (longest - len(need))
+                           for need in sorted(needs)])
+        self.index = abs(signed) - 1
+        self.flip = (signed < 0) * np.uint64(2**64 - 1)
+        # a reading clear in every plane, the padding of a short chunk
+        # among them, is a hit when some need has no positive plane
+        self.zero = np.array([int((signed < 0).all(axis=1).any())])
+
+    def packed_counts(self, words):
+        """(misses, hits) of the readings packed into uint64 words,
+        (plane, word): per need the AND over its planes of the plane's
+        words XOR its mask, ORed over the needs, a slice of needs at a time
+        so that each gather stays within _GROUP_PLANES x _CHUNK words."""
+        words = words.reshape(self.h, -1)
+        hit = np.zeros(words.shape[1], dtype=np.uint64)
+        step = max(1, _GROUP_PLANES * _CHUNK // words.shape[1])
+        for first in range(0, len(self.index), step):
+            index = self.index[first:first + step]
+            flip = self.flip[first:first + step, :, None]
+            met = words[index[:, 0]] ^ flip[:, 0]
+            for j in range(1, index.shape[1]):
+                met &= words[index[:, j]] ^ flip[:, j]
+            hit |= np.bitwise_or.reduce(met, axis=0)
+        hits = int(np.bitwise_count(hit).sum(dtype=np.int64))
+        return np.array([hit.size * 64 - hits, hits])
 
 
 def _plane_groups(normal_sets):
@@ -497,14 +505,18 @@ def _plane_groups(normal_sets):
     return groups
 
 
-def _region_histograms(normal_sets, width, mc):
-    """One SignHistogram per region over the same mc.samples readings.
+def _region_histograms(normal_sets, width, mc, needs=None):
+    """One SignHistogram per region over the same mc.samples readings, or
+    with needs, the (miss, hit) histogram of the one region's planes
+    counted by _UnionGroup.
 
-    A block of readings draws at most _ROWS fresh Gaussian rows and copies
-    them into a float64 buffer laid out (chunk, coordinate, row), one
-    buffer per call and thread, reused block after block.  Reading i is
-    fresh row i mod _ROWS, so reading chunk c is row chunk c mod
-    (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
+    Block b of _BLOCK readings draws from the stream (block, b), so one
+    block is live per thread, and block counts are integers, so their sum
+    does not depend on scheduling.  A block draws at most _ROWS fresh
+    Gaussian rows and copies them into a float64 buffer laid out (chunk,
+    coordinate, row), one per call and thread, reused block after block.
+    Reading i is fresh row i mod _ROWS, so reading chunk c is row chunk c
+    mod (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
     block is read by region i through a fresh Haar rotation.  The rotations
     of block b come from the stream (region, b): group after group, one per
     (chunk, region of the group).
@@ -512,15 +524,17 @@ def _region_histograms(normal_sets, width, mc):
     A group of at most _TREE_BITS planes per region packs the signs of
     each product, 64 readings of a chunk per uint64 word, into a
     (plane, chunk, byte) buffer, likewise one per call and thread, and
-    counts them by _PlaneGroup.tree_counts whenever the next batch would
+    counts them by _PlaneGroup.packed_counts whenever the next batch would
     overflow about _TREE_WORDS words per plane, so the tree's levels stay
-    in cache; the padding of a short last chunk is taken off code 0.  A
-    wider group counts one code per reading with bincount, as the tree's
-    2^(h+1) word operations per 64 readings cost more from h = 7 on: one
-    region on S^4 at 1e6 readings took 32 ms by bincount and 35 ms by the
-    tree at h = 7, 34 and 45 ms at h = 8, and 32 and 29 ms at h = 6.
+    in cache; the padding of a short last chunk is taken off the bins
+    where code 0 lands (group.zero).  A wider group counts one code per
+    reading with bincount, as the tree's 2^(h+1) word operations per 64
+    readings cost more from h = 7 on: one region on S^4 at 1e6 readings
+    took 32 ms by bincount and 35 ms by the tree at h = 7, 34 and 45 ms at
+    h = 8, and 32 and 29 ms at h = 6.
     """
-    groups = _plane_groups(normal_sets)
+    groups = (_plane_groups(normal_sets) if needs is None
+              else [_UnionGroup(normal_sets[0], needs)])
     offsets = np.cumsum([0] + [group.size for group in groups])
     fresh = _gaussian_draw(width)
     window = _ROWS // _CHUNK
@@ -531,18 +545,6 @@ def _region_histograms(normal_sets, width, mc):
                        for group, span in zip(groups, spans))
     buffers = threading.local()
 
-    def draw(rng, size):
-        x = fresh(rng, min(size, _ROWS))
-        rows = getattr(buffers, "rows", None)
-        if rows is None:
-            rows = buffers.rows = np.empty((window, width, _CHUNK))
-        full, rest = divmod(len(x), _CHUNK)
-        rows[:full] = x[:full * _CHUNK].reshape(full, _CHUNK,
-                                                width).transpose(0, 2, 1)
-        if rest:
-            rows[full, :, :rest] = x[full * _CHUNK:].T
-        return size, rows
-
     def packed_signs(group, span):
         """A (plane, chunk, byte) view for span chunks of the group's
         packed signs, into one buffer per call and thread."""
@@ -552,8 +554,18 @@ def _region_histograms(normal_sets, width, mc):
             bits = buffers.bits = np.empty(packed_bytes, dtype=np.uint8)
         return bits[:math.prod(shape)].reshape(shape)
 
-    def count(b, drawn):
-        size, rows = drawn
+    def count(b):
+        size = min(_BLOCK, n - b * _BLOCK)
+        x = fresh(_rng(mc, _ROLE_BLOCK, b), min(size, _ROWS))
+        rows = getattr(buffers, "rows", None)
+        if rows is None:
+            rows = buffers.rows = np.empty((window, width, _CHUNK))
+        full, rest = divmod(len(x), _CHUNK)
+        rows[:full] = x[:full * _CHUNK].reshape(full, _CHUNK,
+                                                width).transpose(0, 2, 1)
+        if rest:
+            rows[full, :, :rest] = x[full * _CHUNK:].T
+        del x                   # free the draw before the products
         rng = _rng(mc, _ROLE_REGION, b)
         chunks = -(-size // _CHUNK)
         counts = np.zeros(offsets[-1], dtype=np.int64)
@@ -567,86 +579,67 @@ def _region_histograms(normal_sets, width, mc):
             bits = packed_signs(group, span) if group.tree else None
             filled = 0                  # chunks packed and not yet counted
             for start, stop, length in group.batches(size):
-                fresh_start = start % window
-                signs = (turned[start:stop]
-                         @ rows[fresh_start:fresh_start + stop - start, :,
-                                :length]) > 0.0
+                batch = rows[start % window:][:stop - start, :, :length]
                 if bits is None:
-                    counts[first:last] += np.bincount(
-                        group.codes(signs).ravel(), minlength=group.size)
+                    counts[first:last] += np.bincount(group.codes(
+                        turned[start:stop] @ batch > 0.0).ravel(),
+                        minlength=group.size)
                     continue
                 if filled + stop - start > span:
-                    counts[first:last] += group.tree_counts(
+                    counts[first:last] += group.packed_counts(
                         bits[:, :filled].view(np.uint64))
                     filled = 0
-                packed = np.packbits(signs, axis=-1, bitorder="little")
                 into = bits[:, filled:filled + stop - start]
-                into[:, :, :packed.shape[2]] = packed.transpose(1, 0, 2)
+                # a union of many planes multiplies _GROUP_PLANES at a time
+                for p in range(0, len(group.planes), _GROUP_PLANES):
+                    packed = np.packbits(
+                        turned[start:stop, p:p + _GROUP_PLANES] @ batch > 0.0,
+                        axis=-1, bitorder="little")
+                    into[p:p + _GROUP_PLANES, :, :packed.shape[2]] = (
+                        packed.transpose(1, 0, 2))
                 into[:, :, packed.shape[2]:] = 0
                 filled += stop - start
             if bits is not None:
-                counts[first:last] += group.tree_counts(
+                counts[first:last] += group.packed_counts(
                     bits[:, :filled].view(np.uint64))
                 # the padding bits of short chunks read as code 0
-                counts[first:last:group.bins] -= chunks * words * 64 - size
+                counts[first + group.zero] -= chunks * words * 64 - size
         return counts
 
-    counts = _block_sum(count, draw, mc)
+    n = int(mc.samples)
+    if n <= 0:
+        raise ValueError("samples must be positive")
+    counts = sum(ordered_map(count, range(-(-n // _BLOCK))))
     return [SignHistogram(counts[start:start + group.bins])
             for group, first in zip(groups, offsets)
             for start in range(first, first + group.size, group.bins)]
 
 
-def _union_hits(normal_sets, width, mc):
-    """How many of mc.samples readings lie inside some region or the
-    antipodal image of one: all its planes positive, or all negative.
+def _union_histogram(normal_sets, width, mc):
+    """The (miss, hit) SignHistogram of mc.samples readings, a hit lying in
+    some region or its antipodal image.
 
-    The regions' normals are deduplicated exactly up to sign into k planes,
-    each signed so that its first nonzero coordinate is positive.  A region
-    then needs some of the k bits set and others clear (a region listing a
-    plane with both signs is empty), and its antipode needs the reverse.
-    For 0 < k <= _CODE_BITS the readings are those of _region_histograms
-    for one region of the k planes, and the hits are its counts over the
-    codes that some region or antipode takes; any two readings are
-    independent (see _region_masses), so the hit count's binomial error
-    bar is exact.  Otherwise each of mc.samples fresh Gaussian rows is
-    tested against every region's planes.
-    """
-    planes, needs = {}, set()
+    A PointIndex merges the normals up to sign within MATCH_TOL into k
+    planes, a normal's sign that of its dot with the stored row.  A region
+    needs its planes so signed, its antipode the reverse; one listing a
+    plane with both signs is empty.  The readings are those of one region
+    of the k planes (see _region_masses: independent, so the binomial
+    error bar is exact).  A region without planes, or no needs, draws
+    nothing."""
+    index, needs = PointIndex(MATCH_TOL), set()
     for normals in normal_sets:
-        bits = [0, 0]                       # the bits set and clear
+        if not len(normals):
+            return SignHistogram(np.array([0, mc.samples]))
+        need = set()
         for u in normals:
-            lead = u[np.flatnonzero(u)[0]] > 0.0
-            plane = planes.setdefault(tuple(u if lead else -u), len(planes))
-            bits[not lead] |= 1 << plane
-        needs.add(tuple(bits))
-        if len(planes) > _CODE_BITS:
-            break
-    if 0 < len(planes) <= _CODE_BITS:
-        codes = np.arange(1 << len(planes))
-        covered = np.zeros(len(codes), dtype=bool)
-        for set_bits, clear_bits in needs:
-            if not set_bits & clear_bits:
-                mask = set_bits | clear_bits
-                covered |= (codes & mask) == set_bits
-                covered |= (codes & mask) == clear_bits
-        hist, = _region_histograms([np.array(list(planes))], width, mc)
-        return int(hist.counts[covered].sum())
-
-    groups = _plane_groups(normal_sets)
-
-    def count(b, x):
-        hit = np.zeros(len(x), dtype=bool)
-        for group in groups:
-            for start, stop, length in group.batches(len(x)):
-                first = start * _CHUNK
-                last = first + (stop - start) * length
-                rows = x[first:last].reshape(stop - start, length, width)
-                hit[first:last] |= group.hits(
-                    group.planes @ rows.transpose(0, 2, 1)).ravel()
-        return int(np.count_nonzero(hit))
-
-    return _block_sum(count, _gaussian_draw(width), mc)
+            plane = index.insert(u) + 1       # a signed plane number
+            need.add(plane if u @ index.rows[plane - 1] > 0.0 else -plane)
+        if not any(-j in need for j in need):
+            need = tuple(sorted(need, key=abs))
+            needs.update((need, tuple(-j for j in need)))
+    if not needs:
+        return SignHistogram(np.array([mc.samples, 0]))
+    return _region_histograms([np.array(index.rows)], width, mc, needs)[0]
 
 
 def _region_masses(normal_sets, exact_value, width, mc):
@@ -666,17 +659,16 @@ def _region_masses(normal_sets, exact_value, width, mc):
     tails are heavier than its error bar says; a fresh rotation per chunk
     averages that covariance over the chunks, so the tails are Gaussian.
 
-    Reuse: a block draws min(size, _ROWS) fresh rows, and reading chunk c
-    reads row chunk c mod (_ROWS / _CHUNK), so a full block reads each
-    row 4 times.  For independent Haar Q, Q' and fixed x, Q x and Q' x are
-    independent and uniform, and rows within a chunk are iid, so any two
-    readings are independent (one row through two rotations, two rows
-    through one or two): every variance and covariance, which depend only
-    on pairs, is that of a fresh row per reading.  Tails do depend on the
-    number of distinct row chunks, as the readings of one row covary given
-    the rotations: one 2048-row chunk read 4 times raised the link-gap
-    kurtosis from 3.16 to 3.73, and _ROWS keeps 16 distinct chunks per
-    block.  samples counts readings, not fresh rows.
+    Reuse: a full block reads each fresh row 4 times (see
+    _region_histograms).  For independent Haar Q, Q' and fixed x, Q x and
+    Q' x are independent and uniform, and rows within a chunk are iid, so
+    any two readings are independent (one row through two rotations, two
+    rows through one or two): every variance and covariance, which depend
+    only on pairs, is that of a fresh row per reading.  Tails do depend on
+    the number of distinct row chunks, as the readings of one row covary
+    given the rotations: one 2048-row chunk read 4 times raised the
+    link-gap kurtosis from 3.16 to 3.73, and _ROWS keeps 16 distinct chunks
+    per block.  samples counts readings, not fresh rows.
     """
     mc = mc or MCConfig()
     values = [exact_value(normals) for normals in normal_sets]
@@ -781,20 +773,17 @@ class _UniformMeasure(MeasureSpec):
     """The uniform measure on a great subsphere S^(_width - 1), read
     through region normals reduced to the subsphere's coordinates: a closed
     form (_exact_value) or one Gaussian draw of width _width per batch of
-    regions (_region_masses) or per union (_union_hits, which reads one
-    region of the union's distinct planes when they are at most
-    _CODE_BITS)."""
+    regions (_region_masses) or per union (_union_histogram, which reads
+    one region of the union's distinct planes)."""
 
     def _eval_many(self, regions, mc):
         return _region_masses([self._reduced_normals(r) for r in regions],
                               self._exact_value, self._width, mc)
 
     def _union_mass(self, regions, mc):
-        mc = derive_mc(mc, _ROLE_UNION)
-        hits = _union_hits([self._reduced_normals(r) for r in regions],
-                           self._width, mc)
-        return SignHistogram(np.array([int(mc.samples) - hits,
-                                       hits])).mass(1)
+        return _union_histogram([self._reduced_normals(r) for r in regions],
+                                self._width,
+                                derive_mc(mc, _ROLE_UNION)).mass(1)
 
     def _subspace_mass(self, basis, region):
         support = (self.support_subspaces() or [np.eye(self._width)])[0]
@@ -1368,10 +1357,11 @@ def _spec_array(spec, key, kind, shape, empty=False):
 
 
 def _spec_built(key, kind, build, *args, **kwargs):
-    """build(*args, **kwargs), its ValueError a SchemaError naming key."""
+    """build(*args, **kwargs), its ValueError or SingularMatrix a
+    SchemaError naming key."""
     try:
         return build(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, SingularMatrix) as err:
         raise SchemaError("%s measure: %r is invalid: %s"
                           % (kind, key, err)) from err
 
@@ -1425,7 +1415,7 @@ def measure_from_spec(spec, dim):
         gens = _spec_array(spec, "generators", kind, (None, width, width),
                            True)
         seed = _spec_array(spec, "seed_point", kind, (width,))
+        maps = _spec_built("generators", kind, list, map(ProjectiveMap, gens))
         return _spec_built("seed_point", kind, finite_orbit_measure, seed,
-                           [ProjectiveMap(m) for m in gens],
-                           _spec_scalar(spec, "max_orbit", kind, 10000))
+                           maps, _spec_scalar(spec, "max_orbit", kind, 10000))
     raise SchemaError("unknown measure type %r" % (kind,))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
                      InconsistentDichotomy, NotAManifold, SchemaError,
-                     ZeroVector)
+                     SingularMatrix, ZeroVector)
 from .geom import ProjectiveMap, apply_map, simplex_from_vertices
 from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
@@ -129,6 +129,15 @@ def _square_matrix(value, n, what, diag):
     return m
 
 
+def _projective_map(value, n, what, diag):
+    """value as a ProjectiveMap, or None with a diagnostic."""
+    m = _square_matrix(value, n, what, diag)
+    try:
+        return m if m is None else ProjectiveMap(m)
+    except SingularMatrix as err:
+        diag.append("%s is singular: %s" % (what, err))
+
+
 def load(document):
     """Validate a manifold document (parsed JSON) into a triangulation.
 
@@ -218,20 +227,18 @@ def load(document):
     if bad:
         raise NotAManifold(bad)
 
-    holonomy = []
-    for gidx, m in enumerate(_list_field(document, "holonomy_generators",
-                                         diag)):
-        m = _square_matrix(m, n, "holonomy generator %d" % gidx, diag)
-        if m is not None:
-            holonomy.append(ProjectiveMap(m))
+    # a None left for a malformed generator raises below with diag
+    holonomy = [_projective_map(m, n, "holonomy generator %d" % gidx, diag)
+                for gidx, m in enumerate(_list_field(
+                    document, "holonomy_generators", diag))]
 
     pairings = []
     bad = []
     for pidx, p in enumerate(_list_field(document, "pairings", diag)):
         try:
             ids = (p["face"], p["simplex_a"], p["simplex_b"])
-            m = _square_matrix(p["matrix"], n, "pairing %d matrix" % pidx,
-                               diag)
+            m = _projective_map(p["matrix"], n, "pairing %d matrix" % pidx,
+                                diag)
         except (KeyError, TypeError) as err:
             diag.append("pairing %d is malformed: %s" % (pidx, err))
             continue
@@ -240,7 +247,7 @@ def load(document):
                         "got %r" % (pidx, ids))
             continue
         if m is not None:
-            pairings.append(Pairing(*map(int, ids), ProjectiveMap(m)))
+            pairings.append(Pairing(*map(int, ids), m))
     if diag:
         raise SchemaError(diag)
     tri = GeometricTriangulation(n, n_vertices, tuple(faces),

@@ -7,6 +7,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,7 +151,10 @@ def test_invariance_without_comparisons_is_rejected(tmp_path, capsys, args,
     empty = tmp_path / "group.json"
     empty.write_text("[]")
     args = [a.replace("@EMPTY", "@%s" % empty) for a in args]
-    code, out = run(capsys, "invariance", "--measure", "round", *args)
+    try:
+        code, out = run(capsys, "invariance", "--measure", "round", *args)
+    except SystemExit as exit_info:       # argparse rejects the value
+        code, out = exit_info.code, capsys.readouterr().err
     assert code == 2
     assert option in out
     assert "PASS" not in out
@@ -196,14 +200,27 @@ def test_missing_document_is_structured_error(capsys):
     assert "ERROR" in out
 
 
-@pytest.mark.parametrize("path, value", [
-    (("developed",), 5),
-    (("faces", "1"), 7),
-    (("holonomy_generators",), [[[1.0, 0.0], [0.0, 1.0]]]),
+_ZERO = [[0.0] * 3] * 3
+_SINGULAR = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("developed",), 5, "developed"),
+    (("faces", "1"), 7, "faces['1']"),
+    (("holonomy_generators",), [[[1.0, 0.0], [0.0, 1.0]]],
+     "holonomy generator 0"),
     (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1,
-                      "matrix": [[1.0, 0.0], [0.0, 1.0]]}]),
-], ids=["developed-int", "face-level-int", "holonomy-2x2", "pairing-2x2"])
-def test_malformed_document_is_schema_error(tmp_path, capsys, path, value):
+                      "matrix": [[1.0, 0.0], [0.0, 1.0]]}], "pairing 0"),
+    (("holonomy_generators",), [np.eye(3).tolist(), _ZERO],
+     "holonomy generator 1 is singular: zero matrix"),
+    (("holonomy_generators",), [_SINGULAR], "holonomy generator 0 is "
+     "singular"),
+    (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1,
+                      "matrix": _ZERO}], "pairing 0 matrix is singular"),
+], ids=["developed-int", "face-level-int", "holonomy-2x2", "pairing-2x2",
+        "holonomy-zero", "holonomy-singular", "pairing-zero"])
+def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
+                                            named):
     document = builtin_document("s2-octahedron")
     target = document
     for key in path[:-1]:
@@ -213,8 +230,10 @@ def test_malformed_document_is_schema_error(tmp_path, capsys, path, value):
     doc_path.write_text(json.dumps(document))
     code, out = run(capsys, "--format", "json", "check", str(doc_path))
     assert code == 2
-    assert issubclass(getattr(errors, json.loads(out)["error"]),
+    diagnostic = json.loads(out)
+    assert issubclass(getattr(errors, diagnostic["error"]),
                       errors.SchemaError)
+    assert named in diagnostic["detail"]
 
 
 def test_malformed_mixture_is_schema_error(capsys):
@@ -273,7 +292,8 @@ def test_malformed_measure_array_names_the_field(capsys, spec, field):
     assert repr(field) in diagnostic["detail"]
 
 
-_MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
+_MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
+                 "@ZERO": [np.eye(3).tolist(), _ZERO]}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -311,6 +331,24 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
     (["check", "s1-polygon", "--m", "2"], "--m"),
     (["check", "s1-polygon", "--k", "7"], "--k"),
     (["check", "t2-grid", "--m", "9"], "--m"),
+    (["invariance", "--measure", "round", "--group", "@ZERO"], "--group"),
+    (["check", "s2-octahedron", "--measure", json.dumps(
+        {"type": "orbit", "seed_point": [0, 0, 1], "generators": [_ZERO]})],
+     "'generators'"),
+    (["check", "s2-octahedron", "--measure", json.dumps(
+        {"type": "orbit", "seed_point": [0, 0, 1],
+         "generators": [_SINGULAR]})], "'generators'"),
+    (["--tolerance", "nan", "check", "s2-octahedron"], "--tolerance"),
+    (["--tolerance", "-1", "check", "s2-octahedron"], "--tolerance"),
+    (["--tolerance", "inf", "check", "s2-octahedron"], "--tolerance"),
+    (["check", "t2-grid", "--dichotomy", "--orbit-depth", "-3"],
+     "--orbit-depth"),
+    (["invariance", "--measure", "round", "--group", "klein4", "--dim",
+      "-1"], "--dim"),
+    (["invariance", "--measure", "round", "--group", "klein4", "--regions",
+      "0"], "--regions"),
+    (["invariance", "--measure", "round", "--group", "klein4", "--regions",
+      "-3"], "--regions"),
 ], ids=["degree-list", "not-an-object", "covering-arc", "degree-fraction",
         "degree-bool", "weight-string", "angle-nan", "group-numbers",
         "group-strings", "cyclic-order", "samples-0", "samples-negative",
@@ -318,7 +356,11 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3]}
         "weight-negative", "degree-zero", "point-zero", "seed-point-zero",
         "max-orbit-zero", "basis-not-orthonormal",
         "subspace-not-orthonormal", "t2-grid-k", "klein-grid-k",
-        "s1-polygon-m", "s1-polygon-takes-no-k", "t2-grid-takes-no-m"])
+        "s1-polygon-m", "s1-polygon-takes-no-k", "t2-grid-takes-no-m",
+        "group-zero", "orbit-generator-zero", "orbit-generator-singular",
+        "tolerance-nan", "tolerance-negative", "tolerance-inf",
+        "orbit-depth-negative", "invariance-dim-negative", "regions-0",
+        "regions-negative"])
 def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
     for key, matrices in _MATRIX_FILES.items():
         (tmp_path / key[1:]).write_text(json.dumps(matrices))

@@ -87,6 +87,35 @@ class TestSimplexFromVertices:
         with pytest.raises(ValueError, match="dimension"):
             random_simplex(-1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dim", range(8, 17))
+    def test_random_simplex_accepts_within_a_few_draws(self, dim):
+        # a fixed |det| > 0.05 accepted none of 4000 draws at dims 14-18
+        class Counted:
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                assert self.draws <= 40, "no simplex in 40 draws"
+                return self.rng.standard_normal(shape)
+
+        for seed in range(6):
+            s = random_simplex(dim, Counted(seed))
+            assert s.dim == dim
+            assert all(p.side(s.interior_point()) > 0 for p in s.planes)
+
+    def test_random_simplex_keeps_the_low_dimensional_rule(self):
+        # up to dim 7 the vertex rows still need |det| > 0.05
+        for dim in range(1, 8):
+            rng = np.random.default_rng(dim)
+            want = np.random.default_rng(dim)
+            while True:
+                rows = want.standard_normal((dim + 1, dim + 1))
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+                if abs(np.linalg.det(rows)) > 0.05:
+                    break
+            assert np.allclose(random_simplex(dim, rng).vertices, rows)
+
     def test_barycenter_strictly_interior(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

@@ -15,6 +15,8 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
                        finite_orbit_measure, measure_from_spec, random_region,
                        whole_sphere)
 from gbmeasure import measure as measure_module
+from gbmeasure.documents import builtin_document
+from gbmeasure.triangulation import dichotomy_check, load
 from gbmeasure._util import derive_seed
 from gbmeasure.measure import derive_mc, region_histogram
 
@@ -287,62 +289,12 @@ class TestMonteCarlo:
             assert all(w.sum() == mc.samples for w in want)
         assert 0 < want[3][1] < mc.samples   # the wide region is hit
 
-    @pytest.mark.parametrize("measure", [
-        RoundMeasure(3),
-        SubsphereUniform(np.linalg.qr(
-            np.random.default_rng(4).standard_normal((4, 3)))[0].T)])
-    def test_union_matches_region_by_region_reference(self, monkeypatch,
-                                                      measure):
+    @staticmethod
+    def _rotated_union_hits(measure, regions, mc):
+        """The union's hits rebuilt region by region from the readings of
+        _region_histograms for one region: every chunk's rotation, with
+        reading chunk c read from fresh row chunk c mod (_ROWS / _CHUNK)."""
         mm = measure_module
-        monkeypatch.setattr(mm, "_BLOCK", 500)
-        monkeypatch.setattr(mm, "_CHUNK", 64)
-        # a single plane and its antipode would cover the whole sphere
-        regions = [r for r in self._coder_regions(3, 2) if len(r.halves) > 1]
-        mc = MCConfig(seed=5, samples=1200)
-        sub = derive_mc(mc, mm._ROLE_UNION)
-        basis = getattr(measure, "basis", np.eye(4))
-        hits = 0
-        for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
-            x = mm._gaussian_draw(len(basis))(
-                mm._rng(sub, mm._ROLE_BLOCK, b),
-                min(mm._BLOCK, mc.samples - start)) @ basis
-            hit = np.zeros(len(x), dtype=bool)
-            for r in regions:
-                dots = x @ r.normals.T
-                hit |= np.all(dots > 0.0, axis=1) | np.all(dots < 0.0, axis=1)
-            hits += int(np.count_nonzero(hit))
-        assert 0 < hits < mc.samples
-        est = measure.union_mass(regions, mc)
-        assert est.samples == mc.samples
-        assert est.value == 2.0 * hits / mc.samples
-        # a region without planes is the whole sphere
-        whole = measure.union_mass(regions + [Region([], 3)], mc)
-        assert (whole.value, whole.std_error) == (2.0, 0.0)
-
-    @pytest.mark.parametrize("measure", [
-        RoundMeasure(3),
-        SubsphereUniform(np.linalg.qr(
-            np.random.default_rng(4).standard_normal((4, 3)))[0].T)])
-    def test_coded_union_matches_region_by_region_reference(self,
-                                                          monkeypatch,
-                                                          measure):
-        # at most _CODE_BITS distinct planes: the union reads the readings
-        # of _region_histograms for one region of its planes, here with
-        # 128 fresh rows per block of 500 readings
-        mm = measure_module
-        monkeypatch.setattr(mm, "_BLOCK", 500)
-        monkeypatch.setattr(mm, "_CHUNK", 64)
-        monkeypatch.setattr(mm, "_ROWS", 128)
-        # planes merge when their normals agree exactly up to sign; the
-        # last normal, (1, 1, -1, 1) / 2, is negated exactly by flipped()
-        p = [Hyperplane(u) for u in
-             np.random.default_rng(6).standard_normal((4, 4))]
-        p.append(Hyperplane([1, 1, -1, 1]))
-        regions = [Region([p[0], p[1], p[2].flipped()], 3),
-                   Region([p[1], p[3], p[1]], 3),            # p1 twice
-                   Region([p[4], p[0], p[4].flipped()], 3),  # empty
-                   Region([p[3].flipped(), p[4]], 3)]
-        mc = MCConfig(seed=8, samples=1200)
         sub = derive_mc(mc, mm._ROLE_UNION)
         width = getattr(measure, "basis", np.eye(4)).shape[0]
         normals = [measure._reduced_normals(r) for r in regions]
@@ -364,16 +316,81 @@ class TestMonteCarlo:
                     hit |= (np.all(dots > 0.0, axis=1)
                             | np.all(dots < 0.0, axis=1))
                 hits += int(np.count_nonzero(hit))
-        assert 0 < hits < mc.samples
-        est = measure.union_mass(regions, mc)
-        assert est.samples == mc.samples
-        assert est.value == 2.0 * hits / mc.samples
-        # a region listing a plane with both signs holds nothing
-        assert measure.union_mass(regions[2:3], mc).value == 0.0
-        # a region without planes is the whole sphere
-        for extra in ([], regions):
-            whole = measure.union_mass(extra + [Region([], 3)], mc)
-            assert (whole.value, whole.std_error) == (2.0, 0.0)
+        return hits
+
+    @pytest.mark.parametrize("measure", [
+        RoundMeasure(3),
+        SubsphereUniform(np.linalg.qr(
+            np.random.default_rng(4).standard_normal((4, 3)))[0].T)])
+    def test_coded_union_matches_region_by_region_reference(self,
+                                                          monkeypatch,
+                                                          measure):
+        # every union, of 5 or of 24 distinct planes, reads the readings of
+        # _region_histograms for one region of its planes, here with 128
+        # fresh rows per block of 500 readings; _GROUP_PLANES = 1 keeps a
+        # slice of needs within 64 words, so the 24 needs of the wide union
+        # take three slices of the 8 words of a block, and multiplies one
+        # plane at a time
+        mm = measure_module
+        monkeypatch.setattr(mm, "_BLOCK", 500)
+        monkeypatch.setattr(mm, "_CHUNK", 64)
+        monkeypatch.setattr(mm, "_ROWS", 128)
+        monkeypatch.setattr(mm, "_GROUP_PLANES", 1)
+        # the last normal, (1, 1, -1, 1) / 2, is negated exactly by
+        # flipped(), and merges with it as one plane
+        p = [Hyperplane(u) for u in
+             np.random.default_rng(6).standard_normal((4, 4))]
+        p.append(Hyperplane([1, 1, -1, 1]))
+        few = [Region([p[0], p[1], p[2].flipped()], 3),
+               Region([p[1], p[3], p[1]], 3),            # p1 twice
+               Region([p[4], p[0], p[4].flipped()], 3),  # empty
+               Region([p[3].flipped(), p[4]], 3)]
+        # more than the 16 planes that once sent a union to fresh rows
+        q = [Hyperplane(u) for u in
+             np.random.default_rng(7).standard_normal((24, 4))]
+        many = [Region([q[i], q[(i + 1) % 24].flipped(), q[(i + 5) % 24]], 3)
+                for i in range(0, 24, 2)]
+        mc = MCConfig(seed=8, samples=1200)
+        for regions in (few, many):
+            hits = self._rotated_union_hits(measure, regions, mc)
+            assert 0 < hits < mc.samples
+            est = measure.union_mass(regions, mc)
+            assert est.samples == mc.samples
+            assert est.value == 2.0 * hits / mc.samples
+        # neither draws: a region listing a plane with both signs holds
+        # nothing, and a region without planes is the whole sphere
+        monkeypatch.setattr(mm, "_region_histograms", None)
+        empty = [Region([p[4], p[0], p[4].flipped()], 3),
+                 Region([q[0], q[9], q[3], q[9].flipped()], 3),
+                 Region([q[5].flipped(), q[5]], 3)]
+        for regions, value in ((empty[:1], 0.0), (empty, 0.0), ([], 0.0),
+                               (few + [Region([], 3)], 2.0),
+                               (many + [Region([], 3)], 2.0)):
+            est = measure.union_mass(regions, mc)
+            assert (est.value, est.std_error, est.samples) == (
+                value, 0.0, mc.samples)
+
+    @pytest.mark.parametrize("samples", [1, 2047, 2049])
+    def test_union_padding_leaves_the_hit_count(self, samples):
+        # planes are stored as first listed, so in the first union the
+        # antipode of the first region needs every plane negative, and a
+        # reading clear in every plane, as the padding of a short chunk
+        # is, is a hit; in the second (its first region is empty) every
+        # need has a positive plane, and such a reading is a miss
+        m = RoundMeasure(3, monte_carlo=True)
+        p = [Hyperplane(u) for u in
+             np.random.default_rng(12).standard_normal((4, 4))]
+        mixed = Region([p[0].flipped(), p[2], p[3].flipped()], 3)
+        mc = MCConfig(seed=samples, samples=samples)
+        for first in (Region([p[0], p[1]], 3),
+                      Region([p[0], p[1], p[0].flipped()], 3)):
+            regions = [first, Region([p[0], p[1].flipped()], 3), mixed]
+            est = m.union_mass(regions, mc)
+            hits = self._rotated_union_hits(m, regions, mc)
+            assert est.samples == samples
+            assert est.value == 2.0 * hits / samples
+            assert region_histogram(est).counts.tolist() == [
+                samples - hits, hits]
 
     def test_union_merges_a_plane_with_its_flip(self, monkeypatch):
         # nine planes, each region pairing one with the next one flipped:
@@ -395,6 +412,25 @@ class TestMonteCarlo:
         # a region listing a plane with both signs holds nothing
         empty = m.union_mass([Region([p[0], p[1], p[0].flipped()], 3)], mc)
         assert (empty.value, empty.std_error) == (0.0, 0.0)
+
+    def test_grid_chart_union_reads_its_three_planes_at_infinity(
+            self, monkeypatch):
+        # the grid lines of t2-grid point three ways, so the reduced normals
+        # of its 160 charts (32 tops under 5 holonomy words) merge into 3
+        # planes of the circle at infinity; normals an ulp apart count as one
+        mm = measure_module
+        histograms = mm._region_histograms
+        planes = []
+        monkeypatch.setattr(mm, "_region_histograms", lambda sets, *args: (
+            planes.append(len(sets[0])) or histograms(sets, *args)))
+        tri = load(builtin_document("t2-grid", k=4))
+        mc = MCConfig(seed=3, samples=5000)
+        report = dichotomy_check(tri, tri.default_measure(), mc=mc,
+                                 word_length=1)
+        assert planes == [3]
+        assert report.consistent
+        assert (report.chart_mass.value, report.chart_mass.samples) == (
+            0.0, mc.samples)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,

@@ -9,11 +9,16 @@ check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and on
 one --vertices simplex and invariance of three measures under three
 groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
-octahedron check with round-mc and --dichotomy and sgb in dimensions 4-7,
+octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
 whose simplices of 5-8 planes count sign codes by popcount up to 6
-planes and by bincount above; then pullback of degrees 1-3 with the
-default covering and with two explicit ones, all with JSON output.  Each
-tree runs in one subprocess with GBM_THREADS=1 and writes no bytecode.  The script prints how many
+planes and by bincount above, and four more chart unions with
+--dichotomy: t2-grid --k 6 and klein-grid --k 5 at --orbit-depth 2 under
+their own measure, whose 312 and 314 bitwise distinct normals merge into
+3 and 4 planes, s1-polygon --m 40 under round-mc (55 into 20) and
+rp2-icosahedral --orbit-depth 1 under round-mc (15 planes); then
+pullback of degrees 1-3 with the default covering and with two explicit
+ones, all with JSON output.  Each tree runs in one subprocess with GBM_THREADS=1
+and writes no bytecode.  The script prints how many
 invocations are byte-identical, each differing invocation with the
 top-level report keys that differ, and every exit-code change; it exits 1
 if any exit code changed.
@@ -89,6 +94,12 @@ def battery():
                          "--dichotomy"]]
         runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
                  for d in (4, 5, 6, 7)]
+        runs += [head + ["check"] + args + ["--dichotomy"] for args in (
+            ["t2-grid", "--k", "6", "--orbit-depth", "2"],
+            ["klein-grid", "--k", "5", "--orbit-depth", "2"],
+            ["s1-polygon", "--m", "40", "--measure", "round-mc"],
+            ["rp2-icosahedral", "--measure", "round-mc", "--orbit-depth",
+             "1"])]
     for degree in (1, 2, 3):
         data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
         runs += [["--format", "json", "pullback", json.dumps(
