@@ -34,9 +34,8 @@ from .measure import (AtomicMeasure, FiniteOrbitMeasure, MCConfig,
                       derive_mc, finite_orbit_measure, measure_from_spec)
 from .simplex import angle, angles_by_cut_set, k_value, sgb_residual
 from .triangulation import (GBReport, GeometricTriangulation, angle_table,
-                            chart_independence, defect_sums, dichotomy_check,
-                            euler_combinatorial, gb_report, load,
-                            transversality_check)
+                            defect_sums, dichotomy_check, euler_combinatorial,
+                            gb_report, load, transversality_check)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, equivariance_check,
                        induce_quotient, pullback)

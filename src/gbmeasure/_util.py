@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -181,26 +179,3 @@ def derive_seed(seed, *key):
                                 spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
-
-def thread_count():
-    """Worker cap from GBM_THREADS (default 1); never affects results."""
-    raw = os.environ.get("GBM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def ordered_map(fn, items):
-    """Map fn over items, optionally on GBM_THREADS workers.
-
-    Results are combined in input order, so the output is identical to the
-    sequential map whatever the interleaving.  fn must not call
-    ordered_map itself, so GBM_THREADS=N never starts more than N threads.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

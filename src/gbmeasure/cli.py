@@ -71,24 +71,25 @@ def _load_document(name_or_path, args):
         return json.load(fh)
 
 
-def _resolve_measure(spec_arg, document, dim):
-    """Measure from --measure (name, inline JSON or @file) or the document."""
+def _resolve_measure(spec_arg, tri, dim):
+    """Measure from --measure (name, inline JSON or @file) or the loaded
+    triangulation tri, None where the command has no document."""
     if spec_arg is None:
-        if document is not None and document.get("measure") is not None:
-            return measure_from_spec(document["measure"], dim)
+        if tri is not None and tri.measure_spec is not None:
+            return measure_from_spec(tri.measure_spec, dim)
         spec_arg = "round"
     if spec_arg.startswith("@"):
         with open(spec_arg[1:]) as fh:
             return measure_from_spec(json.load(fh), dim)
     if spec_arg.strip().startswith("{"):
         return measure_from_spec(json.loads(spec_arg), dim)
-    named = _named_measure(spec_arg, document, dim)
+    named = _named_measure(spec_arg, tri, dim)
     if named is None:
         raise GBError("unknown measure %r" % spec_arg)
     return measure_from_spec(named, dim)
 
 
-def _named_measure(name, document, dim):
+def _named_measure(name, tri, dim):
     if name == "round":
         return {"type": "round"}
     if name == "round-mc":
@@ -97,9 +98,8 @@ def _named_measure(name, document, dim):
         return {"type": "subsphere", "basis": np.eye(dim, dim + 1).tolist()}
     if name == "atomic-on-edge":
         # deliberately invalid: an atom on a developed codim-1 face
-        if document is None:
+        if tri is None:
             raise GBError("atomic-on-edge needs a document context")
-        tri = load(document)
         rec = next(r for r in tri.incidences if r.dim == tri.dim - 1)
         dev = tri.developed[rec.top].vertices
         mid = sum(dev[p] for p in rec.positions)
@@ -116,7 +116,7 @@ def _verdict_dict(v):
 def cmd_check(args):
     document = _load_document(args.document, args)
     tri = load(document)
-    measure = _resolve_measure(args.measure, document, tri.dim)
+    measure = _resolve_measure(args.measure, tri, tri.dim)
     report = gb_report(tri, measure, args.mc, tol=args.tolerance)
     payload = {
         "document": args.document,
@@ -204,7 +204,7 @@ def cmd_sgb(args):
 def cmd_angles(args):
     document = _load_document(args.document, args)
     tri = load(document)
-    measure = _resolve_measure(args.measure, document, tri.dim)
+    measure = _resolve_measure(args.measure, tri, tri.dim)
     table = _tri.angle_table(tri, measure, args.mc)
     entries = []
     for rec, est in table.incidence_angles():
@@ -279,7 +279,7 @@ def cmd_invariance(args):
 
 def _check_pullback_input(data):
     """Raise a SchemaError naming the first malformed field of a pullback
-    input; an empty list is left to the constructions to judge."""
+    input; an empty covering list is left to the constructions to judge."""
     def pairs(value):
         return value == [] or numeric_array(value, (None, 2)) is not None
 
@@ -290,9 +290,9 @@ def _check_pullback_input(data):
     for key, valid, want in (
             ("degree", is_integer(data.get("degree")) and data["degree"] != 0,
              "a nonzero integer"),
-            ("atoms", pairs(data.get("atoms"))
-             and all(w > 0 for _, w in data["atoms"]), "a list of [angle, "
-             "weight] pairs of finite numbers with positive weights"),
+            ("atoms", numeric_array(data.get("atoms"), (None, 2)) is not None
+             and all(w > 0 for _, w in data["atoms"]), "a nonempty list of "
+             "[angle, weight] pairs of finite numbers with positive weights"),
             ("coverings", isinstance(arcs, list) and all(map(pairs, arcs)),
              "a list of lists of [start, length] pairs of finite numbers")):
         if not valid:

@@ -9,7 +9,7 @@ sample count and the sample histogram they were read from.
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
 per-block derived seeds and counts each sample's sign code against a
 region's planes into a SignHistogram, so a result is a pure function of
-(seed, samples) however blocks are scheduled across threads.  A region of
+(seed, samples).  A region of
 at most _TREE_BITS planes counts its codes by popcount over bit-packed
 signs, a wider one by a code per sample and a bincount; both give the
 same integers.  Every measure answers eval_many as one batch: a round or
@@ -34,7 +34,6 @@ would flip the signs of samples within 6e-8 relative of a plane.
 """
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -45,7 +44,7 @@ from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
                      SingularMatrix, UnsupportedMeasure)
 from .geom import Hyperplane, ProjectiveMap, Region, apply_map
 from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, is_integer,
-                    is_number, normalized, numeric_array, ordered_map,
+                    is_number, normalized, numeric_array,
                     projective_closure, scaled_flat)
 
 ATOM_TOL = 1e-12
@@ -510,11 +509,10 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     with needs, the (miss, hit) histogram of the one region's planes
     counted by _UnionGroup.
 
-    Block b of _BLOCK readings draws from the stream (block, b), so one
-    block is live per thread, and block counts are integers, so their sum
-    does not depend on scheduling.  A block draws at most _ROWS fresh
-    Gaussian rows and copies them into a float64 buffer laid out (chunk,
-    coordinate, row), one per call and thread, reused block after block.
+    Block b of _BLOCK readings draws from the stream (block, b), and the
+    blocks' integer counts are summed in order.  A block draws at most
+    _ROWS fresh Gaussian rows and copies them into a float64 buffer laid
+    out (chunk, coordinate, row), one per call, reused block after block.
     Reading i is fresh row i mod _ROWS, so reading chunk c is row chunk c
     mod (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
     block is read by region i through a fresh Haar rotation.  The rotations
@@ -523,7 +521,7 @@ def _region_histograms(normal_sets, width, mc, needs=None):
 
     A group of at most _TREE_BITS planes per region packs the signs of
     each product, 64 readings of a chunk per uint64 word, into a
-    (plane, chunk, byte) buffer, likewise one per call and thread, and
+    (plane, chunk, byte) buffer, likewise one per call, and
     counts them by _PlaneGroup.packed_counts whenever the next batch would
     overflow about _TREE_WORDS words per plane, so the tree's levels stay
     in cache; the padding of a short last chunk is taken off the bins
@@ -533,6 +531,9 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     took 32 ms by bincount and 35 ms by the tree at h = 7, 34 and 45 ms at
     h = 8, and 32 and 29 ms at h = 6.
     """
+    n = int(mc.samples)
+    if n <= 0:
+        raise ValueError("samples must be positive")
     groups = (_plane_groups(normal_sets) if needs is None
               else [_UnionGroup(normal_sets[0], needs)])
     offsets = np.cumsum([0] + [group.size for group in groups])
@@ -541,25 +542,17 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     words = -(-_CHUNK // 64)            # uint64 words of one packed chunk
     spans = [max(_TREE_WORDS // words, group.step) if group.tree else 0
              for group in groups]
-    packed_bytes = max(len(group.planes) * span * 8 * words
-                       for group, span in zip(groups, spans))
-    buffers = threading.local()
-
-    def packed_signs(group, span):
-        """A (plane, chunk, byte) view for span chunks of the group's
-        packed signs, into one buffer per call and thread."""
-        shape = (len(group.planes), span, 8 * words)
-        bits = getattr(buffers, "bits", None)
-        if bits is None:
-            bits = buffers.bits = np.empty(packed_bytes, dtype=np.uint8)
-        return bits[:math.prod(shape)].reshape(shape)
+    shapes = [(len(group.planes), span, 8 * words)
+              for group, span in zip(groups, spans)]
+    signs = np.empty(max(map(math.prod, shapes)), dtype=np.uint8)
+    # each tree group's (plane, chunk, byte) view of the one sign buffer
+    views = [signs[:math.prod(shape)].reshape(shape) if group.tree else None
+             for group, shape in zip(groups, shapes)]
+    rows = np.empty((window, width, _CHUNK))
 
     def count(b):
         size = min(_BLOCK, n - b * _BLOCK)
         x = fresh(_rng(mc, _ROLE_BLOCK, b), min(size, _ROWS))
-        rows = getattr(buffers, "rows", None)
-        if rows is None:
-            rows = buffers.rows = np.empty((window, width, _CHUNK))
         full, rest = divmod(len(x), _CHUNK)
         rows[:full] = x[:full * _CHUNK].reshape(full, _CHUNK,
                                                 width).transpose(0, 2, 1)
@@ -569,14 +562,13 @@ def _region_histograms(normal_sets, width, mc, needs=None):
         rng = _rng(mc, _ROLE_REGION, b)
         chunks = -(-size // _CHUNK)
         counts = np.zeros(offsets[-1], dtype=np.int64)
-        for group, span, first, last in zip(groups, spans, offsets,
-                                            offsets[1:]):
+        for group, span, bits, first, last in zip(groups, spans, views,
+                                                  offsets, offsets[1:]):
             q = _haar_rotations(rng, (chunks, group.count), width)
             turned = np.einsum("rhw,crwv->crhv",
                                group.planes.reshape(group.count, group.h,
                                                     width), q)
             turned = turned.reshape(chunks, -1, width)
-            bits = packed_signs(group, span) if group.tree else None
             filled = 0                  # chunks packed and not yet counted
             for start, stop, length in group.batches(size):
                 batch = rows[start % window:][:stop - start, :, :length]
@@ -606,10 +598,7 @@ def _region_histograms(normal_sets, width, mc, needs=None):
                 counts[first + group.zero] -= chunks * words * 64 - size
         return counts
 
-    n = int(mc.samples)
-    if n <= 0:
-        raise ValueError("samples must be positive")
-    counts = sum(ordered_map(count, range(-(-n // _BLOCK))))
+    counts = sum(count(b) for b in range(-(-n // _BLOCK)))
     return [SignHistogram(counts[start:start + group.bins])
             for group, first in zip(groups, offsets)
             for start in range(first, first + group.size, group.bins)]

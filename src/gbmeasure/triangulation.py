@@ -556,36 +556,6 @@ def gb_report(tri, measure, mc=None, tol=1e-9):
                     transversality_check(tri, measure))
 
 
-@dataclass(frozen=True)
-class PairingAngleEntry:
-    pairing_index: int
-    face: int
-    value_a: float
-    value_b: float
-    discrepancy: float
-    passed: bool
-
-
-def chart_independence(tri, measure, mc=None, tol=1e-9):
-    """Angles of paired faces agree whichever incident chart computes them.
-
-    This is the well-definedness of face angles under an invariant measure:
-    the two developed images differ by the pairing map.
-    """
-    table = angle_table(tri, measure, mc)
-    entries = []
-    for pidx, pairing in enumerate(tri.pairings):
-        recs = {rec.top: rec
-                for rec in tri.incidences_of_face(tri.dim - 1, pairing.face)}
-        ests = [table.per_cut[(t, recs[t].cut)]
-                for t in (pairing.simplex_a, pairing.simplex_b)]
-        diff = ests[0] - ests[1]
-        entries.append(PairingAngleEntry(pidx, pairing.face, ests[0].value,
-                                         ests[1].value, abs(diff.value),
-                                         diff.is_zero(tol)))
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # dichotomy
 

@@ -4,16 +4,15 @@ import io
 import json
 import os
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmeasure import _util, cli, errors, measure
+from gbmeasure import cli, errors
 from gbmeasure.cli import main
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
+from gbmeasure.triangulation import load
 
 
 def run(capsys, *argv):
@@ -44,6 +43,20 @@ def test_check_atomic_on_edge_fails_with_diagnostic(capsys):
     assert code == 2
     assert "BoundaryAtom" in out
     assert "face" in out
+
+
+def test_atomic_on_edge_loads_its_document_once(capsys, monkeypatch):
+    loads = []
+
+    def counting_load(document):
+        loads.append(document)
+        return load(document)
+
+    monkeypatch.setattr(cli, "load", counting_load)
+    code, _ = run(capsys, "check", "rp2-icosahedral", "--measure",
+                  "atomic-on-edge")
+    assert code == 2
+    assert len(loads) == 1
 
 
 def test_check_json_reports_are_byte_identical(capsys):
@@ -315,6 +328,7 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
     (["sgb", "--vertices", '[[1, 0], [0, "a"]]'], "--vertices"),
     (["pullback", '{"degree": 2, "atoms": [[0.1, -1]]}'], "'atoms'"),
     (["pullback", '{"degree": 0, "atoms": [[0.1, 1]]}'], "'degree'"),
+    (["pullback", '{"degree": 2, "atoms": []}'], "'atoms'"),
     (["check", "s2-octahedron", "--measure", '{"type": "atomic", "atoms": '
       '[{"point": [0, 0, 0], "weight": 1}]}'], "'point'"),
     (["check", "s2-octahedron", "--measure", '{"type": "orbit", '
@@ -353,8 +367,8 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
         "degree-bool", "weight-string", "angle-nan", "group-numbers",
         "group-strings", "cyclic-order", "samples-0", "samples-negative",
         "vertices-flat", "vertices-number", "vertices-string",
-        "weight-negative", "degree-zero", "point-zero", "seed-point-zero",
-        "max-orbit-zero", "basis-not-orthonormal",
+        "weight-negative", "degree-zero", "atoms-empty", "point-zero",
+        "seed-point-zero", "max-orbit-zero", "basis-not-orthonormal",
         "subspace-not-orthonormal", "t2-grid-k", "klein-grid-k",
         "s1-polygon-m", "s1-polygon-takes-no-k", "t2-grid-takes-no-m",
         "group-zero", "orbit-generator-zero", "orbit-generator-singular",
@@ -393,8 +407,8 @@ def test_odd_dimensional_dichotomy_does_not_apply(capsys):
 def _builtin_measure_specs():
     """The named measures on s2-octahedron, and one spec of each composite
     type built from them."""
-    document = builtin_document("s2-octahedron")
-    named = [cli._named_measure(name, document, 2) for name in
+    tri = load(builtin_document("s2-octahedron"))
+    named = [cli._named_measure(name, tri, 2) for name in
              ("round", "round-mc", "infinity-line", "atomic-on-edge")]
     turn = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     return named + [
@@ -511,46 +525,6 @@ def test_malformed_measure_spec_is_a_named_error(case):
     assert code == 2, (path, mutation)
     error = getattr(errors, json.loads(out.getvalue())["error"], None)
     assert error is not None and issubclass(error, errors.GBError)
-
-
-def test_thread_pools_do_not_nest(capsys, monkeypatch):
-    lock = threading.Lock()
-    busy = {"now": 0, "peak": 0, "items": 0}   # worker threads running items
-
-    class Recording(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            def run_item(*a, **kw):
-                with lock:
-                    busy["now"] += 1
-                    busy["items"] += 1
-                    busy["peak"] = max(busy["peak"], busy["now"])
-                try:
-                    return fn(*a, **kw)
-                finally:
-                    with lock:
-                        busy["now"] -= 1
-            return super().submit(run_item, *args, **kwargs)
-
-    monkeypatch.setattr(_util, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(measure, "_BLOCK", 1000)
-    # each component of a mixture draws its three sample blocks on a
-    # pool, for the angle table and for the chart union, so each worker
-    # reuses its own row buffer while other blocks are in flight; no pool
-    # is started from inside another, so at most GBM_THREADS workers run
-    # at once
-    half = {"weight": 0.5, "measure": {"type": "round", "monte_carlo": True}}
-    argv = ("--format", "json", "--seed", "3", "--samples", "3000",
-            "check", "s2-octahedron", "--dichotomy", "--measure",
-            json.dumps({"type": "mixture", "components": [half, half]}))
-    monkeypatch.setenv("GBM_THREADS", "1")
-    _, sequential = run(capsys, *argv)
-    assert busy["items"] == 0
-    assert json.loads(sequential)["dichotomy"]["chart_mass"]["samples"] > 0
-    monkeypatch.setenv("GBM_THREADS", "2")
-    _, threaded = run(capsys, *argv)
-    assert threaded == sequential
-    assert busy["items"] > 0
-    assert 1 <= busy["peak"] <= 2
 
 
 _BUILTIN_DOCUMENTS = {name: builtin_document(name)

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -148,44 +147,6 @@ class TestMonteCarlo:
         assert a == b
         c = m.eval(r, MCConfig(seed=6, samples=50_000))
         assert a != c
-
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        m = RoundMeasure(3)
-        r = region(3, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
-        monkeypatch.setenv("GBM_THREADS", "1")
-        a = m.eval(r, MCConfig(seed=1, samples=300_000))
-        monkeypatch.setenv("GBM_THREADS", "4")
-        b = m.eval(r, MCConfig(seed=1, samples=300_000))
-        assert a == b
-
-    def test_threads_keep_their_own_row_buffers(self, monkeypatch):
-        # 40 blocks on 4 workers, switching threads every microsecond:
-        # a row buffer shared between workers would be overwritten while
-        # another block reads it
-        mm = measure_module
-        monkeypatch.setattr(mm, "_BLOCK", 1024)
-        monkeypatch.setattr(mm, "_CHUNK", 128)
-        monkeypatch.setattr(mm, "_ROWS", 512)
-        m = RoundMeasure(2, monte_carlo=True)
-        regions = [region(2, [1, 0, 0], [0, 1, 0]),
-                   region(2, [0, 1, 0], [0, 0, 1])]
-        mc = MCConfig(seed=2, samples=40 * 1024)
-
-        def run():
-            return ([region_histogram(e).counts.tolist()
-                     for e in m.eval_many(regions, mc)],
-                    m.union_mass(regions, mc))
-
-        monkeypatch.setenv("GBM_THREADS", "1")
-        sequential = run()
-        monkeypatch.setenv("GBM_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run()
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == sequential
 
     def test_derived_seeds_use_64_bits(self):
         seeds = [derive_seed(1, key) for key in range(64)]
@@ -432,16 +393,14 @@ class TestMonteCarlo:
         assert (report.chart_mass.value, report.chart_mass.samples) == (
             0.0, mc.samples)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,
                                          300001])
     def test_popcount_tree_counts_like_the_code_bincount(self, monkeypatch,
-                                                         threads, samples):
+                                                         samples):
         # _TREE_BITS = 0 sends every group through codes and bincount;
         # groups of 1-6 planes per region, some sharing a stack, next to
         # a 7-plane one that takes the bincount path either way
         mm = measure_module
-        monkeypatch.setenv("GBM_THREADS", threads)
         rng = np.random.default_rng(samples)
         mc = MCConfig(seed=samples, samples=samples)
         for width in range(2, 8):

@@ -7,8 +7,8 @@ import pytest
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        Hyperplane, InconsistentDichotomy, MCConfig, Mixture,
                        NotAManifold, Region, RestrictedNormalized,
-                       RoundMeasure, SchemaError, chart_independence, defect_sums, dichotomy_check,
-                       euler_combinatorial, gb_report, load,
+                       RoundMeasure, SchemaError, defect_sums,
+                       dichotomy_check, euler_combinatorial, gb_report, load,
                        transversality_check)
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 from gbmeasure import measure as measure_module
@@ -417,23 +417,6 @@ class TestTransversality:
         tri = octahedron()
         rep = transversality_check(tri, AtomicMeasure.dirac(np.ones(3)))
         assert rep.passed
-
-
-class TestChartIndependence:
-    @pytest.mark.parametrize("name,params", [
-        ("s2-octahedron", {}), ("rp2-icosahedral", {}),
-        ("t2-grid", {"k": 2}), ("klein-grid", {"k": 3})])
-    def test_paired_angles_agree(self, name, params):
-        tri = load(builtin_document(name, **params))
-        assert tri.pairings
-        entries = chart_independence(tri, tri.default_measure())
-        assert entries and all(e.passed for e in entries)
-
-    def test_monte_carlo_within_four_sigma(self):
-        tri = load(builtin_document("s2-octahedron"))
-        entries = chart_independence(tri, RoundMeasure(2, monte_carlo=True),
-                                     MCConfig(seed=9, samples=20_000))
-        assert entries and all(e.passed for e in entries)
 
 
 class TestDichotomy:

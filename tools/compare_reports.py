@@ -17,8 +17,9 @@ their own measure, whose 312 and 314 bitwise distinct normals merge into
 3 and 4 planes, s1-polygon --m 40 under round-mc (55 into 20) and
 rp2-icosahedral --orbit-depth 1 under round-mc (15 planes); then
 pullback of degrees 1-3 with the default covering and with two explicit
-ones, all with JSON output.  Each tree runs in one subprocess with GBM_THREADS=1
-and writes no bytecode.  The script prints how many
+ones, all with JSON output.  Each tree runs in one subprocess that writes
+no bytecode, with GBM_THREADS=1 so that a tree old enough to read it runs
+its Monte Carlo kernel sequentially too.  The script prints how many
 invocations are byte-identical, each differing invocation with the
 top-level report keys that differ, and every exit-code change; it exits 1
 if any exit code changed.
