@@ -393,13 +393,17 @@ class TestMonteCarlo:
         assert (report.chart_mass.value, report.chart_mass.samples) == (
             0.0, mc.samples)
 
+    @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,
                                          300001])
     def test_popcount_tree_counts_like_the_code_bincount(self, monkeypatch,
-                                                         samples):
+                                                         calls, samples):
         # _TREE_BITS = 0 sends every group through codes and bincount;
         # groups of 1-6 planes per region, some sharing a stack, next to
-        # a 7-plane one that takes the bincount path either way
+        # a 7-plane one that takes the bincount path either way.  With
+        # calls = 2 each histogram is taken twice in turn: the row and
+        # sign buffers are new to each call (np.empty, possibly recycled
+        # memory), so nothing of one call may reach the next
         mm = measure_module
         rng = np.random.default_rng(samples)
         mc = MCConfig(seed=samples, samples=samples)
@@ -408,15 +412,20 @@ class TestMonteCarlo:
                     for h in (1, 2, 2, 3, 7, 4, 4, 4, 5, 6, 6, 3)]
             sets = [u / np.linalg.norm(u, axis=1, keepdims=True)
                     for u in sets]
-            tree = [h.counts for h in mm._region_histograms(sets, width, mc)]
-            with monkeypatch.context() as patch:
-                patch.setattr(mm, "_TREE_BITS", 0)
-                coded = [h.counts
-                         for h in mm._region_histograms(sets, width, mc)]
-            assert [len(c) for c in tree] == [1 << len(u) for u in sets]
-            for t, c in zip(tree, coded):
-                assert np.array_equal(t, c)
-                assert t.sum() == samples
+            first = None
+            for _ in range(calls):
+                tree = [h.counts
+                        for h in mm._region_histograms(sets, width, mc)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(mm, "_TREE_BITS", 0)
+                    coded = [h.counts
+                             for h in mm._region_histograms(sets, width, mc)]
+                assert [len(c) for c in tree] == [1 << len(u) for u in sets]
+                first = first or tree
+                for t, c, f in zip(tree, coded, first):
+                    assert np.array_equal(t, c)
+                    assert np.array_equal(t, f)
+                    assert t.sum() == samples
 
     def test_partial_union_std_error_calibrated(self):
         # {x>0, y>0} and {y>0, z>0} with their antipodes miss the octants
