@@ -19,6 +19,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .geom import ProjectiveMap
+from .triangulation import _assign_incidences
 from ._util import (PointIndex, normalized, points_projectively_equal,
                     projective_closure, scaled_flat)
 
@@ -227,23 +228,23 @@ def _shared_chart_pairings(doc, candidate_maps=None):
 
     Tries the candidate matrices (default: identity only) until one maps
     the first chart's developed face vertices onto the second's,
-    projectively and vertexwise.
+    projectively and vertexwise.  The incidences are those load assigns.
     """
-    from .triangulation import load  # deferred to avoid cycles at import
-    probe = {key: doc[key] for key in
-             ("dim", "vertices", "faces", "developed")}
-    tri = load(probe)
-    n = tri.dim
+    n = doc["dim"]
+    faces = [tuple(map(tuple, doc["faces"][str(r)])) for r in range(n + 1)]
+    developed = [[normalized(v) for v in rows] for rows in doc["developed"]]
     if candidate_maps is None:
         candidate_maps = [np.eye(n + 1)]
+    by_face = {}
+    for rec in _assign_incidences(n, faces)[0]:
+        if rec.dim == n - 1:
+            by_face.setdefault(rec.face, []).append(rec)
     pairings = []
-    for idx in range(len(tri.faces[n - 1])):
-        recs = tri.incidences_of_face(n - 1, idx)
+    for idx, recs in sorted(by_face.items()):
         if len(recs) != 2:
             continue
         (ra, rb) = recs
-        dev_a = tri.developed[ra.top].vertices
-        dev_b = tri.developed[rb.top].vertices
+        dev_a, dev_b = developed[ra.top], developed[rb.top]
         for mat in candidate_maps:
             if all(points_projectively_equal(normalized(mat @ dev_a[i]),
                                              dev_b[j])

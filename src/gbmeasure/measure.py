@@ -22,6 +22,9 @@ through a fresh Haar rotation: reading i is fresh row i mod _ROWS.  The
 error bars stay exact (see _region_masses), and samples counts readings.
 A union reads such readings for one region of its distinct planes and
 counts those inside some region or its antipode from their packed signs.
+It samples only what is left undecided: a region of closed-form mass 0
+is left out, and a union draws nothing when no region is left or when its
+regions meet every sign code of its planes.
 
 The draw is float32 Box-Muller on uniforms of the generator's grid
 k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
@@ -604,6 +607,23 @@ def _region_histograms(normal_sets, width, mc, needs=None):
             for start in range(first, first + group.size, group.bins)]
 
 
+def _covers(needs, k):
+    """Whether every sign code of k planes meets some need (see
+    _UnionGroup), decided for k <= _CODE_BITS: a need of h planes meets
+    2^(k-h) codes, so the needs cover only if sum 2^-h >= 1, and then the
+    codes are checked one by one, dropping those met need after need."""
+    if k > _CODE_BITS or math.fsum(2.0 ** -len(n) for n in needs) < 1.0:
+        return False
+    left = np.arange(1 << k)
+    for need in sorted(needs, key=len):
+        mask = sum(1 << (abs(j) - 1) for j in need)
+        want = sum(1 << (j - 1) for j in need if j > 0)
+        left = left[(left & mask) != want]
+        if not left.size:
+            return True
+    return False
+
+
 def _union_histogram(normal_sets, width, mc):
     """The (miss, hit) SignHistogram of mc.samples readings, a hit lying in
     some region or its antipodal image.
@@ -613,8 +633,10 @@ def _union_histogram(normal_sets, width, mc):
     needs its planes so signed, its antipode the reverse; one listing a
     plane with both signs is empty.  The readings are those of one region
     of the k planes (see _region_masses: independent, so the binomial
-    error bar is exact).  A region without planes, or no needs, draws
-    nothing."""
+    error bar is exact).  A region without planes, or needs that meet
+    every sign code of the k planes (_covers), make every reading a hit,
+    and no needs make none, all three without a draw: each reading packs
+    some code, so the draw would count exactly that."""
     index, needs = PointIndex(MATCH_TOL), set()
     for normals in normal_sets:
         if not len(normals):
@@ -628,6 +650,8 @@ def _union_histogram(normal_sets, width, mc):
             needs.update((need, tuple(-j for j in need)))
     if not needs:
         return SignHistogram(np.array([mc.samples, 0]))
+    if _covers(needs, len(index.rows)):
+        return SignHistogram(np.array([0, mc.samples]))
     return _region_histograms([np.array(index.rows)], width, mc, needs)[0]
 
 
@@ -763,15 +787,20 @@ class _UniformMeasure(MeasureSpec):
     through region normals reduced to the subsphere's coordinates: a closed
     form (_exact_value) or one Gaussian draw of width _width per batch of
     regions (_region_masses) or per union (_union_histogram, which reads
-    one region of the union's distinct planes)."""
+    one region of the union's distinct planes, once the regions of
+    closed-form mass 0 are left out)."""
 
     def _eval_many(self, regions, mc):
         return _region_masses([self._reduced_normals(r) for r in regions],
                               self._exact_value, self._width, mc)
 
     def _union_mass(self, regions, mc):
-        return _union_histogram([self._reduced_normals(r) for r in regions],
-                                self._width,
+        # a region of closed-form mass 0 adds nothing to the union
+        normal_sets = [self._reduced_normals(r) for r in regions]
+        live = [u for u in normal_sets if self._exact_value(u) != 0.0]
+        if normal_sets and not live:
+            return MeasureEstimate(0.0)
+        return _union_histogram(live, self._width,
                                 derive_mc(mc, _ROLE_UNION)).mass(1)
 
     def _subspace_mass(self, basis, region):
@@ -1377,7 +1406,11 @@ def measure_from_spec(spec, dim):
         if any(w <= 0.0 for _, w in atoms):
             raise SchemaError("atomic measure: every 'weight' must be "
                               "positive, got %r" % [w for _, w in atoms])
-        return _spec_built("point", kind, AtomicMeasure, atoms, dim=dim)
+        measure = _spec_built("point", kind, AtomicMeasure, atoms, dim=dim)
+        if abs(measure.total_mass - 2.0) > MATCH_TOL:
+            raise SchemaError("atomic measure: the weights of its 'atoms' "
+                              "must sum to 2, got %r" % [w for _, w in atoms])
+        return measure
     if kind == "subsphere":
         return _spec_built("basis", kind, SubsphereUniform, _spec_array(
             spec, "basis", kind, (None, width)), dim=dim)

@@ -331,6 +331,9 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
     (["pullback", '{"degree": 2, "atoms": []}'], "'atoms'"),
     (["check", "s2-octahedron", "--measure", '{"type": "atomic", "atoms": '
       '[{"point": [0, 0, 0], "weight": 1}]}'], "'point'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "atomic", "atoms": '
+      '[{"point": [0, 0, 1], "weight": 1}, {"point": [1, 0, 0], '
+      '"weight": 0.5}]}'], "'atoms'"),
     (["check", "s2-octahedron", "--measure", '{"type": "orbit", '
       '"seed_point": [0, 0, 0], "generators": []}'], "'seed_point'"),
     (["check", "s2-octahedron", "--measure", '{"type": "orbit", '
@@ -368,13 +371,13 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
         "group-strings", "cyclic-order", "samples-0", "samples-negative",
         "vertices-flat", "vertices-number", "vertices-string",
         "weight-negative", "degree-zero", "atoms-empty", "point-zero",
-        "seed-point-zero", "max-orbit-zero", "basis-not-orthonormal",
-        "subspace-not-orthonormal", "t2-grid-k", "klein-grid-k",
-        "s1-polygon-m", "s1-polygon-takes-no-k", "t2-grid-takes-no-m",
-        "group-zero", "orbit-generator-zero", "orbit-generator-singular",
-        "tolerance-nan", "tolerance-negative", "tolerance-inf",
-        "orbit-depth-negative", "invariance-dim-negative", "regions-0",
-        "regions-negative"])
+        "atom-weights-sum", "seed-point-zero", "max-orbit-zero",
+        "basis-not-orthonormal", "subspace-not-orthonormal", "t2-grid-k",
+        "klein-grid-k", "s1-polygon-m", "s1-polygon-takes-no-k",
+        "t2-grid-takes-no-m", "group-zero", "orbit-generator-zero",
+        "orbit-generator-singular", "tolerance-nan", "tolerance-negative",
+        "tolerance-inf", "orbit-depth-negative", "invariance-dim-negative",
+        "regions-0", "regions-negative"])
 def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
     for key, matrices in _MATRIX_FILES.items():
         (tmp_path / key[1:]).write_text(json.dumps(matrices))

@@ -10,12 +10,12 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
                        NotAGroup, NonAtomicBase, OrbitOverflow, ProjectiveMap,
                        Region, RestrictedNormalized, RoundMeasure,
                        SubsphereUniform, UnsupportedMeasure,
-                       average_over_group, check_invariance,
+                       apply_map, average_over_group, check_invariance,
                        finite_orbit_measure, measure_from_spec, random_region,
                        whole_sphere)
 from gbmeasure import measure as measure_module
 from gbmeasure.documents import builtin_document
-from gbmeasure.triangulation import dichotomy_check, load
+from gbmeasure.triangulation import _holonomy_words, dichotomy_check, load
 from gbmeasure._util import derive_seed
 from gbmeasure.measure import derive_mc, region_histogram
 
@@ -378,20 +378,127 @@ class TestMonteCarlo:
             self, monkeypatch):
         # the grid lines of t2-grid point three ways, so the reduced normals
         # of its 160 charts (32 tops under 5 holonomy words) merge into 3
-        # planes of the circle at infinity; normals an ulp apart count as one
+        # planes of the circle at infinity; normals an ulp apart count as
+        # one.  Each chart has closed-form mass 0 there, so the dichotomy's
+        # union leaves every one of them out and draws nothing
         mm = measure_module
         histograms = mm._region_histograms
         planes = []
         monkeypatch.setattr(mm, "_region_histograms", lambda sets, *args: (
             planes.append(len(sets[0])) or histograms(sets, *args)))
         tri = load(builtin_document("t2-grid", k=4))
+        measure = tri.default_measure()
         mc = MCConfig(seed=3, samples=5000)
-        report = dichotomy_check(tri, tri.default_measure(), mc=mc,
-                                 word_length=1)
+        normals = [measure._reduced_normals(apply_map(w, dev.region()))
+                   for w in _holonomy_words(tri.holonomy, tri.dim, 1)
+                   for dev in tri.developed]
+        assert len(normals) == 160
+        assert len({u.tobytes() for rows in normals for u in rows}) > 3
+        assert mm._union_histogram(normals, 2, mc).counts.tolist() == [
+            mc.samples, 0]
+        assert planes == [3]
+        assert all(measure._exact_value(rows) == 0.0 for rows in normals)
+        report = dichotomy_check(tri, measure, mc=mc, word_length=1)
         assert planes == [3]
         assert report.consistent
-        assert (report.chart_mass.value, report.chart_mass.samples) == (
-            0.0, mc.samples)
+        assert (report.chart_mass.value, report.chart_mass.std_error,
+                report.chart_mass.samples) == (0.0, 0.0, 0)
+
+    def test_union_leaves_out_regions_of_mass_zero(self, monkeypatch):
+        # on S^1 the half-circles about three normals 120 degrees apart
+        # meet nowhere, so a region of all three has closed-form mass 0
+        # though no plane is listed with both signs.  The dead regions come
+        # after the live ones and list only their normals, so no merged
+        # plane changes its stored row: the pruned union counts the same
+        # hits from the same readings
+        mm = measure_module
+        m = RoundMeasure(1)
+        turn = np.random.default_rng(21).uniform(0.0, 2.0 * math.pi)
+        n = [Hyperplane([math.cos(turn + a), math.sin(turn + a)])
+             for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+        live = [Region([n[0], n[1]], 1), Region([n[1], n[2]], 1)]
+        dead = [Region(n, 1), Region([n[2].flipped(), n[0].flipped(),
+                                      n[1].flipped()], 1)]
+        assert [m.eval(r).value for r in dead] == [0.0, 0.0]
+        assert all(m.eval(r).value > 0.0 for r in live)
+        mc = MCConfig(seed=5, samples=5000)
+        everything = mm._union_histogram(
+            [r.normals for r in live + dead], 2,
+            derive_mc(mc, mm._ROLE_UNION))
+        est = m.union_mass(live + dead, mc)
+        assert 0 < everything.counts[1] < mc.samples
+        assert region_histogram(est).counts.tolist() == (
+            everything.counts.tolist())
+        assert est == m.union_mass(live, mc)
+        # with no live region there is nothing to draw; no regions at all
+        # keep the zero of a draw
+        monkeypatch.setattr(mm, "_region_histograms", None)
+        est = m.union_mass(dead, mc)
+        assert (est.value, est.std_error, est.samples) == (0.0, 0.0, 0)
+        assert m.union_mass([], mc).samples == mc.samples
+
+    @pytest.mark.parametrize("picks, covered", [
+        ([(1, 2), (1, -2)], True),     # the four quadrants of two planes
+        ([(3,), (1, 2, -4)], True),    # a half-space and its antipode
+        ([(1, 2), (3, 4)], False),     # sum 2^-h is 1, + - + - is missed
+        ([(1, 2), (2, 3), (1, -3)], False)],
+        ids=["quadrants", "half-space", "two-lunes", "three-lunes"])
+    def test_union_draws_only_when_its_needs_miss_a_code(self, monkeypatch,
+                                                        picks, covered):
+        # regions of signed coordinate planes of R^4, plane j + 1 being
+        # positive where x_j > 0
+        mm = measure_module
+        histograms = mm._region_histograms
+        calls = []
+        monkeypatch.setattr(mm, "_region_histograms", lambda *args: (
+            calls.append(args) or histograms(*args)))
+        regions = [Region([Hyperplane(np.sign(j) * np.eye(4)[abs(j) - 1])
+                           for j in signed], 3) for signed in picks]
+        mc = MCConfig(seed=2, samples=3000)
+        est = RoundMeasure(3, monte_carlo=True).union_mass(regions, mc)
+        assert est.samples == mc.samples
+        assert (not calls) == covered
+        assert (est.value == 2.0) == covered
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_decided_union_is_the_histogram_its_needs_sample(self, data):
+        # random regions of random and coordinate planes in dims 1-4, and
+        # every orthant of some coordinate planes (such needs meet every
+        # code, so no draw is made); a union decided without a draw gives
+        # the (miss, hit) histogram _region_histograms samples for its needs
+        mm = measure_module
+        width = data.draw(st.integers(2, 5), "width")
+        k = data.draw(st.integers(0, 4), "random planes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), "rng"))
+        planes = [Hyperplane(u) for u in np.concatenate(
+            [rng.standard_normal((k, width)), np.eye(width)])]
+        signed = st.tuples(st.integers(0, len(planes) - 1), st.booleans())
+        regions = [[planes[j].flipped() if neg else planes[j]
+                    for j, neg in picks]
+                   for picks in data.draw(st.lists(st.lists(
+                       signed, min_size=1, max_size=4), max_size=6),
+                       "regions")]
+        orthants = data.draw(st.lists(st.integers(k, len(planes) - 1),
+                                      unique=True, max_size=3), "orthants")
+        regions += [[planes[j] if bit & (1 << i) else planes[j].flipped()
+                     for i, j in enumerate(orthants)]
+                    for bit in range(1 << len(orthants))]
+        normal_sets = [np.array([p.normal for p in r]) for r in regions if r]
+        mc = MCConfig(seed=data.draw(st.integers(0, 99), "seed"),
+                      samples=data.draw(st.sampled_from([1, 700, 2049]),
+                                        "samples"))
+        histograms = mm._region_histograms
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mm, "_region_histograms", lambda *args: (
+                calls.append(args) or histograms(*args)))
+            decided = mm._union_histogram(normal_sets, width, mc)
+            if orthants:
+                assert calls == []
+            patch.setattr(mm, "_covers", lambda needs, k: False)
+            sampled = mm._union_histogram(normal_sets, width, mc)
+        assert decided.counts.tolist() == sampled.counts.tolist()
 
     @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,

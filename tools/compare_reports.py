@@ -11,18 +11,22 @@ groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
 octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
 whose simplices of 5-8 planes count sign codes by popcount up to 6
-planes and by bincount above, and four more chart unions with
+planes and by bincount above, and five more chart unions with
 --dichotomy: t2-grid --k 6 and klein-grid --k 5 at --orbit-depth 2 under
 their own measure, whose 312 and 314 bitwise distinct normals merge into
-3 and 4 planes, s1-polygon --m 40 under round-mc (55 into 20) and
-rp2-icosahedral --orbit-depth 1 under round-mc (15 planes); then
-pullback of degrees 1-3 with the default covering and with two explicit
-ones, all with JSON output.  Each tree runs in one subprocess that writes
-no bytecode, with GBM_THREADS=1 so that a tree old enough to read it runs
-its Monte Carlo kernel sequentially too.  The script prints how many
-invocations are byte-identical, each differing invocation with the
-top-level report keys that differ, and every exit-code change; it exits 1
-if any exit code changed.
+3 and 4 planes (every chart there has closed-form mass 0, so the union
+leaves it out and draws nothing), t2-grid --k 6 --orbit-depth 2 under
+round-mc, whose 936 charts make a sampled union of 2096 bitwise distinct
+normals merged into 97 planes (it exits 2, naming the union's mass: the
+charts of a torus carry round mass), s1-polygon --m 40 under round-mc
+(55 into 20) and rp2-icosahedral --orbit-depth 1 under round-mc (15
+planes); then pullback of degrees 1-3 with the default covering and
+with two explicit ones, all with JSON output.  Each tree runs in one
+subprocess that writes no bytecode, with GBM_THREADS=1 so that a tree old
+enough to read it runs its Monte Carlo kernel sequentially too.  The
+script prints how many invocations are byte-identical, each differing
+invocation with the top-level report keys that differ, and every
+exit-code change; it exits 1 if any exit code changed.
 """
 
 import json
@@ -97,6 +101,8 @@ def battery():
                  for d in (4, 5, 6, 7)]
         runs += [head + ["check"] + args + ["--dichotomy"] for args in (
             ["t2-grid", "--k", "6", "--orbit-depth", "2"],
+            ["t2-grid", "--k", "6", "--orbit-depth", "2", "--measure",
+             "round-mc"],
             ["klein-grid", "--k", "5", "--orbit-depth", "2"],
             ["s1-polygon", "--m", "40", "--measure", "round-mc"],
             ["rp2-icosahedral", "--measure", "round-mc", "--orbit-depth",
