@@ -37,7 +37,7 @@ def is_integer(value):
 
 def all_integers(values):
     """Whether every value is an integer (see is_integer)."""
-    return all(map(is_integer, values))
+    return all(type(v) is int or is_integer(v) for v in values)
 
 
 def numeric_array(value, shape):
@@ -53,18 +53,31 @@ def numeric_array(value, shape):
         return None
     leaves = value
     for _ in range(a.ndim - 1):
-        leaves = list(itertools.chain.from_iterable(leaves))
-    return a if all(map(is_number, leaves)) else None
+        leaves = itertools.chain.from_iterable(leaves)
+    # a leaf of a real type converts to a finite float iff it is finite
+    if not all(issubclass(t, _REALS) and t is not bool
+               for t in set(map(type, leaves))):
+        return None
+    return a if np.isfinite(a).all() else None
 
 
-def projective_distance(x, y):
-    """Distance between two unit vectors taken up to sign."""
-    return min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+def row_norms(stack):
+    """Euclidean norms along the last axis of a C-contiguous stack: bit for
+    bit those of np.linalg.norm on each row alone."""
+    return np.sqrt(np.vecdot(stack, stack))
+
+
+def projective_gaps(points, mats, mates):
+    """Distances up to sign from unit rows mates to the rows points mapped
+    by mats (broadcast over leading axes) and normalized."""
+    mapped = np.matmul(points, np.swapaxes(mats, -1, -2))
+    mapped /= row_norms(mapped)[..., None]
+    return np.minimum(row_norms(mapped - mates), row_norms(mapped + mates))
 
 
 def points_projectively_equal(x, y, tol=MATCH_TOL):
     """Whether two unit vectors agree up to sign within tol."""
-    return projective_distance(x, y) <= tol
+    return min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= tol
 
 
 def canonical_matrix(m):

@@ -19,9 +19,9 @@ from itertools import combinations, product
 import numpy as np
 
 from .geom import ProjectiveMap
-from .triangulation import _assign_incidences
-from ._util import (PointIndex, normalized, points_projectively_equal,
-                    projective_closure, scaled_flat)
+from .triangulation import _assign_incidences, _face_vertices
+from ._util import (MATCH_TOL, PointIndex, projective_closure,
+                    projective_gaps, row_norms, scaled_flat)
 
 
 def rotation_about(axis, theta):
@@ -79,18 +79,7 @@ def s2_octahedron():
     edges = sorted({(i, j) for i in range(6) for j in range(i + 1, 6)
                     if j != i + 3})
     developed = [[coords[v] for v in tri] for tri in triangles]
-    doc = {
-        "dim": 2,
-        "vertices": 6,
-        "faces": {"0": [[i] for i in range(6)],
-                  "1": [list(e) for e in edges],
-                  "2": [list(t) for t in triangles]},
-        "developed": developed,
-        "holonomy_generators": [],
-        "measure": {"type": "round"},
-    }
-    doc["pairings"] = _shared_chart_pairings(doc)
-    return doc
+    return _surface(6, edges, triangles, developed, [], {"type": "round"})
 
 
 def rp2_icosahedral():
@@ -115,22 +104,7 @@ def rp2_icosahedral():
     edges = sorted({(a, b) for t in tri_faces
                     for a in t for b in t if a < b})
     assert len(edges) == 15
-    doc = {
-        "dim": 2,
-        "vertices": 6,
-        "faces": {"0": [[i] for i in range(6)],
-                  "1": [list(e) for e in edges],
-                  "2": tri_faces},
-        "developed": developed,
-        "holonomy_generators": [],
-        "measure": {"type": "round"},
-    }
-    doc["pairings"] = _shared_chart_pairings(doc)
-    return doc
-
-
-def _grid_vertex(k, i, j):
-    return (i % k) * k + (j % k)
+    return _surface(6, edges, tri_faces, developed, [], {"type": "round"})
 
 
 def t2_grid(k):
@@ -138,9 +112,8 @@ def t2_grid(k):
     developed into the affine chart x3 = 1, translation holonomy."""
     if k < 2:
         raise ValueError("t2-grid needs k >= 2")
-    vid = lambda i, j: _grid_vertex(k, i, j)
     return _grid_document(
-        k, vid,
+        k, lambda i, j: (i % k) * k + (j % k),
         holonomy=[[[1, 0, k], [0, 1, 0], [0, 0, 1]],
                   [[1, 0, 0], [0, 1, k], [0, 0, 1]]])
 
@@ -163,44 +136,39 @@ def klein_grid(k):
 
 
 def _grid_document(k, vid, holonomy):
-    edges = []
-    for j in range(k):
-        for i in range(k):
-            edges.append((vid(i, j), vid(i + 1, j)))        # horizontal
-    for j in range(k):
-        for i in range(k):
-            edges.append((vid(i, j), vid(i, j + 1)))        # vertical
-    for j in range(k):
-        for i in range(k):
-            edges.append((vid(i, j), vid(i + 1, j + 1)))    # diagonal
-    tris, developed = [], []
-    for j in range(k):
-        for i in range(k):
-            tris.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            developed.append([[i, j, 1.0], [i + 1, j, 1.0],
-                              [i + 1, j + 1, 1.0]])
-            tris.append([vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)])
-            developed.append([[i, j, 1.0], [i, j + 1, 1.0],
-                              [i + 1, j + 1, 1.0]])
+    cells = [(i, j) for j in range(k) for i in range(k)]
+    # horizontal, then vertical, then diagonal edges of every cell
+    edges = [[vid(i, j), vid(i + di, j + dj)]
+             for di, dj in ((1, 0), (0, 1), (1, 1)) for i, j in cells]
+    # each cell's lower and upper triangle, developed at its grid corners
+    corners = [tri for i, j in cells
+               for tri in (((i, j), (i + 1, j), (i + 1, j + 1)),
+                           ((i, j), (i, j + 1), (i + 1, j + 1)))]
+    tris = [[vid(*c) for c in tri] for tri in corners]
+    developed = [[[a, b, 1.0] for a, b in tri] for tri in corners]
+    candidates = [np.eye(3)]
+    for g in (np.asarray(m, dtype=float) for m in holonomy):
+        candidates += [c @ h for c in candidates
+                       for h in (g, np.linalg.inv(g))]
+    return _surface(k * k, edges, tris, developed, holonomy,
+                    {"type": "subsphere",
+                     "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+                    candidates)
+
+
+def _surface(n_vertices, edges, triangles, developed, holonomy, measure,
+             candidates=None):
+    """A surface document, paired by _shared_chart_pairings."""
     doc = {
         "dim": 2,
-        "vertices": k * k,
-        "faces": {"0": [[v] for v in range(k * k)],
+        "vertices": n_vertices,
+        "faces": {"0": [[v] for v in range(n_vertices)],
                   "1": [list(e) for e in edges],
-                  "2": tris},
+                  "2": [list(t) for t in triangles]},
         "developed": developed,
         "holonomy_generators": holonomy,
-        "measure": {"type": "subsphere",
-                    "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        "measure": measure,
     }
-    gens = [np.asarray(m, dtype=float) for m in holonomy]
-    candidates = [np.eye(3)]
-    for g in gens:
-        fresh = []
-        for c in candidates:
-            fresh.append(c @ g)
-            fresh.append(c @ np.linalg.inv(g))
-        candidates.extend(fresh)
     doc["pairings"] = _shared_chart_pairings(doc, candidates)
     return doc
 
@@ -224,37 +192,35 @@ def s1_polygon(m):
 
 
 def _shared_chart_pairings(doc, candidate_maps=None):
-    """Pairings for every codim-1 face shared by two tops.
-
-    Tries the candidate matrices (default: identity only) until one maps
-    the first chart's developed face vertices onto the second's,
-    projectively and vertexwise.  The incidences are those load assigns.
+    """Pairings for every codim-1 face shared by two tops: the first
+    candidate matrix (default: identity only) that maps the first chart's
+    developed face vertices onto the second's, projectively and vertexwise,
+    every face and candidate in one stacked pass over load's incidences.
     """
     n = doc["dim"]
     faces = [tuple(map(tuple, doc["faces"][str(r)])) for r in range(n + 1)]
-    developed = [[normalized(v) for v in rows] for rows in doc["developed"]]
-    if candidate_maps is None:
-        candidate_maps = [np.eye(n + 1)]
+    verts = np.array(doc["developed"], dtype=float)
+    verts /= row_norms(verts)[..., None]
+    cands = np.array([np.eye(n + 1)] if candidate_maps is None
+                     else candidate_maps, dtype=float)
     by_face = {}
-    for rec in _assign_incidences(n, faces)[0]:
+    for rec in _assign_incidences(n, faces, dims=(n - 1,))[0]:
         if rec.dim == n - 1:
             by_face.setdefault(rec.face, []).append(rec)
-    pairings = []
-    for idx, recs in sorted(by_face.items()):
-        if len(recs) != 2:
-            continue
-        (ra, rb) = recs
-        dev_a, dev_b = developed[ra.top], developed[rb.top]
-        for mat in candidate_maps:
-            if all(points_projectively_equal(normalized(mat @ dev_a[i]),
-                                             dev_b[j])
-                   for i, j in zip(ra.positions, rb.positions)):
-                pairings.append({"face": idx, "simplex_a": ra.top,
-                                 "simplex_b": rb.top,
-                                 "matrix": np.asarray(mat,
-                                                      dtype=float).tolist()})
-                break
-    return pairings
+    shared = [(idx, recs) for idx, recs in sorted(by_face.items())
+              if len(recs) == 2]
+    _, recs = zip(*shared)
+    # (face, candidate, slot): each candidate maps the first chart's face
+    # vertices, compared with the second chart's up to sign
+    gaps = projective_gaps(
+        _face_vertices(verts, [ra for ra, _ in recs])[:, None], cands,
+        _face_vertices(verts, [rb for _, rb in recs])[:, None])
+    match = np.all(gaps <= MATCH_TOL, axis=2)
+    listed = cands.tolist()
+    return [{"face": idx, "simplex_a": ra.top, "simplex_b": rb.top,
+             "matrix": [row[:] for row in listed[c]]}
+            for (idx, (ra, rb)), c, hit in zip(shared, match.argmax(axis=1),
+                                              match.any(axis=1)) if hit]
 
 
 BUILTIN_DOCUMENTS = {

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DegenerateSimplex, DimensionMismatch, SingularMatrix,
                      ZeroVector)
-from ._util import UNIT_TOL, canonical_matrix
+from ._util import UNIT_TOL, canonical_matrix, row_norms
 
 DET_TOL = 1e-9
 
@@ -63,19 +63,21 @@ class Hyperplane:
         coords = point.coords if isinstance(point, UnitPoint) else point
         return float(np.dot(self.normal, coords))
 
-    def contains_strictly(self, point):
-        return self.side(point) > 0.0
-
     def flipped(self):
         """The plane with the exactly negated normal: the sides swap, and
         flipping twice gives back the same normal bit for bit."""
-        plane = Hyperplane.__new__(Hyperplane)
-        plane.normal = -self.normal
-        plane.normal.flags.writeable = False
-        return plane
+        return _plane(-self.normal)
 
     def __repr__(self):
         return "Hyperplane(%s)" % np.array2string(self.normal, precision=6)
+
+
+def _plane(normal):
+    """A Hyperplane holding the unit row normal as it is, made read-only."""
+    plane = Hyperplane.__new__(Hyperplane)
+    plane.normal = normal
+    normal.flags.writeable = False
+    return plane
 
 
 class Region:
@@ -149,9 +151,6 @@ class SphericalSimplex:
     def dim(self):
         return self.vertices.shape[1] - 1
 
-    def vertex(self, i):
-        return UnitPoint(self.vertices[i])
-
     def interior_point(self):
         """The normalized vertex sum; strictly inside every positive side."""
         return UnitPoint(self.vertices.sum(axis=0))
@@ -171,31 +170,52 @@ def simplex_from_vertices(vertices, det_tol=DET_TOL):
     Raises ZeroVector for a near-zero input and DegenerateSimplex when the
     normalized vertex matrix has |det| <= det_tol.
     """
-    rows = [np.asarray(v, dtype=float) for v in vertices]
-    count = len(rows)
-    if count == 0:
-        raise DegenerateSimplex("no vertices")
-    width = len(rows[0])
-    if count != width:
+    rows = np.asarray(vertices, dtype=float)
+    if rows.ndim != 2 or not 0 < rows.shape[0] == rows.shape[1]:
         raise DegenerateSimplex(
             "need n+1 vertices of dimension n+1, got %d of dimension %d"
-            % (count, width))
-    mat = np.array([_unit(r, "vertex %d" % i) for i, r in enumerate(rows)])
-    det = np.linalg.det(mat)
-    if abs(det) <= det_tol:
-        raise DegenerateSimplex("vertex matrix determinant %g (tol %g)"
-                                % (det, det_tol))
+            % (len(rows), rows.shape[-1]))
+    simplex, = simplex_stack(rows[None], det_tol)
+    if isinstance(simplex, Exception):
+        raise simplex
+    return simplex
+
+
+def simplex_stack(vertices, det_tol=DET_TOL):
+    """Simplices from a (count, n+1, n+1) stack of vertex rows in one pass:
+    each entry is the SphericalSimplex that simplex_from_vertices builds
+    from that matrix, or the ZeroVector or DegenerateSimplex it raises."""
+    mats = np.array(vertices, dtype=float)
+    norms = row_norms(mats)
+    zero = norms < UNIT_TOL
+    mats /= np.where(zero, 1.0, norms)[..., None]
+    dets = np.linalg.det(mats)
+    ok = ~zero.any(axis=1) & (np.abs(dets) > det_tol)
     # Columns of the inverse form the dual basis: column i is orthogonal to
     # every vertex but i and positive on vertex i, which is exactly the
     # orientation convention for the opposite plane.
-    dual = np.linalg.inv(mat)
-    planes = [Hyperplane(dual[:, i]) for i in range(count)]
-    mat.flags.writeable = False
-    simplex = SphericalSimplex(mat, planes)
-    interior = simplex.interior_point()
-    if not all(p.contains_strictly(interior) for p in planes):
-        raise DegenerateSimplex("interior point failed a positivity test")
-    return simplex
+    normals = np.linalg.inv(np.where(ok[:, None, None], mats,
+                                     np.eye(mats.shape[-1])))
+    normals = np.ascontiguousarray(np.swapaxes(normals, 1, 2))
+    normals /= row_norms(normals)[..., None]
+    # the vertex sum, a positive multiple of interior_point(), on every side
+    ok &= np.all(np.vecdot(normals, mats.sum(axis=1)[:, None, :]) > 0.0,
+                 axis=1)
+    mats.flags.writeable = False
+    out = []
+    for t, (rows, planes) in enumerate(zip(mats, normals)):
+        if ok[t]:
+            out.append(SphericalSimplex(rows, map(_plane, planes)))
+        elif zero[t].any():
+            i = int(np.argmax(zero[t]))
+            out.append(ZeroVector("vertex %d has norm %g (< %g)"
+                                  % (i, norms[t, i], UNIT_TOL)))
+        else:
+            out.append(DegenerateSimplex(
+                "interior point failed a positivity test"
+                if abs(dets[t]) > det_tol else
+                "vertex matrix determinant %g (tol %g)" % (dets[t], det_tol)))
+    return out
 
 
 def face_region(simplex, cut_set):

@@ -704,11 +704,18 @@ def _span_distance(rows, basis, axis=None):
     return np.linalg.norm(rows - (rows @ basis.T) @ basis, axis=axis)
 
 
+def _band(dots):
+    """Where an atom (row) lies within ATOM_TOL of a region plane (column)
+    while no strict sign test, a dot below -ATOM_TOL, excludes it."""
+    return ((np.abs(dots) <= ATOM_TOL)
+            & ~np.any(dots < -ATOM_TOL, axis=-1, keepdims=True))
+
+
 def _atoms_inside(points, region):
     """Whether each atom passes every strict sign test of region; an atom
-    within ATOM_TOL of a region plane raises BoundaryAtom naming both."""
+    in the _band of a region plane raises BoundaryAtom naming both."""
     dots = points @ region.normals.T
-    band = np.abs(dots) <= ATOM_TOL
+    band = _band(dots)
     if band.any():
         i, j = np.argwhere(band)[0]
         raise BoundaryAtom(
@@ -934,7 +941,7 @@ class AtomicMeasure(MeasureSpec):
         banded = np.zeros(len(self._points), dtype=bool)
         for r in regions:
             dots = self._points @ r.normals.T
-            banded |= np.any(np.abs(dots) <= ATOM_TOL, axis=1)
+            banded |= np.any(_band(dots), axis=1)
             covered |= (np.all(dots > ATOM_TOL, axis=1)
                         | np.all(dots < -ATOM_TOL, axis=1))
         undecided = banded & ~covered
@@ -942,14 +949,14 @@ class AtomicMeasure(MeasureSpec):
             i = int(np.nonzero(undecided)[0][0])
             # name the nearest plane of the first region the atom lies on
             for r in regions:
-                dots = np.abs((self._points @ r.normals.T)[i])
-                if np.any(dots <= ATOM_TOL):
+                dots = (self._points @ r.normals.T)[i]
+                if np.any(_band(dots)):
                     break
             raise BoundaryAtom(
                 "atom %s lies on a chart boundary hyperplane and inside no "
                 "chart; perturb the configuration" %
                 np.array2string(self._points[i], precision=6),
-                atom=self._points[i], normal=r.normals[np.argmin(dots)])
+                atom=self._points[i], normal=r.normals[np.abs(dots).argmin()])
         return MeasureEstimate(math.fsum(self._weights[covered]))
 
     def _subspace_mass(self, basis, region):
@@ -1152,7 +1159,10 @@ class RestrictedNormalized(MeasureSpec):
         if self._subspace is not None:
             return [v for v in subs
                     if _span_distance(v, self._subspace) <= MATCH_TOL]
-        return subs
+        # an atom that strict sign tests keep out of A and -A has no mass
+        return [v for v in subs if len(v) > 1 or not (
+            np.any(v @ self._region.normals.T < -ATOM_TOL)
+            and np.any(v @ self._region.normals.T > ATOM_TOL))]
 
     def _union_mass(self, regions, mc):
         base = self._base

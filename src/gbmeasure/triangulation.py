@@ -22,26 +22,27 @@ The machinery evaluates, for an antipodally invariant measure:
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
                      InconsistentDichotomy, NotAManifold, SchemaError,
-                     SingularMatrix, ZeroVector)
-from .geom import ProjectiveMap, apply_map, simplex_from_vertices
+                     SingularMatrix)
+from .geom import ProjectiveMap, apply_map, simplex_stack
 from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
 from ._util import (MATCH_TOL, PointIndex, all_integers, is_integer,
                     normalized, numeric_array, points_projectively_equal,
-                    projective_closure, projective_distance, scaled_flat)
+                    projective_closure, projective_gaps, scaled_flat)
 
 _SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """One (face, top simplex) incidence.
 
     cut is the sorted tuple of plane indices realizing the face in the
@@ -55,8 +56,7 @@ class Incidence:
     positions: tuple
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     face: int
     simplex_a: int
     simplex_b: int
@@ -76,11 +76,9 @@ class GeometricTriangulation:
         self.holonomy = tuple(holonomy)
         self.pairings = tuple(pairings)
         self.measure_spec = measure_spec
-        self._by_top_cut = {(rec.top, rec.cut): rec for rec in incidences}
-        by_face = {}
+        by_face = self._by_face = {}
         for rec in incidences:
             by_face.setdefault((rec.dim, rec.face), []).append(rec)
-        self._by_face = by_face
 
     @property
     def tops(self):
@@ -125,17 +123,23 @@ def _square_matrix(value, n, what, diag):
     if m is None:
         diag.append("%s must be a %dx%d matrix of finite numbers"
                     % (what, n + 1, n + 1))
-        return None
     return m
 
 
-def _projective_map(value, n, what, diag):
-    """value as a ProjectiveMap, or None with a diagnostic."""
-    m = _square_matrix(value, n, what, diag)
-    try:
-        return m if m is None else ProjectiveMap(m)
-    except SingularMatrix as err:
-        diag.append("%s is singular: %s" % (what, err))
+def _projective_map(m, what, diag, maps):
+    """The ProjectiveMap of the square float array m, or None with a
+    diagnostic (also for m None); maps holds one map, or the SingularMatrix
+    it raised, per bitwise-distinct matrix."""
+    if m is not None and m.tobytes() not in maps:
+        try:
+            maps[m.tobytes()] = ProjectiveMap(m)
+        except SingularMatrix as err:
+            maps[m.tobytes()] = err
+    got = None if m is None else maps[m.tobytes()]
+    if isinstance(got, SingularMatrix):
+        diag.append("%s is singular: %s" % (what, got))
+        return None
+    return got
 
 
 def load(document):
@@ -182,7 +186,7 @@ def load(document):
             if len(tup) != r + 1:
                 diag.append("face %d of dim %d has %d vertices, expected %d"
                             % (idx, r, len(tup), r + 1))
-            if any(not 0 <= v < n_vertices for v in tup):
+            if tup and not 0 <= min(tup) <= max(tup) < n_vertices:
                 diag.append("face %d of dim %d references a vertex out of "
                             "range" % (idx, r))
             level.append(tup)
@@ -195,20 +199,18 @@ def load(document):
         raise SchemaError(diag)
 
     dev_doc = _list_field(document, "developed", diag)
-    rows_of = [_square_matrix(rows, n, "developed[%d]" % t, diag)
-               for t, rows in enumerate(dev_doc)]
+    stack = numeric_array(dev_doc, (None, n + 1, n + 1))
+    if stack is None:       # name every malformed entry
+        for t, rows in enumerate(dev_doc):
+            _square_matrix(rows, n, "developed[%d]" % t, diag)
     if diag:
         raise SchemaError(diag)
     if len(dev_doc) != len(faces[n]):
         raise SchemaError("developed has %d entries for %d top simplices"
                           % (len(dev_doc), len(faces[n])))
-    developed = []
-    bad = []
-    for t, rows in enumerate(rows_of):
-        try:
-            developed.append(simplex_from_vertices(rows))
-        except (DegenerateSimplex, ZeroVector) as err:
-            bad.append("top simplex %d: %s" % (t, err))
+    developed = simplex_stack(stack) if dev_doc else []
+    bad = ["top simplex %d: %s" % (t, s) for t, s in enumerate(developed)
+           if isinstance(s, Exception)]
     if bad:
         raise DegenerateSimplex("; ".join(bad))
 
@@ -216,7 +218,7 @@ def load(document):
     if inc_diag:
         raise SchemaError(inc_diag)
 
-    counts = Counter((rec.dim, rec.face) for rec in incidences)
+    counts = Counter(map(attrgetter("dim", "face"), incidences))
     bad = ["face %d %s of dim %d lies in no top simplex" % (idx, tup, r)
            for r in range(n - 1) for idx, tup in enumerate(faces[r])
            if not counts[(r, idx)]]
@@ -227,21 +229,32 @@ def load(document):
     if bad:
         raise NotAManifold(bad)
 
+    maps = {}
     # a None left for a malformed generator raises below with diag
-    holonomy = [_projective_map(m, n, "holonomy generator %d" % gidx, diag)
-                for gidx, m in enumerate(_list_field(
-                    document, "holonomy_generators", diag))]
+    holonomy = []
+    for gidx, m in enumerate(_list_field(document, "holonomy_generators",
+                                         diag)):
+        what = "holonomy generator %d" % gidx
+        holonomy.append(_projective_map(_square_matrix(m, n, what, diag),
+                                        what, diag, maps))
 
+    entries = _list_field(document, "pairings", diag)
+    try:    # a stack that fails is validated entry by entry
+        stack = numeric_array([p["matrix"] for p in entries],
+                              (None, n + 1, n + 1))
+    except (KeyError, TypeError):
+        stack = None
     pairings = []
-    bad = []
-    for pidx, p in enumerate(_list_field(document, "pairings", diag)):
+    for pidx, p in enumerate(entries):
+        what = "pairing %d matrix" % pidx
         try:
             ids = (p["face"], p["simplex_a"], p["simplex_b"])
-            m = _projective_map(p["matrix"], n, "pairing %d matrix" % pidx,
-                                diag)
+            m = (_square_matrix(p["matrix"], n, what, diag) if stack is None
+                 else stack[pidx])
         except (KeyError, TypeError) as err:
             diag.append("pairing %d is malformed: %s" % (pidx, err))
             continue
+        m = _projective_map(m, what, diag, maps)
         if not all_integers(ids):
             diag.append("pairing %d face and simplices must be integers, "
                         "got %r" % (pidx, ids))
@@ -254,77 +267,87 @@ def load(document):
                                  tuple(developed), tuple(incidences),
                                  holonomy, tuple(pairings),
                                  document.get("measure"))
-    for pidx, pairing in enumerate(tri.pairings):
-        err = _pairing_error(tri, pairing)
-        if err:
-            bad.append("pairing %d: %s" % (pidx, err))
+    bad = _pairing_errors(tri)
     if bad:
         raise DevelopingMismatch(bad)
     return tri
 
 
-def _assign_incidences(n, faces):
-    """Match every top-simplex subtuple to a face index.
+def _assign_incidences(n, faces, dims=None):
+    """Match every top-simplex subtuple of a face dimension in dims (by
+    default all below n) to a face index.
 
     Ordered-tuple match first, then reversed-tuple match (orientation-
     reversing identifications); exact duplicate tuples are consumed
     round-robin so a doubled face receives a balanced share.
     """
-    diag = []
-    lookup = []
-    for r in range(n + 1):
-        table = {}
+    diag, lookup = [], {}
+    for r in range(n) if dims is None else dims:
+        table = lookup[r] = {}
         for idx, tup in enumerate(faces[r]):
             table.setdefault(tup, []).append(idx)
-        lookup.append(table)
-    counters = {}
-    incidences = []
+    full = tuple(range(n + 1))
+    # (face dim, kept slots, cut planes, kept slots reversed) per proper face
+    splits = [(r, keep, tuple(i for i in full if i not in keep), keep[::-1])
+              for r in range(n - 1, -1, -1) if r in lookup
+              for keep in combinations(full, r + 1)]
+    counters, incidences = {}, []
+    new = tuple.__new__     # Incidence(...) without its Python-level __new__
     for t, tup in enumerate(faces[n]):
-        full = tuple(range(n + 1))
-        incidences.append(Incidence(t, (), n, t, full))
-        for size in range(1, n + 1):
-            r = n - size
-            for keep in combinations(range(n + 1), r + 1):
-                sub = tuple(tup[p] for p in keep)
-                cut = tuple(i for i in full if i not in keep)
-                cands = lookup[r].get(sub)
-                positions = keep
-                key = (r, sub)
-                if cands is None and sub != sub[::-1]:
-                    cands = lookup[r].get(sub[::-1])
-                    positions = tuple(reversed(keep))
-                    key = (r, sub[::-1])
-                if cands is None:
-                    diag.append("top simplex %d: no face of dim %d matches "
-                                "vertex tuple %s" % (t, r, (sub,)))
-                    continue
-                use = counters.get(key, 0)
-                counters[key] = use + 1
-                incidences.append(Incidence(t, cut, r,
-                                            cands[use % len(cands)],
-                                            positions))
+        incidences.append(new(Incidence, (t, (), n, t, full)))
+        item = tup.__getitem__
+        for r, keep, cut, back in splits:
+            sub = tuple(map(item, keep))
+            key, positions = sub, keep
+            cands = lookup[r].get(sub)
+            if cands is None and sub != sub[::-1]:
+                key, positions = sub[::-1], back
+                cands = lookup[r].get(key)
+            if cands is None:
+                diag.append("top simplex %d: no face of dim %d matches "
+                            "vertex tuple %s" % (t, r, (sub,)))
+                continue
+            face = cands[0]
+            if len(cands) > 1:
+                use = counters.get((r, key), 0)
+                counters[(r, key)] = use + 1
+                face = cands[use % len(cands)]
+            incidences.append(new(Incidence, (t, cut, r, face, positions)))
     return incidences, diag
 
 
-def _pairing_error(tri, pairing):
-    n = tri.dim
-    if not 0 <= pairing.face < len(tri.faces[n - 1]):
-        return "face index %d out of range" % pairing.face
-    recs = {rec.top: rec
-            for rec in tri.incidences_of_face(n - 1, pairing.face)}
-    if pairing.simplex_a not in recs or pairing.simplex_b not in recs:
-        return ("face %d is not shared by simplices %d and %d"
-                % (pairing.face, pairing.simplex_a, pairing.simplex_b))
-    dev_a = tri.developed[pairing.simplex_a].vertices
-    dev_b = tri.developed[pairing.simplex_b].vertices
-    for slot in range(n):
-        va = dev_a[recs[pairing.simplex_a].positions[slot]]
-        vb = dev_b[recs[pairing.simplex_b].positions[slot]]
-        gap = projective_distance(pairing.map.apply_to_vector(va), vb)
-        if gap > MATCH_TOL:
-            return ("vertex slot %d of face %d maps %g away from its mate"
-                    % (slot, pairing.face, gap))
-    return None
+def _face_vertices(verts, recs):
+    """The (len(recs), n, n+1) face vertex rows of codim-1 incidences."""
+    return verts[np.array([rec.top for rec in recs])[:, None],
+                 np.array([rec.positions for rec in recs])]
+
+
+def _pairing_errors(tri):
+    """One diagnostic per failing pairing, in order: a face out of range, a
+    face its two simplices do not share, or the first vertex slot that the
+    map sends more than MATCH_TOL (up to sign) from its mate."""
+    n, errors, checked = tri.dim, {}, []
+    for pidx, p in enumerate(tri.pairings):
+        recs = {rec.top: rec for rec in tri._by_face.get((n - 1, p.face), ())}
+        if not 0 <= p.face < len(tri.faces[n - 1]):
+            errors[pidx] = "face index %d out of range" % p.face
+        elif p.simplex_a not in recs or p.simplex_b not in recs:
+            errors[pidx] = ("face %d is not shared by simplices %d and %d"
+                            % (p.face, p.simplex_a, p.simplex_b))
+        else:
+            checked.append((pidx, recs[p.simplex_a], recs[p.simplex_b]))
+    if checked:
+        verts = np.stack([s.vertices for s in tri.developed])
+        pidxs, recs_a, recs_b = zip(*checked)
+        gaps = projective_gaps(
+            _face_vertices(verts, recs_a),
+            np.array([tri.pairings[i].map.matrix for i in pidxs]),
+            _face_vertices(verts, recs_b))
+        for i, slot in zip(*np.nonzero(~(gaps <= MATCH_TOL))):
+            errors.setdefault(pidxs[i], (
+                "vertex slot %d of face %d maps %g away from its mate"
+                % (slot, tri.pairings[pidxs[i]].face, gaps[i, slot])))
+    return ["pairing %d: %s" % (pidx, errors[pidx]) for pidx in sorted(errors)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +451,13 @@ def _name_boundary_face(tri, err):
     """
     if err.normal is None:
         return
-    for top, dev in enumerate(tri.developed):
-        for i, plane in enumerate(dev.planes):
-            if points_projectively_equal(plane.normal, err.normal):
-                rec = tri._by_top_cut.get((top, (i,)))
-                if rec is not None:
-                    err.face = (tri.dim - 1, rec.face)
-                    err.args = ("%s [codim-1 face %d of top simplex %d]"
-                                % (err.args[0], rec.face, top),)
-                return
+    for rec in tri.incidences:
+        if rec.dim == tri.dim - 1 and points_projectively_equal(
+                tri.developed[rec.top].planes[rec.cut[0]].normal, err.normal):
+            err.face = (tri.dim - 1, rec.face)
+            err.args = ("%s [codim-1 face %d of top simplex %d]"
+                        % (err.args[0], rec.face, rec.top),)
+            return
 
 
 @dataclass(frozen=True)

@@ -217,23 +217,39 @@ _ZERO = [[0.0] * 3] * 3
 _SINGULAR = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
 
 
-@pytest.mark.parametrize("path, value, named", [
-    (("developed",), 5, "developed"),
-    (("faces", "1"), 7, "faces['1']"),
+def _pairing(face, a, b, matrix):
+    return {"face": face, "simplex_a": a, "simplex_b": b, "matrix": matrix}
+
+
+@pytest.mark.parametrize("path, value, named, error", [
+    (("developed",), 5, ["developed"], errors.SchemaError),
+    (("faces", "1"), 7, ["faces['1']"], errors.SchemaError),
     (("holonomy_generators",), [[[1.0, 0.0], [0.0, 1.0]]],
-     "holonomy generator 0"),
-    (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1,
-                      "matrix": [[1.0, 0.0], [0.0, 1.0]]}], "pairing 0"),
+     ["holonomy generator 0"], errors.SchemaError),
+    (("pairings",), [_pairing(0, 0, 1, [[1.0, 0.0], [0.0, 1.0]])],
+     ["pairing 0"], errors.SchemaError),
     (("holonomy_generators",), [np.eye(3).tolist(), _ZERO],
-     "holonomy generator 1 is singular: zero matrix"),
-    (("holonomy_generators",), [_SINGULAR], "holonomy generator 0 is "
-     "singular"),
-    (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1,
-                      "matrix": _ZERO}], "pairing 0 matrix is singular"),
+     ["holonomy generator 1 is singular: zero matrix"], errors.SchemaError),
+    (("holonomy_generators",), [_SINGULAR], ["holonomy generator 0 is "
+     "singular"], errors.SchemaError),
+    (("pairings",), [_pairing(0, 0, 1, _ZERO)],
+     ["pairing 0 matrix is singular"], errors.SchemaError),
+    # one singular matrix shared by two pairings is named for each
+    (("pairings",), [_pairing(0, 0, 1, _SINGULAR),
+                     _pairing(1, 0, 2, np.eye(3).tolist()),
+                     _pairing(2, 1, 3, _SINGULAR)],
+     ["pairing 0 matrix is singular", "pairing 2 matrix is singular"],
+     errors.SchemaError),
+    (("developed",), [_SINGULAR, np.eye(3).tolist()] * 2
+     + [np.eye(3).tolist()] * 3 + [[[1, 0, 0], [0, 1, 0], [0, 0, 0]]],
+     ["top simplex 0: vertex matrix determinant 0",
+      "top simplex 2: vertex matrix determinant 0",
+      "top simplex 7: vertex 2 has norm 0"], errors.DegenerateSimplex),
 ], ids=["developed-int", "face-level-int", "holonomy-2x2", "pairing-2x2",
-        "holonomy-zero", "holonomy-singular", "pairing-zero"])
+        "holonomy-zero", "holonomy-singular", "pairing-zero",
+        "pairings-share-singular", "developed-degenerate-tops"])
 def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
-                                            named):
+                                            named, error):
     document = builtin_document("s2-octahedron")
     target = document
     for key in path[:-1]:
@@ -244,9 +260,25 @@ def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
     code, out = run(capsys, "--format", "json", "check", str(doc_path))
     assert code == 2
     diagnostic = json.loads(out)
-    assert issubclass(getattr(errors, diagnostic["error"]),
-                      errors.SchemaError)
-    assert named in diagnostic["detail"]
+    assert issubclass(getattr(errors, diagnostic["error"]), error)
+    assert all(name in diagnostic["detail"] for name in named)
+
+
+@pytest.mark.parametrize("extra", [[], ["--dichotomy"]])
+def test_restriction_that_excludes_an_edge_atom_passes(capsys, extra):
+    # [0, 0, 1] lies on octahedron edge planes, but the region's first
+    # plane puts it below -ATOM_TOL and its second puts it above, so the
+    # restriction to A and -A gives it mass 0: one atom at [1, 0.3, 0.2]
+    atoms = [{"point": [0, 0, 1], "weight": 1},
+             {"point": [1, 0.3, 0.2], "weight": 1}]
+    spec = {"type": "restricted", "base": {"type": "atomic", "atoms": atoms},
+            "region": [[1, 0, -0.2], [0, 1, 0.2]]}
+    code, out = run(capsys, "--format", "json", "check", "s2-octahedron",
+                    "--measure", json.dumps(spec), *extra)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] and report["mu"]["value"] == 2.0
+    assert report["verdicts"]["transversality"]["passed"]
 
 
 def test_malformed_mixture_is_schema_error(capsys):

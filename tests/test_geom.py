@@ -6,6 +6,7 @@ from gbmeasure import (DegenerateSimplex, DimensionMismatch, Hyperplane,
                        ProjectiveMap, Region, SingularMatrix, UnitPoint,
                        ZeroVector, apply_map, face_region, random_region,
                        random_simplex, simplex_from_vertices)
+from gbmeasure.geom import simplex_stack
 
 
 def rotation_z(theta):
@@ -131,6 +132,54 @@ class TestSimplexFromVertices:
             for j in range(4):
                 if j != i:
                     assert abs(s.planes[i].side(s.vertices[j])) < 1e-12
+
+
+def _per_row_simplex(rows):
+    """Unit vertex rows and plane normals as a per-row construction makes
+    them: each vertex and each dual-basis column normalized on its own."""
+    rows = np.asarray(rows, dtype=float)
+    mat = np.array([r / np.linalg.norm(r) for r in rows])
+    dual = np.linalg.inv(mat)
+    return mat, [dual[:, i] / np.linalg.norm(dual[:, i])
+                 for i in range(len(mat))]
+
+
+def _same_bits(simplex, rows):
+    mat, normals = _per_row_simplex(rows)
+    return (np.array_equal(simplex.vertices, mat)
+            and all(np.array_equal(p.normal, q)
+                    for p, q in zip(simplex.planes, normals)))
+
+
+@pytest.mark.parametrize("width", range(2, 9))
+def test_stacked_builder_matches_per_row_bits(width):
+    rng = np.random.default_rng(width)
+    stack = (rng.standard_normal((200, width, width))
+             * rng.uniform(0.1, 10.0, (200, width, 1)))
+    built = simplex_stack(stack)
+    assert all(_same_bits(s, rows) for s, rows in zip(built, stack))
+    assert all(_same_bits(simplex_from_vertices(rows), rows)
+               for rows in stack[:20])
+    # random_simplex keeps the first draw with |det| > 0.05 of its unit rows
+    kept = 0
+    for seed in range(40):
+        rows = np.random.default_rng(seed).standard_normal((width, width))
+        if abs(np.linalg.det(_per_row_simplex(rows)[0])) > 0.05:
+            kept += 1
+            simplex = random_simplex(width - 1, np.random.default_rng(seed))
+            assert _same_bits(simplex, rows)
+    assert kept >= 10
+
+
+def test_stacked_builder_reports_each_failing_matrix():
+    good = np.eye(3)
+    flat = [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]]
+    tiny = [[1, 0, 0], [0, 1, 0], [0, 0, 1e-14]]
+    built = simplex_stack([good, flat, good, tiny])
+    assert [type(s).__name__ for s in built] == [
+        "SphericalSimplex", "DegenerateSimplex", "SphericalSimplex",
+        "ZeroVector"]
+    assert str(built[3]) == "vertex 2 has norm 1e-14 (< 1e-12)"
 
 
 class TestFaceRegion:

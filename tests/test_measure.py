@@ -16,7 +16,7 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
 from gbmeasure import measure as measure_module
 from gbmeasure.documents import builtin_document
 from gbmeasure.triangulation import _holonomy_words, dichotomy_check, load
-from gbmeasure._util import derive_seed
+from gbmeasure._util import derive_seed, normalized
 from gbmeasure.measure import derive_mc, region_histogram
 
 
@@ -762,6 +762,19 @@ class TestMixtureAndRestriction:
             restr.eval(region(2, [0.6, 0.0, 0.8], [0.0, 1.0, 0.0]))
         assert np.array_equal(np.abs(info.value.atom), [0.0, 0.0, 1.0])
         assert np.array_equal(info.value.normal, [0.0, 1.0, 0.0])
+
+    def test_region_restriction_keeps_only_atoms_of_a_and_minus_a(self):
+        # [0, 0, 1] lies on the plane y = 0, yet the region's first plane
+        # excludes it from A and its second from -A: it carries no mass
+        base = AtomicMeasure([([0, 0, 1], 1.0), ([1, 0.3, 0.2], 1.0)])
+        restr = RestrictedNormalized(base, region=region(
+            2, [1, 0, -0.2], [0, 1, 0.2]))
+        lines = restr.support_subspaces()
+        assert len(lines) == 1
+        assert np.allclose(np.abs(lines[0][0]), normalized([1, 0.3, 0.2]))
+        assert restr.eval(region(2, [0, 1, 0])).value == 1.0
+        with pytest.raises(BoundaryAtom):    # the atom in A, on a plane
+            restr.eval(region(2, [0, 0.2, -0.3]))
 
     def test_subspace_restriction_of_a_restriction_is_unsupported(self):
         inner = RestrictedNormalized(AtomicMeasure.dirac([0.0, 0.0, 1.0]),

@@ -20,8 +20,10 @@ round-mc, whose 936 charts make a sampled union of 2096 bitwise distinct
 normals merged into 97 planes (it exits 2, naming the union's mass: the
 charts of a torus carry round mass), s1-polygon --m 40 under round-mc
 (55 into 20) and rp2-icosahedral --orbit-depth 1 under round-mc (15
-planes); then pullback of degrees 1-3 with the default covering and
-with two explicit ones, all with JSON output.  Each tree runs in one
+planes); then the exact checks of t2-grid --k 24 and klein-grid --k 24
+under their own measure, whose 1152 tops and 1728 pairings load at size;
+then pullback of degrees 1-3 with the default covering and with two
+explicit ones, all with JSON output.  Each tree runs in one
 subprocess that writes no bytecode, with GBM_THREADS=1 so that a tree old
 enough to read it runs its Monte Carlo kernel sequentially too.  The
 script prints how many invocations are byte-identical, each differing
@@ -107,6 +109,8 @@ def battery():
             ["s1-polygon", "--m", "40", "--measure", "round-mc"],
             ["rp2-icosahedral", "--measure", "round-mc", "--orbit-depth",
              "1"])]
+    runs += [["--format", "json", "check", doc, "--k", "24"]
+             for doc in ("t2-grid", "klein-grid")]
     for degree in (1, 2, 3):
         data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
         runs += [["--format", "json", "pullback", json.dumps(
