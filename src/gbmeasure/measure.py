@@ -31,9 +31,10 @@ k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
 float32 rounding bias the law by order 2^-24 per uniform, about 1e-7 of a
 region mass, below any standard error short of 1e14 samples; no estimate
 sees it at all, since every reading is turned by a Haar rotation, which
-makes any nonzero sample a uniform direction.  Sign products stay
-float64: the float32 samples convert exactly, while a float32 product
-would flip the signs of samples within 6e-8 relative of a plane.
+makes any nonzero sample a uniform direction.  Sign products are
+float32: the Haar-turned planes are computed in float64 and rounded once,
+and a product can flip only a reading within about 2.4e-7 relative of a
+plane (gamma_3, Higham 2002, section 3.1), a bias of the draw's order.
 """
 
 import math
@@ -56,7 +57,7 @@ _BLOCK = 1 << 17
 _CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
 _CHUNK = 2048     # rows per chunk: a region turns each by its own rotation
 _ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK
-_GROUP_PLANES = 64   # a product has at most 64 x _CHUNK entries (1 MB)
+_GROUP_PLANES = 64   # a product: at most 64 x _CHUNK float32 entries (512 KB)
 _TREE_BITS = 6    # planes up to which a region counts codes by popcount
 _TREE_WORDS = 256    # words of each plane per pass of the popcount tree
 
@@ -514,8 +515,10 @@ def _region_histograms(normal_sets, width, mc, needs=None):
 
     Block b of _BLOCK readings draws from the stream (block, b), and the
     blocks' integer counts are summed in order.  A block draws at most
-    _ROWS fresh Gaussian rows and copies them into a float64 buffer laid
+    _ROWS fresh Gaussian rows and copies them into a float32 buffer laid
     out (chunk, coordinate, row), one per call, reused block after block.
+    Each group's planes are turned in float64 and rounded to float32 once
+    per block, so every product and sign test runs in float32.
     Reading i is fresh row i mod _ROWS, so reading chunk c is row chunk c
     mod (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
     block is read by region i through a fresh Haar rotation.  The rotations
@@ -551,7 +554,7 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     # each tree group's (plane, chunk, byte) view of the one sign buffer
     views = [signs[:math.prod(shape)].reshape(shape) if group.tree else None
              for group, shape in zip(groups, shapes)]
-    rows = np.empty((window, width, _CHUNK))
+    rows = np.empty((window, width, _CHUNK), dtype=np.float32)
 
     def count(b):
         size = min(_BLOCK, n - b * _BLOCK)
@@ -568,10 +571,8 @@ def _region_histograms(normal_sets, width, mc, needs=None):
         for group, span, bits, first, last in zip(groups, spans, views,
                                                   offsets, offsets[1:]):
             q = _haar_rotations(rng, (chunks, group.count), width)
-            turned = np.einsum("rhw,crwv->crhv",
-                               group.planes.reshape(group.count, group.h,
-                                                    width), q)
-            turned = turned.reshape(chunks, -1, width)
+            turned = group.planes.reshape(group.count, group.h, width) @ q
+            turned = turned.reshape(chunks, -1, width).astype(np.float32)
             filled = 0                  # chunks packed and not yet counted
             for start, stop, length in group.batches(size):
                 batch = rows[start % window:][:stop - start, :, :length]
@@ -637,14 +638,18 @@ def _union_histogram(normal_sets, width, mc):
     every sign code of the k planes (_covers), make every reading a hit,
     and no needs make none, all three without a draw: each reading packs
     some code, so the draw would count exactly that."""
-    index, needs = PointIndex(MATCH_TOL), set()
+    index, needs, signed = PointIndex(MATCH_TOL), set(), {}
     for normals in normal_sets:
         if not len(normals):
             return SignHistogram(np.array([0, mc.samples]))
         need = set()
         for u in normals:
-            plane = index.insert(u) + 1       # a signed plane number
-            need.add(plane if u @ index.rows[plane - 1] > 0.0 else -plane)
+            key = u.tobytes()   # a repeated normal keeps its first match
+            if key not in signed:
+                plane = index.insert(u) + 1       # a signed plane number
+                signed[key] = (plane if u @ index.rows[plane - 1] > 0.0
+                               else -plane)
+            need.add(signed[key])
         if not any(-j in need for j in need):
             need = tuple(sorted(need, key=abs))
             needs.update((need, tuple(-j for j in need)))

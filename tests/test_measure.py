@@ -175,10 +175,12 @@ class TestMonteCarlo:
                 for h in (3, 3, 1, 17, 17, 17, 17, 2, 2)]
 
     @staticmethod
-    def _plane_by_plane_counts(regions, mc, bins):
+    def _plane_by_plane_counts(regions, mc, bins, dtype=np.float32):
         """The regions' histograms rebuilt one plane at a time: every
         chunk's rotations, with reading chunk c read from fresh row chunk
-        c mod (_ROWS / _CHUNK)."""
+        c mod (_ROWS / _CHUNK).  Signs are tested as the kernel tests them,
+        each plane turned in float64 and rounded to float32 times the
+        float32 rows, or with dtype=np.float64 by float64 products."""
         mm = measure_module
         width = regions[0].ambient_dim + 1
         sizes = [g.count for g in mm._plane_groups(
@@ -198,7 +200,8 @@ class TestMonteCarlo:
                     fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
                     rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
                     for i in range(first, first + count):
-                        signs = [rows @ (u @ q[c, i - first]) > 0.0
+                        signs = [rows.astype(dtype)
+                                 @ (u @ q[c, i - first]).astype(dtype) > 0.0
                                  for u in regions[i].normals]
                         if len(signs) > mm._CODE_BITS:
                             code = np.all(signs, axis=0).astype(int)
@@ -250,11 +253,32 @@ class TestMonteCarlo:
             assert all(w.sum() == mc.samples for w in want)
         assert 0 < want[3][1] < mc.samples   # the wide region is hit
 
+    def test_float32_sign_test_moves_few_counts(self):
+        # a float32 product can flip only a reading within about 2.4e-7
+        # relative of a plane: over 2^20 readings the kernel's histograms
+        # stay within 1e-5 of readings x planes of a float64-product
+        # reference of the same readings
+        rng = np.random.default_rng(21)
+        mc = MCConfig(seed=17, samples=1 << 20)
+        for dim, h, count in ((2, 3, 8), (4, 5, 1)):
+            regions = [Region([Hyperplane(u) for u in
+                               rng.standard_normal((h, dim + 1))], dim)
+                       for _ in range(count)]
+            got = [region_histogram(est).counts
+                   for est in RoundMeasure(dim, monte_carlo=True).eval_many(
+                       regions, mc)]
+            want = self._plane_by_plane_counts(regions, mc, map(len, got),
+                                               np.float64)
+            moved = sum(int(abs(g - w).sum()) for g, w in zip(got, want))
+            assert moved <= 1e-5 * mc.samples * h * count
+
     @staticmethod
     def _rotated_union_hits(measure, regions, mc):
         """The union's hits rebuilt region by region from the readings of
         _region_histograms for one region: every chunk's rotation, with
-        reading chunk c read from fresh row chunk c mod (_ROWS / _CHUNK)."""
+        reading chunk c read from fresh row chunk c mod (_ROWS / _CHUNK),
+        each normal turned in float64 and rounded to float32 times the
+        float32 rows, as the kernel tests signs."""
         mm = measure_module
         sub = derive_mc(mc, mm._ROLE_UNION)
         width = getattr(measure, "basis", np.eye(4)).shape[0]
@@ -269,11 +293,10 @@ class TestMonteCarlo:
                                    (len(chunks), 1), width)
             for c, row in enumerate(chunks):
                 fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
-                readings = (x[fresh:fresh + min(mm._CHUNK, size - row)]
-                            @ q[c, 0].T)
-                hit = np.zeros(len(readings), dtype=bool)
+                rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
+                hit = np.zeros(len(rows), dtype=bool)
                 for u in normals:
-                    dots = readings @ u.T
+                    dots = rows @ (u @ q[c, 0]).astype(np.float32).T
                     hit |= (np.all(dots > 0.0, axis=1)
                             | np.all(dots < 0.0, axis=1))
                 hits += int(np.count_nonzero(hit))

@@ -27,8 +27,11 @@ explicit ones, all with JSON output.  Each tree runs in one
 subprocess that writes no bytecode, with GBM_THREADS=1 so that a tree old
 enough to read it runs its Monte Carlo kernel sequentially too.  The
 script prints how many invocations are byte-identical, each differing
-invocation with the top-level report keys that differ, and every
-exit-code change; it exits 1 if any exit code changed.
+invocation with the top-level report keys that differ and the largest
+|delta value| / std_error over the estimates (objects with "value" and
+"std_error") at the same place in both reports, so that a deliberate Monte
+Carlo change shows its size in sigma, and every exit-code change; it exits
+1 if any exit code changed.
 """
 
 import json
@@ -157,6 +160,32 @@ def differing_keys(old, new):
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
 
 
+def _shifts(a, b):
+    """|delta value| / std_error of each estimate at the same place in the
+    parsed reports a and b, over the larger of the two std_errors; an exact
+    estimate (std_error 0 in both) that moved shifts by inf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if {"value", "std_error"} <= set(a) & set(b):
+            delta = abs(a["value"] - b["value"])
+            sigma = max(a["std_error"], b["std_error"])
+            return [delta / sigma if sigma else
+                    (math.inf if delta else 0.0)]
+        return [s for k in set(a) & set(b) for s in _shifts(a[k], b[k])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [s for x, y in zip(a, b) for s in _shifts(x, y)]
+    return []
+
+
+def estimate_shift(old, new):
+    """The largest |delta value| / std_error over the estimates of two
+    reports (see _shifts), or None when no estimate pairs up."""
+    try:
+        shifts = _shifts(json.loads(old), json.loads(new))
+    except ValueError:
+        return None
+    return max(shifts, default=None)
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: compare_reports.py OLD_SRC NEW_SRC")
@@ -169,6 +198,9 @@ def main(argv):
             continue
         line = "DIFFERS %s: %s" % (" ".join(args),
                                    differing_keys(old_out, new_out))
+        shift = estimate_shift(old_out, new_out)
+        line += (" no estimate" if shift is None
+                 else " max shift %.3g sigma" % shift)
         if old_code != new_code:
             code_changes += 1
             line += " exit %s -> %s" % (old_code, new_code)
