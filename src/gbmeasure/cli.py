@@ -9,16 +9,18 @@ Subcommands wrap the library operations one-to-one:
 - pullback: circle pull-back / quotient constructions and their checks.
 - example: write a built-in document to a JSON file.
 
-Exit code 0 means every verdict passed; 1 means a verdict failed; 2 means
-a structural error (schema violation, boundary atom, ...), reported as
-structured diagnostics.  Reports are byte-identical across runs for
-fixed arguments and inputs.
+Each builds one JSON payload, printed as sorted JSON or as one text line
+per field.  Exit code 0 means every verdict passed; 1 means a verdict
+failed; 2 means a structural error (schema violation, boundary atom, ...),
+reported as a structured diagnostic.  Reports are byte-identical across
+runs for fixed arguments and inputs.
 """
 
 import argparse
 import inspect
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,23 +34,71 @@ from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, default_covering,
                        equivariance_check, induce_quotient, pullback)
-from .simplex import k_value, sgb_residual
+from .simplex import angles_by_cut_set, k_value, sgb_residual
 from .triangulation import dichotomy_check, gb_report, load
 from . import triangulation as _tri
 from ._util import is_integer, numeric_array
 
-
-def _estimate_dict(est):
-    return {"value": est.value, "std_error": est.std_error,
-            "samples": est.samples}
+_ESTIMATE = ("value", "std_error", "samples")
+_VERDICT = ("passed", "worst", "detail")
 
 
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _fields(obj, names=_ESTIMATE):
+    """The named attributes of obj, by default those of an estimate."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _text(value):
+    """A payload value on one line: a boolean verdict as PASS or FAIL, an
+    estimate as its value, sigma and samples, an object as its fields led
+    by its verdict, if any."""
+    if isinstance(value, bool):
+        return "PASS" if value else "FAIL"
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, dict) and tuple(value) == _ESTIMATE:
+        return "%.12g (sigma %.3g, samples %d)" % tuple(value.values())
+    if isinstance(value, dict):
+        fields = ", ".join("%s %s" % (key, _text(v))
+                           for key, v in value.items() if key != "passed")
+        return ("%s (%s)" % (_text(value["passed"]), fields)
+                if "passed" in value else fields)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _text_lines(payload, indent=""):
+    """One line per field, named by its key; an object without a verdict
+    or a list of objects goes under its key, a line per field or item."""
+    for key, value in payload.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            yield "%s%s:" % (indent, key)
+            yield from ("%s  - %s" % (indent, _text(item)) for item in value)
+        elif (isinstance(value, dict) and "passed" not in value
+              and tuple(value) != _ESTIMATE):
+            yield "%s%s:" % (indent, key)
+            yield from _text_lines(value, indent + "  ")
+        else:
+            yield "%s%s: %s" % (indent, key, _text(value))
+
+
+def _emit(args, payload):
+    """Print payload as JSON or text.  Once the reader has closed stdout,
+    what is still buffered goes to the null device, so that the exit's
+    flush does not write to the closed pipe again."""
+    text = (json.dumps(payload, sort_keys=True, indent=2)
+            if args.format == "json" else "\n".join(_text_lines(payload)))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _json_argument(text):
+    """Inline JSON, or after a leading @ the JSON file it names."""
+    if text.startswith("@"):
+        with open(text[1:]) as fh:
+            return json.load(fh)
+    return json.loads(text)
 
 
 def _load_document(name_or_path, args):
@@ -71,6 +121,11 @@ def _load_document(name_or_path, args):
         return json.load(fh)
 
 
+def _document_and_measure(args):
+    tri = load(_load_document(args.document, args))
+    return tri, _resolve_measure(args.measure, tri, tri.dim)
+
+
 def _resolve_measure(spec_arg, tri, dim):
     """Measure from --measure (name, inline JSON or @file) or the loaded
     triangulation tri, None where the command has no document."""
@@ -78,15 +133,9 @@ def _resolve_measure(spec_arg, tri, dim):
         if tri is not None and tri.measure_spec is not None:
             return measure_from_spec(tri.measure_spec, dim)
         spec_arg = "round"
-    if spec_arg.startswith("@"):
-        with open(spec_arg[1:]) as fh:
-            return measure_from_spec(json.load(fh), dim)
-    if spec_arg.strip().startswith("{"):
-        return measure_from_spec(json.loads(spec_arg), dim)
-    named = _named_measure(spec_arg, tri, dim)
-    if named is None:
-        raise GBError("unknown measure %r" % spec_arg)
-    return measure_from_spec(named, dim)
+    if spec_arg.startswith("@") or spec_arg.strip().startswith("{"):
+        return measure_from_spec(_json_argument(spec_arg), dim)
+    return measure_from_spec(_named_measure(spec_arg, tri, dim), dim)
 
 
 def _named_measure(name, tri, dim):
@@ -106,73 +155,44 @@ def _named_measure(name, tri, dim):
         mid = mid / np.linalg.norm(mid)
         return {"type": "atomic",
                 "atoms": [{"point": mid.tolist(), "weight": 2.0}]}
-    return None
-
-
-def _verdict_dict(v):
-    return {"passed": v.passed, "worst": v.worst, "detail": v.detail}
+    raise GBError("unknown measure %r" % name)
 
 
 def cmd_check(args):
-    document = _load_document(args.document, args)
-    tri = load(document)
-    measure = _resolve_measure(args.measure, tri, tri.dim)
+    tri, measure = _document_and_measure(args)
     report = gb_report(tri, measure, args.mc, tol=args.tolerance)
+    verdicts = {
+        "rearrangement": _fields(report.rearrangement, _VERDICT),
+        "link_sums": _fields(report.link_verdict, _VERDICT),
+        "transversality": _fields(report.transversality,
+                                  ("passed", "detail")),
+    }
+    if report.odd_dimension:
+        verdicts["k_vanishing"] = _fields(report.k_vanishing, _VERDICT)
+    else:
+        verdicts["chi_equals_mu"] = _fields(report.chi_equals_mu, _VERDICT)
     payload = {
         "document": args.document,
         "chi": report.chi_comb,
-        "mu": _estimate_dict(report.mu_total),
-        "sum_defects": _estimate_dict(report.sum_defects),
-        "sum_simplex": _estimate_dict(report.sum_simplex),
+        "mu": _fields(report.mu_total),
+        "sum_defects": _fields(report.sum_defects),
+        "sum_simplex": _fields(report.sum_simplex),
         "rearrangement_residual": report.rearrangement_residual,
-        "verdicts": {
-            "rearrangement": _verdict_dict(report.rearrangement),
-            "link_sums": _verdict_dict(report.link_verdict),
-            "transversality": {"passed": report.transversality.passed,
-                               "detail": report.transversality.detail},
-        },
-        "passed": report.passed,
+        "verdicts": verdicts,
     }
-    lines = ["document: %s" % args.document,
-             "chi (combinatorial) = %d" % report.chi_comb,
-             "mu(M)               = %.12g (sigma %.3g)"
-             % (report.mu_total.value, report.mu_total.std_error),
-             "sum d + sum k - chi = %.3g -> %s"
-             % (report.rearrangement_residual,
-                "PASS" if report.rearrangement.passed else "FAIL"),
-             "link sums           : %s (%s)"
-             % ("PASS" if report.link_verdict.passed else "FAIL",
-                report.link_verdict.detail),
-             "transversality      : %s (%s)"
-             % ("PASS" if report.transversality.passed else "FAIL",
-                report.transversality.detail)]
-    if report.odd_dimension:
-        payload["verdicts"]["k_vanishing"] = _verdict_dict(report.k_vanishing)
-        lines.append("odd dimension: mu comparison skipped; k vanishing: %s"
-                     % ("PASS" if report.k_vanishing.passed else "FAIL"))
-    else:
-        payload["verdicts"]["chi_equals_mu"] = _verdict_dict(
-            report.chi_equals_mu)
-        lines.append("chi - mu            = %.3g -> %s"
-                     % (report.chi_mu_residual,
-                        "PASS" if report.chi_equals_mu.passed else "FAIL"))
     ok = report.passed
     if args.dichotomy:
         dich = dichotomy_check(tri, measure, mc=args.mc,
                                word_length=args.orbit_depth)
         payload["dichotomy"] = {
-            "chart_mass": _estimate_dict(dich.chart_mass),
+            "chart_mass": _fields(dich.chart_mass),
             "words": dich.words_used,
             "consistent": dich.consistent,
             "detail": dich.detail,
         }
-        lines.append("dichotomy           : %s (%s)"
-                     % ("PASS" if dich.consistent else "FAIL", dich.detail))
         ok = ok and dich.consistent
     payload["passed"] = ok
-    lines.append("overall             : %s" % ("PASS" if ok else "FAIL"))
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return payload
 
 
 def cmd_sgb(args):
@@ -187,37 +207,21 @@ def cmd_sgb(args):
     else:
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
-    k = k_value(simplex, measure, args.mc)
-    residual = sgb_residual(simplex, measure, args.mc, k=k)
-    ok = residual.is_zero(args.tolerance)
-    payload = {"dim": simplex.dim, "k": _estimate_dict(k),
-               "residual": _estimate_dict(residual), "passed": ok}
-    _emit(args, payload, [
-        "dim       = %d" % simplex.dim,
-        "k         = %.9g (sigma %.3g)" % (k.value, k.std_error),
-        "residual  = %.3g (sigma %.3g)" % (residual.value,
-                                           residual.std_error),
-        "verdict   : %s" % ("PASS" if ok else "FAIL")])
-    return 0 if ok else 1
+    table = angles_by_cut_set([simplex], measure, args.mc)[0]
+    k = k_value(simplex, measure, args.mc, table=table)
+    residual = sgb_residual(simplex, measure, args.mc, table=table)
+    return {"dim": simplex.dim, "k": _fields(k),
+            "residual": _fields(residual),
+            "passed": residual.is_zero(args.tolerance)}
 
 
 def cmd_angles(args):
-    document = _load_document(args.document, args)
-    tri = load(document)
-    measure = _resolve_measure(args.measure, tri, tri.dim)
+    tri, measure = _document_and_measure(args)
     table = _tri.angle_table(tri, measure, args.mc)
-    entries = []
-    for rec, est in table.incidence_angles():
-        entries.append({"face_dim": rec.dim, "face": rec.face,
+    return {"angles": [{"face_dim": rec.dim, "face": rec.face,
                         "top": rec.top, "cut": list(rec.cut),
-                        "angle": _estimate_dict(est)})
-    lines = ["%4s %6s %6s %-12s %s" % ("dim", "face", "top", "cut", "angle")]
-    for e in entries:
-        lines.append("%4d %6d %6d %-12s %.9g" %
-                     (e["face_dim"], e["face"], e["top"], e["cut"],
-                      e["angle"]["value"]))
-    _emit(args, {"angles": entries}, lines)
-    return 0
+                        "angle": _fields(est)}
+                       for rec, est in table.incidence_angles()]}
 
 
 def _named_group(name, dim):
@@ -235,8 +239,7 @@ def _named_group(name, dim):
         return [rotation_about([0.0, 0, 1], 2 * np.pi * j / int(order))
                 for j in range(int(order))]
     if name.startswith("@"):
-        with open(name[1:]) as fh:
-            listed = json.load(fh)
+        listed = _json_argument(name)
         matrices = ([numeric_array(m, (dim + 1, dim + 1)) for m in listed]
                     if isinstance(listed, list) else [None])
         if any(m is None for m in matrices):
@@ -259,22 +262,11 @@ def cmd_invariance(args):
                for _ in range(args.regions)]
     report = check_invariance(measure, generators, regions, args.mc,
                               exact_tol=args.tolerance)
-    by_region = report.per_region()
-    payload = {"passed": report.passed,
-               "max_discrepancy": report.max_discrepancy,
-               "regions": [{"region": r, "max_discrepancy": d,
-                            "passed": ok}
-                           for r, (d, ok) in sorted(by_region.items())],
-               "generators": len(generators)}
-    lines = ["generators       = %d" % len(generators),
-             "regions          = %d" % args.regions]
-    lines += ["  region %3d: max discrepancy %.3g -> %s"
-              % (r, d, "PASS" if ok else "FAIL")
-              for r, (d, ok) in sorted(by_region.items())]
-    lines += ["max discrepancy  = %.3g" % report.max_discrepancy,
-              "verdict          : %s" % ("PASS" if report.passed else "FAIL")]
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return {"generators": len(generators),
+            "regions": [{"region": r, "max_discrepancy": d, "passed": ok}
+                        for r, (d, ok) in sorted(report.per_region().items())],
+            "max_discrepancy": report.max_discrepancy,
+            "passed": report.passed}
 
 
 def _check_pullback_input(data):
@@ -301,11 +293,7 @@ def _check_pullback_input(data):
 
 
 def cmd_pullback(args):
-    if args.input.startswith("@"):
-        with open(args.input[1:]) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(args.input)
+    data = _json_argument(args.input)
     _check_pullback_input(data)
     f = PowerMap(data["degree"])
     lam = CircleAtomicMeasure(data["atoms"])
@@ -317,23 +305,13 @@ def cmd_pullback(args):
     for i in range(1, len(coverings)):
         rep = covering_independence(f, lam, coverings[0], coverings[i])
         verdicts["independence_%d" % i] = rep.passed
-    eq = equivariance_check(f, lam, coverings[0])
-    verdicts["equivariance"] = eq.passed
+    verdicts["equivariance"] = equivariance_check(f, lam, coverings[0]).passed
     induced = induce_quotient(f, up)
-    roundtrip = pullback(f, induced, coverings[0]).same_as(up)
-    verdicts["quotient_roundtrip"] = roundtrip
-    ok = all(verdicts.values())
-    payload = {"pulled_back": [[a, w] for a, w in up.atoms],
-               "induced": [[a, w] for a, w in induced.atoms],
-               "verdicts": verdicts, "passed": ok}
-    lines = ["pulled-back atoms: %s"
-             % ", ".join("(%.6g, %.6g)" % t for t in up.atoms),
-             "induced atoms    : %s"
-             % ", ".join("(%.6g, %.6g)" % t for t in induced.atoms)]
-    lines += ["%-20s: %s" % (k, "PASS" if v else "FAIL")
-              for k, v in sorted(verdicts.items())]
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    verdicts["quotient_roundtrip"] = pullback(
+        f, induced, coverings[0]).same_as(up)
+    return {"pulled_back": [[a, w] for a, w in up.atoms],
+            "induced": [[a, w] for a, w in induced.atoms],
+            "verdicts": verdicts, "passed": all(verdicts.values())}
 
 
 def cmd_example(args):
@@ -342,8 +320,7 @@ def cmd_example(args):
     with open(out, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _emit(args, {"written": out}, ["wrote %s" % out])
-    return 0
+    return {"written": out}
 
 
 def _number_from(least, kind, number=int):
@@ -378,11 +355,16 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="full report on a manifold document")
-    p.add_argument("document", help="path or built-in name")
-    p.add_argument("--measure")
-    p.add_argument("--k", type=int, help="grid size for built-in grids")
-    p.add_argument("--m", type=int, help="arc count for s1-polygon")
+    # the options of built-in documents, then the arguments of a document
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--k", type=int, help="grid size for built-in grids")
+    sized.add_argument("--m", type=int, help="arc count for s1-polygon")
+    document = argparse.ArgumentParser(add_help=False, parents=[sized])
+    document.add_argument("document", help="path or built-in name")
+    document.add_argument("--measure")
+
+    p = sub.add_parser("check", parents=[document],
+                       help="full report on a manifold document")
     p.add_argument("--dichotomy", action="store_true",
                    help="also run the chart-union dichotomy check")
     p.add_argument("--orbit-depth", type=_non_negative_int, default=0,
@@ -396,11 +378,8 @@ def build_parser():
     p.add_argument("--measure")
     p.set_defaults(func=cmd_sgb)
 
-    p = sub.add_parser("angles", help="angle table of a document")
-    p.add_argument("document")
-    p.add_argument("--measure")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
+    p = sub.add_parser("angles", parents=[document],
+                       help="angle table of a document")
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("invariance", help="measure invariance report")
@@ -416,29 +395,24 @@ def build_parser():
                    help="JSON {degree, atoms, coverings} or @file.json")
     p.set_defaults(func=cmd_pullback)
 
-    p = sub.add_parser("example", help="write a built-in document")
+    p = sub.add_parser("example", parents=[sized],
+                       help="write a built-in document")
     p.add_argument("name", choices=sorted(BUILTIN_DOCUMENTS))
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.mc = MCConfig(seed=args.seed, samples=args.samples)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        code = 0 if payload.get("passed", True) else 1
     except (GBError, OSError, json.JSONDecodeError) as err:
-        diagnostic = {"error": type(err).__name__, "detail": str(err)}
-        if args.format == "json":
-            print(json.dumps(diagnostic, sort_keys=True, indent=2))
-        else:
-            print("ERROR %s: %s" % (diagnostic["error"],
-                                    diagnostic["detail"]))
-        return 2
+        payload, code = {"error": type(err).__name__, "detail": str(err)}, 2
+    _emit(args, payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,7 @@ regions, simplices and the action of invertible matrices up to scale.
 Everything lives on the unit sphere S^n inside R^{n+1}.  A great hyperplane
 is the sphere's intersection with a codimension-1 linear subspace; its unit
 normal fixes an orientation, with positive side {x : <normal, x> > 0}.
-All objects are immutable after construction and safe to share between
-threads.
+All objects are immutable after construction.
 """
 
 import numpy as np

@@ -13,8 +13,8 @@ import math
 from itertools import combinations
 
 from .geom import face_region
-from .measure import (MeasureEstimate, SignHistogram, combine_estimates,
-                      derive_mc, region_histogram)
+from .measure import (MeasureEstimate, combine_estimates, derive_mc,
+                      region_histogram)
 
 _ROLE_CUTSET = 10
 _ROLE_SIMPLEX = 11
@@ -56,7 +56,8 @@ def angles_by_cut_set(simplices, measure, mc=None):
     eval_many call, all of them at once, with a seed derived from mc.
     """
     simplices = list(simplices)
-    masses = _simplex_masses(simplices, measure, mc)
+    masses = measure.eval_many([face_region(s, tuple(range(s.dim + 1)))
+                                for s in simplices], mc)
     tables, pending = [], []
     for i, (simplex, mass) in enumerate(zip(simplices, masses)):
         n = simplex.dim
@@ -79,44 +80,37 @@ def angles_by_cut_set(simplices, measure, mc=None):
     return tables
 
 
-def _simplex_masses(simplices, measure, mc):
-    """The measures of the simplices, from one eval_many call."""
-    return measure.eval_many([face_region(s, tuple(range(s.dim + 1)))
-                              for s in simplices], mc)
-
-
-def k_value(simplex, measure, mc=None):
+def k_value(simplex, measure, mc=None, table=None):
     """Signed sum of all face angles: sum over faces of (-1)^r * angle.
 
     A face of dimension r corresponds to a cut set of size n - r; all cut
     sets of size at most n contribute, including the simplex itself (empty
     cut set, angle = half the total mass).  Exactly 0 in odd dimension and
     the simplex mass in even dimension for antipodally invariant measures.
+    The angles are read from table, the simplex's angles_by_cut_set table
+    for (measure, mc), which is evaluated when not given.
     """
     n = simplex.dim
-    table = angles_by_cut_set([simplex], measure, mc)[0]
+    if table is None:
+        table = angles_by_cut_set([simplex], measure, mc)[0]
     return combine_estimates([(-1.0 if (n - len(cut)) % 2 else 1.0,
                                table[cut])
                               for cut in cut_sets(n, n)])
 
 
-def sgb_residual(simplex, measure, mc=None, k=None):
+def sgb_residual(simplex, measure, mc=None, table=None):
     """Residual of the spherical angle-sum identity.
 
     2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
-    within statistical error for Monte Carlo ones.  Pass the k_value of the
-    same (simplex, measure, mc) as k: a k read from one sign-code histogram
-    gives the simplex mass from that histogram without evaluating anything,
-    and otherwise only the simplex mass is evaluated, as k_value does.
+    within statistical error for Monte Carlo ones.  k and the simplex mass,
+    twice the full cut set's angle, are both read from table, as in
+    k_value, so a sampled table's shared histogram cancels exactly.
     """
     n = simplex.dim
-    if k is None:
-        k = k_value(simplex, measure, mc)
-    hist = k.parts[0][0] if len(k.parts) == 1 else None
-    if isinstance(hist, SignHistogram) and hist.bits == n + 1:
-        simplex_mass = hist.mass((1 << (n + 1)) - 1)
-    else:
-        simplex_mass, = _simplex_masses([simplex], measure, mc)
+    if table is None:
+        table = angles_by_cut_set([simplex], measure, mc)[0]
+    k = k_value(simplex, measure, mc, table)
+    simplex_mass = table[tuple(range(n + 1))].scaled(2.0)
     even_factor = 1.0 + (-1.0) ** n
     return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])
 

@@ -3,7 +3,11 @@ import copy
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ def run(capsys, *argv):
 def test_check_octahedron_round(capsys):
     code, out = run(capsys, "check", "s2-octahedron", "--measure", "round")
     assert code == 0
-    assert "chi (combinatorial) = 2" in out
+    assert "chi: 2" in out.splitlines()
     assert "PASS" in out
 
 
@@ -81,7 +85,12 @@ def test_sgb_random_simplex(capsys):
     assert "residual" in out
 
 
-def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
+# a sampled table reads every cut set from the full cut's histogram; an
+# exact one evaluates the full cut and then the 7 others of a 2-simplex
+@pytest.mark.parametrize("argv, regions", [
+    (["--dim", "4"], 1), (["--dim", "2", "--measure", "round"], 8)],
+    ids=["sampled", "exact"])
+def test_sgb_evaluates_each_region_once(capsys, monkeypatch, argv, regions):
     evaluated = []
     build = cli.measure_from_spec
 
@@ -101,9 +110,9 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "measure_from_spec",
                         lambda spec, dim: Counting(build(spec, dim)))
     code, _ = run(capsys, "--samples", "2000", "sgb", "--random-simplex",
-                  "--dim", "4")
+                  *argv)
     assert code == 0
-    assert len(evaluated) == 1
+    assert len(evaluated) == regions
 
 
 def test_sgb_negative_dim_is_rejected(capsys):
@@ -204,13 +213,83 @@ def test_example_writes_document(tmp_path, capsys):
 def test_unknown_measure_is_structured_error(capsys):
     code, out = run(capsys, "check", "s2-octahedron", "--measure", "bogus")
     assert code == 2
-    assert "ERROR" in out
+    assert "error: GBError" in out.splitlines()
 
 
 def test_missing_document_is_structured_error(capsys):
     code, out = run(capsys, "check", "/no/such/file.json")
     assert code == 2
-    assert "ERROR" in out
+    assert "error: FileNotFoundError" in out.splitlines()
+
+
+def _walk(payload):
+    """(key, value) of every field of a JSON payload, nested and listed
+    objects included, but not the fields of an estimate."""
+    for key, value in payload.items():
+        yield key, value
+        items = value if isinstance(value, list) else [value]
+        for item in items:
+            if (isinstance(item, dict)
+                    and set(item) != {"value", "std_error", "samples"}):
+                yield from _walk(item)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "s2-octahedron", "--measure", "round"],
+    ["check", "s2-octahedron", "--measure", "round", "--dichotomy"],
+    ["check", "s1-polygon"],
+    ["check", "s1-polygon", "--dichotomy"],
+    ["--samples", "2000", "check", "s2-octahedron", "--measure",
+     "atomic-on-edge"],
+    ["sgb", "--random-simplex", "--dim", "2", "--measure", "round"],
+    ["--samples", "2000", "angles", "s1-polygon", "--m", "3",
+     "--measure", "round-mc"],
+    ["invariance", "--measure", "round", "--group", "klein4",
+     "--regions", "3"],
+    ["invariance", "--measure", '{"type": "atomic", "atoms": [{"point": '
+     '[1, 0.2, 0.3], "weight": 2}]}', "--group", "cyclic:5",
+     "--regions", "3"],
+    ["pullback", json.dumps({"degree": 2, "atoms": [[0.0, 1.0]],
+                             "coverings": [[[0.1, 2.0], [2.0, 2.0],
+                                            [4.0, 2.5]]] * 2})],
+    ["example", "s1-polygon", "-o", "@TMP/polygon.json"],
+], ids=["check-even", "check-even-dichotomy", "check-odd",
+        "check-odd-dichotomy", "error", "sgb", "angles", "invariance",
+        "invariance-fails", "pullback", "example"])
+def test_text_output_is_the_json_payload(tmp_path, capsys, argv):
+    argv = [a.replace("@TMP", str(tmp_path)) for a in argv]
+    code, out = run(capsys, "--format", "json", *argv)
+    payload = json.loads(out)
+    text_code, text = run(capsys, *argv)
+    assert text_code == code
+    fields = list(_walk(payload))
+    assert all(key in text for key, _ in fields)
+    assert sorted(re.findall(r"\b(PASS|FAIL)\b", text)) == sorted(
+        "PASS" if value else "FAIL" for _, value in fields
+        if isinstance(value, bool))
+    assert not re.search(r"\b([Tt]rue|[Ff]alse)\b", text)
+    if "passed" in payload:
+        assert text.splitlines()[-1] == "passed: %s" % (
+            "PASS" if payload["passed"] else "FAIL")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["angles", "s2-octahedron", "--measure", "round-mc"], 0),
+    (["check", "s2-octahedron", "--measure", "bogus"], 2)],
+    ids=["report", "error"])
+def test_closed_stdout_ends_quietly_with_the_run_exit_code(argv, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbmeasure", "--format", "json", "--samples",
+         "4000"] + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    proc.stdout.close()     # the reader is gone before anything is written
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
 
 
 _ZERO = [[0.0] * 3] * 3

@@ -807,6 +807,38 @@ class TestMixtureAndRestriction:
         with pytest.raises(UnsupportedMeasure):
             restr.eval(whole_sphere(2))
 
+    def test_subspace_restriction_of_atoms_uniform_and_mixture(self):
+        # V = span(e1, e2) holds the atoms [1, 0.3, 0] and [0.2, 1, 0], of
+        # mass 1.5 in all; the quadrant holds half of each, 0.75
+        v = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+        atoms = AtomicMeasure([([1, 0.3, 0], 1.0), ([0, 0, 1], 0.5),
+                               ([0.2, 1, 0], 0.5)])
+        quadrant = region(2, [1, 0, 0], [0, 1, 0])
+        cap = region(2, [0, 0, 1], [1, 1, 0.1])
+        on_v = RestrictedNormalized(atoms, subspace=v)
+        assert on_v.eval(quadrant).value == 1.0
+        assert on_v.union_mass([quadrant, cap]).value == 2.0
+        whole = RestrictedNormalized(SubsphereUniform(v), subspace=np.eye(3))
+        assert whole.eval(quadrant).value == 0.5
+        # 2 (0.5 * 0.75 + 0.5 * 0.5) / (0.5 * 1.5 + 0.5 * 2)
+        mixed = RestrictedNormalized(
+            Mixture([(0.5, atoms), (0.5, SubsphereUniform(v))]), subspace=v)
+        assert mixed.eval(quadrant).value == 5 / 7
+
+    def test_mixture_union_weighs_its_component_unions(self):
+        regions = [region(2, [1, 0, 0], [0, 1, 0]),
+                   region(2, [0, 0, 1], [1, 1, 0.1])]
+        atoms = AtomicMeasure([([1, 0.3, 0.2], 1.0), ([0, 0, 1], 1.0)])
+        mix = Mixture([(0.5, RoundMeasure(2)), (0.5, atoms)])
+        union = mix.union_mass(regions, MCConfig(seed=3, samples=200_000))
+        assert atoms.union_mass(regions).value == 2.0
+        round_union = RoundMeasure(2).union_mass(
+            regions, MCConfig(seed=4, samples=200_000))
+        gap = union.value - (0.5 * 2.0 + 0.5 * round_union.value)
+        assert union.std_error > 0.0
+        assert abs(gap) <= 4.0 * math.hypot(union.std_error,
+                                            0.5 * round_union.std_error)
+
     def test_restricted_round_to_subsphere_rejected(self):
         with pytest.raises(UnsupportedMeasure):
             RestrictedNormalized(

@@ -5,9 +5,11 @@
 Each path is a checkout (holding src/gbmeasure) or the directory holding
 the gbmeasure package itself.  The battery runs every built-in document
 under eleven measures, its own, four named and six specs (check,
-check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 and on
-one --vertices simplex and invariance of three measures under three
-groups, at seeds 1 and 2 and 3000 and 40000 samples; then, at both seeds
+check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 under
+its default round-mc and 1-2 under the exact round, sgb on one --vertices
+simplex under round-mc, round and the 25/75 mixture of round and atoms,
+and invariance of three measures under three groups, at seeds 1 and 2 and
+3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
 octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
 whose simplices of 5-8 planes count sign codes by popcount up to 6
@@ -81,6 +83,7 @@ def _measures(width):
 def battery():
     """Every argv of the battery, in a fixed order."""
     runs = []
+    exact_mixture = _measures(3)[8]     # 0.25 round + 0.75 atomic
     for seed in ("1", "2"):
         for samples in ("3000", "40000"):
             head = ["--format", "json", "--seed", seed, "--samples", samples]
@@ -94,7 +97,11 @@ def battery():
                              head + ["angles", doc] + opt]
             runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
                      for d in (1, 2, 3, 4)]
-            runs.append(head + ["sgb", "--vertices", json.dumps(VERTICES)])
+            runs += [head + ["sgb", "--random-simplex", "--dim", str(d),
+                             "--measure", "round"] for d in (1, 2)]
+            runs += [head + ["sgb", "--vertices", json.dumps(VERTICES)] + opt
+                     for opt in ([], ["--measure", "round"],
+                                 ["--measure", exact_mixture])]
             runs += [head + ["invariance", "--measure", measure, "--group",
                              group, "--regions", "5"]
                      for group in ("icosahedral", "klein4", "cyclic:5")
