@@ -209,7 +209,7 @@ def cmd_sgb(args):
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
     table = angles_by_cut_set([simplex], measure, args.mc)[0]
     k = k_value(simplex, measure, args.mc, table=table)
-    residual = sgb_residual(simplex, measure, args.mc, table=table)
+    residual = sgb_residual(simplex, measure, args.mc, table=table, k=k)
     return {"dim": simplex.dim, "k": _fields(k),
             "residual": _fields(residual),
             "passed": residual.is_zero(args.tolerance)}

@@ -16,9 +16,12 @@ same integers.  Every measure answers eval_many as one batch: a round or
 subsphere measure draws once for all its sampled regions (see
 _region_masses), a mixture asks each component once, a restriction asks
 its base once, and estimates read from one histogram carry their shared
-samples into the error bar.  A block of readings draws at most _ROWS
-fresh rows and reads each of them up to _BLOCK / _ROWS times, each time
-through a fresh Haar rotation: reading i is fresh row i mod _ROWS.  The
+samples into the error bar.  A call sampling G regions (1 for a union)
+reads chunks of _CHUNK / f rows, f the largest of 4, 2 and 1 with
+f G <= 8 (_layout): a block of readings draws at most _ROWS / f fresh
+rows and reads each of them up to f _BLOCK / _ROWS times, each time
+through a fresh Haar rotation, so reading i is fresh row i mod (_ROWS / f)
+and chunk rows times reads per row stay _CHUNK x 4 in every layout.  The
 error bars stay exact (see _region_masses), and samples counts readings.
 A union reads such readings for one region of its distinct planes and
 counts those inside some region or its antipode from their packed signs.
@@ -56,7 +59,8 @@ Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
 _BLOCK = 1 << 17
 _CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
 _CHUNK = 2048     # rows per chunk: a region turns each by its own rotation
-_ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK
+_ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK;
+                  # both / 2 or / 4 when at most 4 or 2 regions (_layout)
 _GROUP_PLANES = 64   # a product: at most 64 x _CHUNK float32 entries (512 KB)
 _TREE_BITS = 6    # planes up to which a region counts codes by popcount
 _TREE_WORDS = 256    # words of each plane per pass of the popcount tree
@@ -385,7 +389,8 @@ def _haar_rotations(rng, shape, width):
 
 
 class _PlaneGroup:
-    """Consecutive regions with the same number h of planes, stacked.
+    """Consecutive regions with the same number h of planes, stacked, read
+    in chunks of chunk rows.
 
     A batch of chunks makes one product with the stacked planes, and its
     (chunk, region, plane, sample) view holds every region's signs.  A
@@ -397,7 +402,7 @@ class _PlaneGroup:
     region r, so one bincount counts the whole batch.
     """
 
-    def __init__(self, normal_sets, bins=None):
+    def __init__(self, normal_sets, chunk, bins=None):
         self.count = len(normal_sets)
         self.h = len(normal_sets[0])
         self.planes = np.concatenate(normal_sets)
@@ -405,7 +410,9 @@ class _PlaneGroup:
         self.size = self.count * self.bins
         self.zero = np.arange(0, self.size, self.bins)   # bins of code 0
         self.tree = self.h <= _TREE_BITS
-        self.step = max(1, _GROUP_PLANES // max(len(self.planes), 1))
+        self.chunk = chunk
+        self.step = max(1, _GROUP_PLANES * _CHUNK
+                        // (max(len(self.planes), 1) * chunk))
 
     def batches(self, size):
         """Batches (first chunk, stop chunk, rows per chunk) covering a
@@ -413,8 +420,8 @@ class _PlaneGroup:
         product within _GROUP_PLANES x _CHUNK entries and its chunks within
         one window of _ROWS / _CHUNK, then the rest as one short chunk."""
         window = _ROWS // _CHUNK
-        full, rest = divmod(size, _CHUNK)
-        return ([(c, min(c + self.step, w + window, full), _CHUNK)
+        full, rest = divmod(size, self.chunk)
+        return ([(c, min(c + self.step, w + window, full), self.chunk)
                  for w in range(0, full, window)
                  for c in range(w, min(w + window, full), self.step)]
                 + ([(full, full + 1, rest)] if rest else []))
@@ -464,8 +471,8 @@ class _UnionGroup(_PlaneGroup):
     become rows of plane indices and XOR masks (all ones for a negative
     number), a shorter need repeating its first number."""
 
-    def __init__(self, planes, needs):
-        super().__init__([planes], bins=2)
+    def __init__(self, planes, needs, chunk):
+        super().__init__([planes], chunk, bins=2)
         self.tree = True
         longest = max(map(len, needs))
         signed = np.array([need + need[:1] * (longest - len(need))
@@ -495,17 +502,28 @@ class _UnionGroup(_PlaneGroup):
         return np.array([hit.size * 64 - hits, hits])
 
 
-def _plane_groups(normal_sets):
-    """The regions as consecutive _PlaneGroups, each of at most
-    _GROUP_PLANES planes unless a single region has more."""
+def _plane_groups(normal_sets, chunk):
+    """The regions as consecutive _PlaneGroups read in chunks of chunk
+    rows, each of at most _GROUP_PLANES planes unless a single region has
+    more."""
     groups, first = [], 0
     for i in range(1, len(normal_sets) + 1):
         h = len(normal_sets[first])
         if (i == len(normal_sets) or len(normal_sets[i]) != h
                 or (i + 1 - first) * h > _GROUP_PLANES):
-            groups.append(_PlaneGroup(normal_sets[first:i]))
+            groups.append(_PlaneGroup(normal_sets[first:i], chunk))
             first = i
     return groups
+
+
+def _layout(count):
+    """(rows per chunk, fresh rows per block) of a call sampling count
+    regions: _CHUNK and _ROWS divided by the largest f in {4, 2, 1} with
+    f * count <= 8.  A block then turns at most 512 rotations, as many as
+    8 regions read at f = 1, and a full block reads each fresh row 4 f
+    times, so chunk rows times reads per row stay _CHUNK x 4."""
+    f = 4 if count <= 2 else 2 if count <= 4 else 1
+    return _CHUNK // f, _ROWS // f
 
 
 def _region_histograms(normal_sets, width, mc, needs=None):
@@ -514,16 +532,20 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     counted by _UnionGroup.
 
     Block b of _BLOCK readings draws from the stream (block, b), and the
-    blocks' integer counts are summed in order.  A block draws at most
-    _ROWS fresh Gaussian rows and copies them into a float32 buffer laid
-    out (chunk, coordinate, row), one per call, reused block after block.
-    Each group's planes are turned in float64 and rounded to float32 once
-    per block, so every product and sign test runs in float32.
-    Reading i is fresh row i mod _ROWS, so reading chunk c is row chunk c
-    mod (_ROWS / _CHUNK), and no batch crosses that window.  Every chunk of a
-    block is read by region i through a fresh Haar rotation.  The rotations
-    of block b come from the stream (region, b): group after group, one per
-    (chunk, region of the group).
+    blocks' integer counts are summed in order.  The layout follows the
+    number G of regions sampled (1 for a union): _layout(G) gives chunks
+    of chunk rows and a block of at most fresh_rows fresh Gaussian rows,
+    copied into a float32 buffer laid out (chunk, coordinate, row), one
+    per call, reused block after block.  Each group's planes are turned
+    in float64 and rounded to float32 once per block, so every product and
+    sign test runs in float32.  Reading i is fresh row i mod fresh_rows,
+    so reading chunk c is row chunk c mod (_ROWS / _CHUNK), 16 in every
+    layout, and no batch crosses that window.  Every chunk of a block is
+    read by region i through a fresh Haar rotation.  The rotations of
+    block b come from the stream (region, b): group after group, one per
+    (chunk, region of the group).  A product holds at most _GROUP_PLANES x
+    _CHUNK entries, so a group of short chunks batches more of them per
+    product.
 
     A group of at most _TREE_BITS planes per region packs the signs of
     each product, 64 readings of a chunk per uint64 word, into a
@@ -540,12 +562,13 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     n = int(mc.samples)
     if n <= 0:
         raise ValueError("samples must be positive")
-    groups = (_plane_groups(normal_sets) if needs is None
-              else [_UnionGroup(normal_sets[0], needs)])
+    chunk, fresh_rows = _layout(len(normal_sets))
+    groups = (_plane_groups(normal_sets, chunk) if needs is None
+              else [_UnionGroup(normal_sets[0], needs, chunk)])
     offsets = np.cumsum([0] + [group.size for group in groups])
     fresh = _gaussian_draw(width)
     window = _ROWS // _CHUNK
-    words = -(-_CHUNK // 64)            # uint64 words of one packed chunk
+    words = -(-chunk // 64)             # uint64 words of one packed chunk
     spans = [max(_TREE_WORDS // words, group.step) if group.tree else 0
              for group in groups]
     shapes = [(len(group.planes), span, 8 * words)
@@ -554,19 +577,19 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     # each tree group's (plane, chunk, byte) view of the one sign buffer
     views = [signs[:math.prod(shape)].reshape(shape) if group.tree else None
              for group, shape in zip(groups, shapes)]
-    rows = np.empty((window, width, _CHUNK), dtype=np.float32)
+    rows = np.empty((window, width, chunk), dtype=np.float32)
 
     def count(b):
         size = min(_BLOCK, n - b * _BLOCK)
-        x = fresh(_rng(mc, _ROLE_BLOCK, b), min(size, _ROWS))
-        full, rest = divmod(len(x), _CHUNK)
-        rows[:full] = x[:full * _CHUNK].reshape(full, _CHUNK,
-                                                width).transpose(0, 2, 1)
+        x = fresh(_rng(mc, _ROLE_BLOCK, b), min(size, fresh_rows))
+        full, rest = divmod(len(x), chunk)
+        rows[:full] = x[:full * chunk].reshape(full, chunk,
+                                               width).transpose(0, 2, 1)
         if rest:
-            rows[full, :, :rest] = x[full * _CHUNK:].T
+            rows[full, :, :rest] = x[full * chunk:].T
         del x                   # free the draw before the products
         rng = _rng(mc, _ROLE_REGION, b)
-        chunks = -(-size // _CHUNK)
+        chunks = -(-size // chunk)
         counts = np.zeros(offsets[-1], dtype=np.int64)
         for group, span, bits, first, last in zip(groups, spans, views,
                                                   offsets, offsets[1:]):
@@ -665,19 +688,21 @@ def _region_masses(normal_sets, exact_value, width, mc):
 
     exact_value(normals) gives a closed form or None.  The regions without
     one are sampled from one shared Gaussian draw, cut into chunks of
-    _CHUNK rows.  Region i reads each chunk turned by a Haar rotation Q
-    drawn afresh for (block, chunk, i): testing Q x against the planes is
-    testing x against the planes turned by Q^T.  For independent Haar Q_s,
-    Q_t and any x, Q_s x and Q_t x are independent and uniform, so the
-    readings of distinct regions have exactly zero covariance: each region
-    keeps a histogram of its own with the error bar of a draw of its own.
-    Given the rotations, readings of distinct regions do covary, and how
-    much depends on the rotations.  With one rotation per region for the
-    whole run, a sum over regions is a scale mixture of Gaussians, whose
-    tails are heavier than its error bar says; a fresh rotation per chunk
-    averages that covariance over the chunks, so the tails are Gaussian.
+    _CHUNK / f rows (_layout).  Region i reads each chunk turned by a Haar
+    rotation Q drawn afresh for (block, chunk, i): testing Q x against the
+    planes is testing x against the planes turned by Q^T.  For independent
+    Haar Q_s, Q_t and any x, Q_s x and Q_t x are independent and uniform,
+    so the readings of distinct regions have exactly zero covariance: each
+    region keeps a histogram of its own with the error bar of a draw of
+    its own.  Given the rotations, readings of distinct regions do covary,
+    and how much depends on the rotations.  With one rotation per region
+    for the whole run, a sum over regions is a scale mixture of Gaussians,
+    whose tails are heavier than its error bar says; a fresh rotation per
+    chunk averages that covariance over the chunks, so the tails are
+    Gaussian.
 
-    Reuse: a full block reads each fresh row 4 times (see
+    Reuse: a full block reads each fresh row 4 f times, f = 4, 2 or 1 as
+    at most 2, at most 4 or more regions are sampled (see _layout and
     _region_histograms).  For independent Haar Q, Q' and fixed x, Q x and
     Q' x are independent and uniform, and rows within a chunk are iid, so
     any two readings are independent (one row through two rotations, two
@@ -685,8 +710,12 @@ def _region_masses(normal_sets, exact_value, width, mc):
     only on pairs, is that of a fresh row per reading.  Tails do depend on
     the number of distinct row chunks, as the readings of one row covary
     given the rotations: one 2048-row chunk read 4 times raised the
-    link-gap kurtosis from 3.16 to 3.73, and _ROWS keeps 16 distinct chunks
-    per block.  samples counts readings, not fresh rows.
+    link-gap kurtosis from 3.16 to 3.73, and every layout keeps 16
+    distinct chunks per block.  The fourth-order term that reuse adds
+    pairs two rows of one chunk read through two rotations, so it scales
+    with chunk rows times reads per row, _CHUNK x 4 in every layout: the
+    short chunks of few regions keep the tails of f = 1.  samples counts
+    readings, not fresh rows.
     """
     mc = mc or MCConfig()
     values = [exact_value(normals) for normals in normal_sets]

@@ -98,18 +98,20 @@ def k_value(simplex, measure, mc=None, table=None):
                               for cut in cut_sets(n, n)])
 
 
-def sgb_residual(simplex, measure, mc=None, table=None):
+def sgb_residual(simplex, measure, mc=None, table=None, k=None):
     """Residual of the spherical angle-sum identity.
 
     2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
     within statistical error for Monte Carlo ones.  k and the simplex mass,
     twice the full cut set's angle, are both read from table, as in
-    k_value, so a sampled table's shared histogram cancels exactly.
+    k_value, so a sampled table's shared histogram cancels exactly; k, when
+    given, is k_value of that same table, and is summed from it otherwise.
     """
     n = simplex.dim
     if table is None:
         table = angles_by_cut_set([simplex], measure, mc)[0]
-    k = k_value(simplex, measure, mc, table)
+    if k is None:
+        k = k_value(simplex, measure, mc, table)
     simplex_mass = table[tuple(range(n + 1))].scaled(2.0)
     even_factor = 1.0 + (-1.0) ** n
     return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmeasure import cli, errors
+from gbmeasure import cli, errors, simplex
 from gbmeasure.cli import main
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
+from gbmeasure.simplex import k_value
 from gbmeasure.triangulation import load
 
 
@@ -86,13 +87,17 @@ def test_sgb_random_simplex(capsys):
 
 
 # a sampled table reads every cut set from the full cut's histogram; an
-# exact one evaluates the full cut and then the 7 others of a 2-simplex
+# exact one evaluates the full cut and then the 7 others of a 2-simplex.
+# Either way k is summed once, by cli.k_value, and the residual reuses it
 @pytest.mark.parametrize("argv, regions", [
     (["--dim", "4"], 1), (["--dim", "2", "--measure", "round"], 8)],
     ids=["sampled", "exact"])
 def test_sgb_evaluates_each_region_once(capsys, monkeypatch, argv, regions):
-    evaluated = []
+    evaluated, sums = [], []
     build = cli.measure_from_spec
+    for module in (cli, simplex):
+        monkeypatch.setattr(module, "k_value", lambda *args, **kwargs: (
+            sums.append(args) or k_value(*args, **kwargs)))
 
     class Counting:
         def __init__(self, inner):
@@ -113,6 +118,7 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch, argv, regions):
                   *argv)
     assert code == 0
     assert len(evaluated) == regions
+    assert len(sums) == 1
 
 
 def test_sgb_negative_dim_is_rejected(capsys):

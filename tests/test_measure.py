@@ -176,29 +176,31 @@ class TestMonteCarlo:
 
     @staticmethod
     def _plane_by_plane_counts(regions, mc, bins, dtype=np.float32):
-        """The regions' histograms rebuilt one plane at a time: every
-        chunk's rotations, with reading chunk c read from fresh row chunk
-        c mod (_ROWS / _CHUNK).  Signs are tested as the kernel tests them,
-        each plane turned in float64 and rounded to float32 times the
-        float32 rows, or with dtype=np.float64 by float64 products."""
+        """The regions' histograms rebuilt one plane at a time in the
+        layout of the call (_layout): every chunk's rotations, with reading
+        chunk c read from fresh row chunk c mod (_ROWS / _CHUNK).  Signs
+        are tested as the kernel tests them, each plane turned in float64
+        and rounded to float32 times the float32 rows, or with
+        dtype=np.float64 by float64 products."""
         mm = measure_module
         width = regions[0].ambient_dim + 1
+        chunk, fresh_rows = mm._layout(len(regions))
         sizes = [g.count for g in mm._plane_groups(
-            [r.normals for r in regions])]
+            [r.normals for r in regions], chunk)]
         want = [np.zeros(n, dtype=int) for n in bins]
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
             size = min(mm._BLOCK, mc.samples - start)
             x = mm._gaussian_draw(width)(mm._rng(mc, mm._ROLE_BLOCK, b),
-                                         min(size, mm._ROWS))
+                                         min(size, fresh_rows))
             rotations = mm._rng(mc, mm._ROLE_REGION, b)
-            chunks = range(0, size, mm._CHUNK)
+            chunks = range(0, size, chunk)
             first = 0
             for count in sizes:
                 q = mm._haar_rotations(rotations, (len(chunks), count), width)
                 assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
                 for c, row in enumerate(chunks):
-                    fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
-                    rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
+                    fresh = c % (fresh_rows // chunk) * chunk
+                    rows = x[fresh:fresh + min(chunk, size - row)]
                     for i in range(first, first + count):
                         signs = [rows.astype(dtype)
                                  @ (u @ q[c, i - first]).astype(dtype) > 0.0
@@ -212,36 +214,51 @@ class TestMonteCarlo:
                 first += count
         return want
 
-    def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch):
+    # all nine coder regions read 64-row chunks (f = 1); three of them, of
+    # 3, 17 and 2 planes, read 32-row chunks (f = 2), and one of 3 planes
+    # 16-row chunks (f = 4)
+    _CODER_PICKS = pytest.mark.parametrize("picks, sizes, chunk", [
+        (range(9), [2, 1, 3, 1, 2], 64), ((0, 3, 7), [1, 1, 1], 32),
+        ((0,), [1], 16)], ids=["9-regions", "3-regions", "1-region"])
+
+    @_CODER_PICKS
+    def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch,
+                                                         picks, sizes, chunk):
         mm = measure_module
         monkeypatch.setattr(mm, "_BLOCK", 500)
         monkeypatch.setattr(mm, "_CHUNK", 64)
         dim = 3
-        regions = self._coder_regions(dim, 1)
+        regions = [self._coder_regions(dim, 1)[i] for i in picks]
         mc = MCConfig(seed=9, samples=1200)
         got = [region_histogram(est).counts
                for est in RoundMeasure(dim, monte_carlo=True).eval_many(
                    regions, mc)]
-        assert [len(c) for c in got] == [8, 8, 2, 2, 2, 2, 2, 4, 4]
-        sizes = [g.count for g in mm._plane_groups(
-            [r.normals for r in regions])]
-        assert sizes == [2, 1, 3, 1, 2]
+        assert [len(c) for c in got] == [
+            [8, 8, 2, 2, 2, 2, 2, 4, 4][i] for i in picks]
+        assert mm._layout(len(regions))[0] == chunk
+        assert [g.count for g in mm._plane_groups(
+            [r.normals for r in regions], chunk)] == sizes
         want = self._plane_by_plane_counts(regions, mc, map(len, got))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        assert 0 < want[3][1] < mc.samples   # the wide region is hit
+        for i, w in zip(picks, want):
+            if i == 3:
+                assert 0 < w[1] < mc.samples   # the wide region is hit
 
+    @_CODER_PICKS
     def test_sign_coder_rereads_rows_beyond_the_fresh_row_cap(self,
-                                                             monkeypatch):
-        # blocks of 500 readings draw 128 fresh rows, two row chunks of
-        # 64: reading chunk c reads row chunk c mod 2 through its rotation;
-        # sample counts below, at and above _ROWS and _BLOCK
+                                                             monkeypatch,
+                                                             picks, sizes,
+                                                             chunk):
+        # blocks of 500 readings draw 128 / f fresh rows, two row chunks
+        # of 64 / f: reading chunk c reads row chunk c mod 2 through its
+        # rotation; sample counts below, at and above _ROWS and _BLOCK
         mm = measure_module
         monkeypatch.setattr(mm, "_BLOCK", 500)
         monkeypatch.setattr(mm, "_CHUNK", 64)
         monkeypatch.setattr(mm, "_ROWS", 128)
         dim = 3
-        regions = self._coder_regions(dim, 3)
+        regions = [self._coder_regions(dim, 3)[i] for i in picks]
         for samples in (100, 128, 161, 500, 501, 1200):
             mc = MCConfig(seed=11, samples=samples)
             got = [region_histogram(est).counts
@@ -251,7 +268,9 @@ class TestMonteCarlo:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             assert all(w.sum() == mc.samples for w in want)
-        assert 0 < want[3][1] < mc.samples   # the wide region is hit
+        for i, w in zip(picks, want):
+            if i == 3:
+                assert 0 < w[1] < mc.samples   # the wide region is hit
 
     def test_float32_sign_test_moves_few_counts(self):
         # a float32 product can flip only a reading within about 2.4e-7
@@ -275,11 +294,13 @@ class TestMonteCarlo:
     @staticmethod
     def _rotated_union_hits(measure, regions, mc):
         """The union's hits rebuilt region by region from the readings of
-        _region_histograms for one region: every chunk's rotation, with
-        reading chunk c read from fresh row chunk c mod (_ROWS / _CHUNK),
-        each normal turned in float64 and rounded to float32 times the
-        float32 rows, as the kernel tests signs."""
+        _region_histograms for one region, in its layout (_layout(1)):
+        every chunk's rotation, with reading chunk c read from fresh row
+        chunk c mod (_ROWS / _CHUNK), each normal turned in float64 and
+        rounded to float32 times the float32 rows, as the kernel tests
+        signs."""
         mm = measure_module
+        chunk, fresh_rows = mm._layout(1)
         sub = derive_mc(mc, mm._ROLE_UNION)
         width = getattr(measure, "basis", np.eye(4)).shape[0]
         normals = [measure._reduced_normals(r) for r in regions]
@@ -287,13 +308,13 @@ class TestMonteCarlo:
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
             size = min(mm._BLOCK, mc.samples - start)
             x = mm._gaussian_draw(width)(mm._rng(sub, mm._ROLE_BLOCK, b),
-                                         min(size, mm._ROWS))
-            chunks = range(0, size, mm._CHUNK)
+                                         min(size, fresh_rows))
+            chunks = range(0, size, chunk)
             q = mm._haar_rotations(mm._rng(sub, mm._ROLE_REGION, b),
                                    (len(chunks), 1), width)
             for c, row in enumerate(chunks):
-                fresh = c % (mm._ROWS // mm._CHUNK) * mm._CHUNK
-                rows = x[fresh:fresh + min(mm._CHUNK, size - row)]
+                fresh = c % (fresh_rows // chunk) * chunk
+                rows = x[fresh:fresh + min(chunk, size - row)]
                 hit = np.zeros(len(rows), dtype=bool)
                 for u in normals:
                     dots = rows @ (u @ q[c, 0]).astype(np.float32).T

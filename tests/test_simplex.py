@@ -3,6 +3,7 @@ import numpy as np
 from gbmeasure import (AtomicMeasure, MCConfig, ProjectiveMap, RoundMeasure,
                        angle, angles_by_cut_set, apply_map, k_value,
                        random_simplex, sgb_residual, simplex_from_vertices)
+from gbmeasure import measure as measure_module
 from gbmeasure.simplex import antipodal_inclusion_exclusion, cut_sets
 
 
@@ -142,6 +143,32 @@ class TestSharedSampleCalibration:
         m = RoundMeasure(3)
         self.assert_calibrated(lambda mc: k_value(s, m, mc))
 
+    def test_sampled_tables_have_gaussian_tails_in_short_chunks(
+            self, monkeypatch):
+        # the kernel's constants scaled down as in the octahedron's reread
+        # test: a table of one simplex samples one region, so blocks of
+        # 8192 readings draw 512 fresh rows in 32-row chunks and read each
+        # row 16 times, and chunk rows times reads per row stay 128 x 4.
+        # z-scores of three simplices' tables against their exact tables
+        monkeypatch.setattr(measure_module, "_CHUNK", 128)
+        monkeypatch.setattr(measure_module, "_ROWS", 2048)
+        monkeypatch.setattr(measure_module, "_BLOCK", 8192)
+        assert measure_module._layout(1) == (32, 512)
+        rng = np.random.default_rng(23)
+        sampled = RoundMeasure(2, monte_carlo=True)
+        z = []
+        for s in [random_simplex(2, rng) for _ in range(3)]:
+            exact = angles_by_cut_set([s], RoundMeasure(2))[0]
+            assert all(est.exact for est in exact.values())
+            for seed in range(200):
+                table = angles_by_cut_set(
+                    [s], sampled, MCConfig(seed=seed, samples=20_000))[0]
+                z += [(est.value - exact[cut].value) / est.std_error
+                      for cut, est in table.items() if not est.exact]
+        z = np.array(z)
+        assert len(z) == 3 * 200 * 7
+        assert np.mean(z ** 4) / np.mean(z ** 2) ** 2 <= 3.25
+        assert 0.85 <= np.std(z) <= 1.15
 
     def test_sample_identity_is_exact_without_spread(self):
         # an arc so short that hardly any sample lands in it or in its

@@ -22,12 +22,17 @@ round-mc, whose 936 charts make a sampled union of 2096 bitwise distinct
 normals merged into 97 planes (it exits 2, naming the union's mass: the
 charts of a torus carry round mass), s1-polygon --m 40 under round-mc
 (55 into 20) and rp2-icosahedral --orbit-depth 1 under round-mc (15
-planes); then the exact checks of t2-grid --k 24 and klein-grid --k 24
-under their own measure, whose 1152 tops and 1728 pairings load at size;
-then pullback of degrees 1-3 with the default covering and with two
-explicit ones, all with JSON output.  Each tree runs in one
-subprocess that writes no bytecode, with GBM_THREADS=1 so that a tree old
-enough to read it runs its Monte Carlo kernel sequentially too.  The
+planes); then, still at 300000 samples, the angle tables of s1-polygon
+--m 3 and --m 4 under round-mc, whose 3 and 4 sampled tops read the
+half-size chunks of a call of 3-4 regions over several blocks, and
+check t2-grid --k 2 under round-mc, whose 8 tops read the full-size
+chunks of 5 or more regions; then the exact checks of t2-grid --k 24 and
+klein-grid --k 24 under their own measure, whose 1152 tops and 1728
+pairings load at size; then pullback of degrees 1-3 with the default
+covering and with two explicit ones, all with JSON output.  Each tree
+runs in one subprocess that writes no bytecode, with GBM_THREADS=1 so
+that a tree old enough to read it runs its Monte Carlo kernel
+sequentially too.  The
 script prints how many invocations are byte-identical, each differing
 invocation with the top-level report keys that differ and the largest
 |delta value| / std_error over the estimates (objects with "value" and
@@ -119,6 +124,10 @@ def battery():
             ["s1-polygon", "--m", "40", "--measure", "round-mc"],
             ["rp2-icosahedral", "--measure", "round-mc", "--orbit-depth",
              "1"])]
+        runs += [head + ["angles", "s1-polygon", "--m", m, "--measure",
+                         "round-mc"] for m in ("3", "4")]
+        runs += [head + ["check", "t2-grid", "--k", "2", "--measure",
+                         "round-mc"]]
     runs += [["--format", "json", "check", doc, "--k", "24"]
              for doc in ("t2-grid", "klein-grid")]
     for degree in (1, 2, 3):
