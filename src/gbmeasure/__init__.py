@@ -30,8 +30,8 @@ from .geom import (Hyperplane, ProjectiveMap, Region, SphericalSimplex,
 from .measure import (AtomicMeasure, FiniteOrbitMeasure, MCConfig,
                       MeasureEstimate, MeasureSpec, Mixture,
                       RestrictedNormalized, RoundMeasure, SubsphereUniform,
-                      average_over_group, check_invariance, combine_estimates,
-                      derive_mc, finite_orbit_measure, measure_from_spec)
+                      average_over_group, check_invariance, derive_mc,
+                      finite_orbit_measure, measure_from_spec)
 from .simplex import angle, angles_by_cut_set, k_value, sgb_residual
 from .triangulation import (GBReport, GeometricTriangulation, angle_table,
                             defect_sums, dichotomy_check, euler_combinatorial,

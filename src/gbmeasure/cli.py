@@ -34,7 +34,7 @@ from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, default_covering,
                        equivariance_check, induce_quotient, pullback)
-from .simplex import angles_by_cut_set, k_value, sgb_residual
+from .simplex import angle_estimates, k_value, sgb_residual
 from .triangulation import dichotomy_check, gb_report, load
 from . import triangulation as _tri
 from ._util import is_integer, numeric_array
@@ -207,9 +207,9 @@ def cmd_sgb(args):
     else:
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
-    table = angles_by_cut_set([simplex], measure, args.mc)[0]
+    table = angle_estimates([simplex], measure, args.mc)
     k = k_value(simplex, measure, args.mc, table=table)
-    residual = sgb_residual(simplex, measure, args.mc, table=table, k=k)
+    residual = sgb_residual(simplex, measure, args.mc, table=table)
     return {"dim": simplex.dim, "k": _fields(k),
             "residual": _fields(residual),
             "passed": residual.is_zero(args.tolerance)}

@@ -2,9 +2,10 @@
 
 Every measure here is antipodally invariant with total mass 2, so it is the
 spherical lift of a probability measure on projective space.  Evaluation
-returns a MeasureEstimate: exact values carry std_error 0 and samples 0,
-Monte Carlo values carry the estimated standard error of the mean, the
-sample count and the sample histogram they were read from.
+returns Estimates, a batch of MeasureEstimate records: exact values carry
+std_error 0 and samples 0, Monte Carlo values the standard error of the
+mean and the sample count, and the batch the sample histograms they were
+read from, so that linear maps of it keep their shared samples.
 
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
 per-block derived seeds and counts each sample's sign code against a
@@ -15,8 +16,7 @@ signs, a wider one by a code per sample and a bincount; both give the
 same integers.  Every measure answers eval_many as one batch: a round or
 subsphere measure draws once for all its sampled regions (see
 _region_masses), a mixture asks each component once, a restriction asks
-its base once, and estimates read from one histogram carry their shared
-samples into the error bar.  A call sampling G regions (1 for a union)
+its base once.  A call sampling G regions (1 for a union)
 reads chunks of _CHUNK / f rows, f the largest of 4, 2 and 1 with
 f G <= 8 (_layout): a block of readings draws at most _ROWS / f fresh
 rows and reads each of them up to f _BLOCK / _ROWS times, each time
@@ -42,7 +42,7 @@ plane (gamma_3, Higham 2002, section 3.1), a bias of the draw's order.
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,62 +89,16 @@ def derive_mc(mc, *key):
 
 @dataclass(frozen=True, slots=True)
 class MeasureEstimate:
-    """A measure value with its statistical error.
-
-    Exact evaluations have std_error 0, samples 0 and no parts.  A Monte
-    Carlo estimate is offset plus the mean of a per-sample function: parts
-    pairs every sample source it reads (a SignHistogram, shared by all
-    estimates read from it) with the function's per-code coefficients,
-    offset is the exact constant no source carries, std_error is the
-    standard error of that mean and samples counts each source once.  An
-    estimate given only by value and error gets a source of its own.
-
-    Estimates form a small algebra: `a + b` and `a - b` add coefficients
-    over shared sources.  When the operands share no source, values add
-    with plain float arithmetic and errors in quadrature; when they do,
-    value and error are recomputed from the merged coefficients, so a
-    per-sample identity (an alternating sum of the angles read from one
-    histogram, say) comes out exactly.  `c * a` and `a / m` scale by a
-    number.  Exact operands give exact results.
-    """
+    """A measure value with its statistical error: std_error 0 and samples
+    0 when exact, else the standard error of a Monte Carlo mean and the
+    number of samples it read (see Estimates)."""
     value: float
     std_error: float = 0.0
     samples: int = 0
-    parts: tuple = field(default=(), compare=False, repr=False)
-    offset: float = field(default=0.0, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.parts:
-            return
-        if self.exact:
-            object.__setattr__(self, "offset", self.value)
-        else:
-            object.__setattr__(self, "parts", ((_Unshared(self), 1.0),))
 
     @property
     def exact(self):
         return self.samples == 0 and self.std_error == 0.0
-
-    def scaled(self, c):
-        parts = tuple((src, c * coef) for src, coef in self.parts)
-        return MeasureEstimate(c * self.value, abs(c) * self.std_error,
-                               self.samples, parts, c * self.offset)
-
-    __mul__ = __rmul__ = scaled
-
-    def __truediv__(self, m):
-        parts = tuple((src, coef / m) for src, coef in self.parts)
-        return MeasureEstimate(self.value / m, self.std_error / abs(m),
-                               self.samples, parts, self.offset / m)
-
-    def __add__(self, other):
-        return _combined(self.value + other.value, ((1.0, self), (1.0, other)),
-                         math.hypot(self.std_error, other.std_error))
-
-    def __sub__(self, other):
-        return _combined(self.value - other.value,
-                         ((1.0, self), (-1.0, other)),
-                         math.hypot(self.std_error, other.std_error))
 
     def is_zero(self, tol):
         """|value| <= tol when exact, else within Z_LIMIT standard errors."""
@@ -161,111 +115,201 @@ class SignHistogram:
     _region_histograms: a popcount tree over packed signs for at most
     _TREE_BITS planes, a bincount of codes above.  A region of more than
     _CODE_BITS planes uses the one-bit code "inside"; a union's estimate is
-    the two-bin histogram of its misses and hits (see _union_histogram).
+    the two-bin histogram of its misses and hits (see _union_histogram),
+    and an estimate known only by value and error reads two equal counts
+    that count its samples (see Estimates.measured).
     """
 
-    __slots__ = ("counts", "samples", "bits")
+    __slots__ = ("counts", "samples")
 
     def __init__(self, counts):
         self.counts = counts
         self.samples = int(counts.sum())
-        self.bits = len(counts).bit_length() - 1
-
-    def mass(self, mask):
-        """Estimate of twice the share of samples with every bit of mask."""
-        inside = (np.arange(len(self.counts)) & mask) == mask
-        n = self.samples
-        p = int(self.counts[inside].sum()) / n
-        sd = math.sqrt(p * (1.0 - p) * n / (n - 1)) if n > 1 else 0.0
-        return MeasureEstimate(2.0 * p, 2.0 * sd / math.sqrt(n), n,
-                               ((self, 2.0 * inside),))
-
-    def mean(self, coef):
-        """Sample mean of coef[code]."""
-        return float(self.counts @ coef) / self.samples
-
-    def variance(self, coef):
-        """Squared standard error of the sample mean of coef[code]."""
-        n = self.samples
-        if n <= 1:
-            return 0.0
-        return (float(self.counts @ (coef - self.mean(coef)) ** 2)
-                / ((n - 1) * n))
 
 
-class _Unshared:
-    """The samples of an estimate known only by its value and error."""
-
-    __slots__ = ("value", "std_error", "samples")
-
-    def __init__(self, est):
-        self.value = est.value
-        self.std_error = est.std_error
-        self.samples = est.samples
-
-    def mean(self, coef):
-        return coef * self.value
-
-    def variance(self, coef):
-        return (coef * self.std_error) ** 2
+def _runs(keys):
+    """Whether each key starts a run of equal consecutive keys."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
 
 
-def region_histogram(est):
-    """The SignHistogram est reads as the mass of its whole region, or None.
+class IndexMap:
+    """The linear map out[o] = sum of scale * x[i] over its triples
+    (o, i, scale) into size entries, added in triple order from 0, of
+    Estimates or of a vector of floats or Fractions (an object array)."""
 
-    A Monte Carlo region mass of the round or subsphere measure is such a
-    reading; sums, mixtures of sampled components, ratios and exact values
-    are not.
+    __slots__ = ("size", "out", "into", "scale")
+
+    def __init__(self, size, out, into, scale):
+        self.size = size
+        self.out = np.asarray(out, dtype=np.intp)
+        self.into = np.asarray(into, dtype=np.intp)
+        self.scale = np.full(self.out.shape, scale)
+
+    def __call__(self, x):
+        if isinstance(x, Estimates):
+            return x.mapped(self)
+        y = np.zeros(self.size, dtype=x.dtype)
+        np.add.at(y, self.out, self.scale * x[self.into])
+        return y
+
+
+class Estimates:
+    """A batch of estimates, a sequence of MeasureEstimate records, each an
+    exact offset plus the mean of a per-sample function linear in the codes
+    of its sources, SignHistograms laid end to end: the triples (rows,
+    cols, coef), sorted by row and code with no (row, code) twice, give
+    estimate rows[e] the coefficient coef[e] on code cols[e].
+
+    An estimate without coefficients is exact.  Any other adds to its
+    offset the exactly rounded sum, over the sources it reads, of the
+    sample mean of its coefficients; its squared error sums their centered
+    quadratic forms over the counts, and its samples count each source
+    once.  So a per-sample identity, whose coefficients cancel code by
+    code, is exactly 0 +- 0.  IndexMaps, sums, subtraction of or from a
+    number and division by a number per estimate act on whole batches.
+    histograms[i] is the SignHistogram whose whole-region mass estimate i
+    reads, or None.
     """
-    if len(est.parts) != 1:
-        return None
-    src, coef = est.parts[0]
-    if not isinstance(src, SignHistogram):
-        return None
-    full = np.arange(len(coef)) == len(coef) - 1
-    return src if np.array_equal(coef, 2.0 * full) else None
 
+    __array_ufunc__ = None      # an ndarray operand defers to the batch
 
-def _combined(value, terms, independent_error):
-    """The estimate sum(c * est) over (c, est) terms.
+    def __init__(self, offset, rows=(), cols=(), coef=(), sources=(),
+                 histograms=None):
+        self.offset = np.asarray(offset, dtype=float)
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.coef = np.asarray(coef, dtype=float)
+        self.sources = sources      # shared by the batches mapped from it
+        self.histograms = histograms or (None,) * len(self.offset)
+        self._records = None
 
-    value and independent_error are its value and standard error when the
-    terms share no source.
-    """
-    merged = {}
-    shared = False
-    offset = 0.0
-    for c, est in terms:
-        offset += c * est.offset
-        for src, coef in est.parts:
-            if c != 1.0:
-                coef = c * coef
-            if src in merged:
-                shared = True
-                coef = merged[src] + coef
-            merged[src] = coef
-    if not merged:
-        return MeasureEstimate(value, independent_error)
-    err = independent_error
-    if shared:
-        value = offset + math.fsum(src.mean(coef)
-                                   for src, coef in merged.items())
-        err = math.sqrt(math.fsum(src.variance(coef)
-                                  for src, coef in merged.items()))
-    return MeasureEstimate(value, err, sum(src.samples for src in merged),
-                           tuple(merged.items()), offset)
+    @classmethod
+    def masses(cls, offset, rows, hists):
+        """offset, except that estimate rows[j] reads hists[j]: twice the
+        share of its last code, the mass of its whole region."""
+        read = dict(zip(rows, hists))
+        return cls(offset, rows, np.cumsum([len(h.counts) for h in hists]) - 1,
+                   [2.0] * len(rows), list(hists),
+                   [read.get(i) for i in range(len(offset))])
 
+    @classmethod
+    def measured(cls, records):
+        """The MeasureEstimate records: each inexact one's value is its
+        offset, and its error a source of its own, two equal counts at
+        -std_error and +std_error (mean 0, variance std_error^2) that count
+        the record's samples."""
+        rows = [i for i, r in enumerate(records) if not r.exact]
+        sources = [SignHistogram(np.ones(2, dtype=int)) for _ in rows]
+        for i, source in zip(rows, sources):
+            source.samples = records[i].samples
+        return cls([r.value for r in records], np.repeat(rows, 2),
+                   range(2 * len(rows)), [x for i in rows for x in (
+                       -records[i].std_error, records[i].std_error)], sources)
 
-def combine_estimates(terms):
-    """Linear combination sum(c * est), value summed with exact rounding.
+    def shares(self, entries, masks):
+        """Entry after entry, mask after mask, the share of the samples of
+        the entry's whole-region histogram (all of one size) whose codes
+        have every bit of the mask."""
+        size = len(self.histograms[entries[0]].counts) if entries else 0
+        masks = np.array(masks)[:, None]
+        mask, code = np.nonzero((np.arange(size) & masks) == masks)
+        first = self.cols[np.searchsorted(self.rows, entries)] + 1 - size
+        rows = np.arange(len(entries))[:, None] * len(masks) + mask
+        return Estimates(np.zeros(len(entries) * len(masks)), rows.ravel(),
+                         (first[:, None] + code).ravel(), np.ones(rows.size),
+                         self.sources)
 
-    The error adds in quadrature over terms that share no source (the
-    seeds of distinct regions are derived apart) and is exact otherwise.
-    """
-    terms = list(terms)
-    value = math.fsum(c * e.value for c, e in terms)
-    err = math.sqrt(math.fsum((c * e.std_error) ** 2 for c, e in terms))
-    return _combined(value, terms, err)
+    @classmethod
+    def stack(cls, batches):
+        """The batches one after another; batches of one sources list read
+        its codes together, and no source lies in two lists."""
+        width, shift, sources = 0, {}, []
+        for batch in batches:
+            if id(batch.sources) not in shift:
+                shift[id(batch.sources)] = width
+                width += sum(len(s.counts) for s in batch.sources)
+                sources += batch.sources
+        first = np.cumsum([0] + [len(batch) for batch in batches])
+        return cls(*(np.concatenate([[]] + parts) for parts in (
+            [batch.offset for batch in batches],
+            [batch.rows + f for batch, f in zip(batches, first)],
+            [batch.cols + shift[id(batch.sources)] for batch in batches],
+            [batch.coef for batch in batches])), sources)
+
+    def mapped(self, index_map, fsum=False):
+        """index_map of the batch: offsets added in its triple order, or
+        with fsum exactly rounded; coefficients composed, and merged per
+        (row, code) in triple order."""
+        m = index_map
+        offset = m(self.offset)
+        if fsum:
+            terms = [[] for _ in range(m.size)]
+            for o, x in zip(m.out.tolist(),
+                            (m.scale * self.offset[m.into]).tolist()):
+                terms[o].append(x)
+            offset = [math.fsum(t) for t in terms]
+        ptr = np.searchsorted(self.rows, np.arange(len(self) + 1))
+        lo, count = ptr[m.into], ptr[m.into + 1] - ptr[m.into]
+        term = np.repeat(np.arange(len(m.into)), count)
+        entry = np.arange(len(term)) + np.repeat(lo - np.cumsum(count)
+                                                 + count, count)
+        width = int(self.cols.max(initial=0)) + 1
+        key = m.out[term] * width + self.cols[entry]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = _runs(key)
+        return Estimates(offset, key[new] // width, key[new] % width,
+                         np.bincount(np.cumsum(new) - 1, (
+                             m.scale[term] * self.coef[entry])[order]),
+                         self.sources)
+
+    def __add__(self, other):
+        size = len(self)
+        return Estimates.stack([self, other]).mapped(IndexMap(
+            size, np.tile(np.arange(size), 2), np.arange(2 * size), 1))
+
+    def __sub__(self, number):
+        return Estimates(self.offset - number, self.rows, self.cols,
+                         self.coef, self.sources)
+
+    def __rsub__(self, number):
+        return Estimates(number - self.offset, self.rows, self.cols,
+                         -self.coef, self.sources)
+
+    def __truediv__(self, divisors):
+        return Estimates(self.offset / divisors, self.rows, self.cols,
+                         self.coef / divisors[self.rows], self.sources)
+
+    def __len__(self):
+        return len(self.offset)
+
+    def __getitem__(self, i):
+        """The record or records at i, all computed at the first call."""
+        if self._records is None:
+            size, coef, src = len(self), self.coef, self.sources
+            of = np.repeat(np.arange(len(src)), np.array(
+                [len(s.counts) for s in src], int))[self.cols]
+            counts = np.concatenate([[]] + [s.counts for s in src])[self.cols]
+            new = _runs(self.rows * len(src) + of)      # a (row, source) pair
+            pair, row, of = np.cumsum(new) - 1, self.rows[new], of[new]
+            n = np.array([s.counts.sum() for s in src], dtype=int)[of]
+            mean = np.bincount(pair, coef * counts) / n
+            dev = coef - mean[pair]
+            var = (np.bincount(pair, counts * dev * dev) + (
+                n - np.bincount(pair, counts)) * mean * mean) / np.maximum(
+                    (n - 1) * n, 1)
+            # the offset plus the exactly rounded sum of the source means
+            value, means = self.offset.copy(), mean.tolist()
+            first = np.flatnonzero(_runs(row))
+            value[row[first]] += [math.fsum(means[a:b]) for a, b in zip(
+                first.tolist(), first[1:].tolist() + [len(means)])]
+            samples = np.array([s.samples for s in src], dtype=int)[of]
+            self._records = [MeasureEstimate(*r) for r in zip(
+                value.tolist(), np.sqrt(np.bincount(row, var, size)).tolist(),
+                np.bincount(row, samples, size).astype(int).tolist())]
+        return self._records[i]
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +763,11 @@ def _region_masses(normal_sets, exact_value, width, mc):
     """
     mc = mc or MCConfig()
     values = [exact_value(normals) for normals in normal_sets]
-    out = [None if v is None else MeasureEstimate(float(v)) for v in values]
     sampled = [i for i, v in enumerate(values) if v is None]
-    if sampled:
-        hists = _region_histograms([normal_sets[i] for i in sampled],
-                                   width, mc)
-        for i, hist in zip(sampled, hists):
-            out[i] = hist.mass((1 << hist.bits) - 1)
-    return out
+    hists = (_region_histograms([normal_sets[i] for i in sampled], width, mc)
+             if sampled else [])
+    return Estimates.masses([0.0 if v is None else float(v) for v in values],
+                            sampled, hists)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +814,7 @@ class MeasureSpec(ABC):
         return self.eval_many([region], mc)[0]
 
     def eval_many(self, regions, mc=None):
-        """Measures of several Regions, as a list in input order.
+        """Measures of several Regions, as Estimates in input order.
 
         A pure function of (regions, mc), answered as one batch: a sampled
         round or subsphere measure draws once for all regions, a mixture
@@ -807,11 +848,11 @@ class MeasureSpec(ABC):
 
     def union_mass(self, regions, mc=None):
         """Mass of the union of the regions and their antipodal images."""
-        return self._union_mass(self._checked(regions), mc)
+        return self._union_mass(self._checked(regions), mc)[0]
 
     @abstractmethod
     def _union_mass(self, regions, mc):
-        ...
+        """The union mass as Estimates of one."""
 
     def _subspace_mass(self, basis, region):
         """Mass on {[V] intersect region}, or on all of [V] for region
@@ -840,9 +881,9 @@ class _UniformMeasure(MeasureSpec):
         normal_sets = [self._reduced_normals(r) for r in regions]
         live = [u for u in normal_sets if self._exact_value(u) != 0.0]
         if normal_sets and not live:
-            return MeasureEstimate(0.0)
-        return _union_histogram(live, self._width,
-                                derive_mc(mc, _ROLE_UNION)).mass(1)
+            return Estimates([0.0])
+        return Estimates.masses([0.0], [0], [_union_histogram(
+            live, self._width, derive_mc(mc, _ROLE_UNION))])
 
     def _subspace_mass(self, basis, region):
         support = (self.support_subspaces() or [np.eye(self._width)])[0]
@@ -966,9 +1007,9 @@ class AtomicMeasure(MeasureSpec):
 
     def _eval_many(self, regions, mc):
         # fsum is exactly rounded, so the value does not depend on atom order
-        return [MeasureEstimate(math.fsum(
-            self._weights[_atoms_inside(self._points, region)]))
-                for region in regions]
+        return Estimates([math.fsum(
+            self._weights[_atoms_inside(self._points, region)])
+                          for region in regions])
 
     def _union_mass(self, regions, mc):
         covered = np.zeros(len(self._points), dtype=bool)
@@ -991,7 +1032,7 @@ class AtomicMeasure(MeasureSpec):
                 "chart; perturb the configuration" %
                 np.array2string(self._points[i], precision=6),
                 atom=self._points[i], normal=r.normals[np.abs(dots).argmin()])
-        return MeasureEstimate(math.fsum(self._weights[covered]))
+        return Estimates([math.fsum(self._weights[covered])])
 
     def _subspace_mass(self, basis, region):
         in_v = _span_distance(self._points, basis, axis=1) <= ATOM_TOL
@@ -1107,18 +1148,22 @@ class Mixture(MeasureSpec):
     def components(self):
         return self._components
 
+    def _mixed(self, evaluate, mc):
+        """sum(c_i * evaluate(lambda_i, mc_i)), each value exactly rounded;
+        component i reads the seed derived for it from mc."""
+        parts = [evaluate(m, derive_mc(mc, _ROLE_COMPONENT, i))
+                 for i, (_, m) in enumerate(self._components)]
+        size = len(parts[0])
+        return Estimates.stack(parts).mapped(IndexMap(
+            size, np.tile(np.arange(size), len(parts)),
+            np.arange(size * len(parts)),
+            np.repeat([c for c, _ in self._components], size)), fsum=True)
+
     def _eval_many(self, regions, mc):
-        weights = [c for c, _ in self._components]
-        per_component = [m.eval_many(regions,
-                                     derive_mc(mc, _ROLE_COMPONENT, i))
-                         for i, (_, m) in enumerate(self._components)]
-        return [combine_estimates(zip(weights, ests))
-                for ests in zip(*per_component)]
+        return self._mixed(lambda m, mc: m.eval_many(regions, mc), mc)
 
     def _union_mass(self, regions, mc):
-        terms = [(c, m.union_mass(regions, derive_mc(mc, _ROLE_COMPONENT, i)))
-                 for i, (c, m) in enumerate(self._components)]
-        return combine_estimates(terms)
+        return self._mixed(lambda m, mc: m._union_mass(regions, mc), mc)
 
     def _subspace_mass(self, basis, region):
         return math.fsum(c * m._subspace_mass(basis, region)
@@ -1162,8 +1207,8 @@ class RestrictedNormalized(MeasureSpec):
             den = self._base._subspace_mass(self._subspace, None)
             if den <= 0.0:
                 raise UnsupportedMeasure("restriction subsphere has no mass")
-            return [MeasureEstimate(2.0 * self._base._subspace_mass(
-                self._subspace, region) / den) for region in regions]
+            return Estimates([2.0 * self._base._subspace_mass(
+                self._subspace, region) / den for region in regions])
         # every region reads A and -A afresh, so no two ratios share a
         # denominator that the estimate algebra could not see
         a, neg_a = self._region, self._region.antipodal()
@@ -1171,10 +1216,10 @@ class RestrictedNormalized(MeasureSpec):
             [q for r in regions
              for q in (r.intersect(a), r.intersect(neg_a), a, neg_a)],
             derive_mc(mc, _ROLE_RESTRICT))
+        pairs = ests.mapped(IndexMap(
+            len(ests) // 2, np.arange(len(ests)) // 2, range(len(ests)), 1))
         out = []
-        for i in range(0, len(ests), 4):
-            num, den = (combine_estimates([(1.0, e) for e in ests[j:j + 2]])
-                        for j in (i, i + 2))
+        for num, den in zip(pairs[0::2], pairs[1::2]):
             if den.value <= 0.0:
                 raise UnsupportedMeasure("restriction region has no mass")
             value = 2.0 * num.value / den.value
@@ -1186,7 +1231,7 @@ class RestrictedNormalized(MeasureSpec):
             err = (abs(value) * math.sqrt(rel)
                    if not (num.exact and den.exact) else 0.0)
             out.append(MeasureEstimate(value, err, num.samples + den.samples))
-        return out
+        return Estimates.measured(out)
 
     def support_subspaces(self):
         subs = self._base.support_subspaces()
@@ -1212,7 +1257,7 @@ class RestrictedNormalized(MeasureSpec):
             a, neg_a = self._region, self._region.antipodal()
             den = base.eval(a).value + base.eval(neg_a).value
             regions = [r.intersect(b) for b in (a, neg_a) for r in regions]
-        return MeasureEstimate(2.0 * base.union_mass(regions).value / den)
+        return Estimates([2.0 * base.union_mass(regions).value / den])
 
     def __repr__(self):
         what = "region" if self._region is not None else "subsphere"
@@ -1349,16 +1394,16 @@ def check_invariance(measure, generators, trial_regions, mc=None,
                 err.face = ("region", ridx)
                 raise err from None
         raise
-    step = len(gens) + 1
-    entries = []
-    for ridx in range(len(images)):
-        base, *others = ests[ridx * step:(ridx + 1) * step]
-        for gidx, other in enumerate(others):
-            diff = base - other
-            entries.append(InvarianceEntry(ridx, gidx, base.value,
-                                           other.value, diff.std_error,
-                                           abs(diff.value),
-                                           diff.is_zero(exact_tol)))
+    pairs = [(ridx, gidx, ridx * (len(gens) + 1))
+             for ridx in range(len(images)) for gidx in range(len(gens))]
+    diffs = ests.mapped(IndexMap(
+        len(pairs), np.arange(2 * len(pairs)) // 2,
+        [i for _, gidx, base in pairs for i in (base, base + 1 + gidx)],
+        np.tile([1, -1], len(pairs))))
+    entries = [InvarianceEntry(ridx, gidx, ests[base].value,
+                               ests[base + 1 + gidx].value, diff.std_error,
+                               abs(diff.value), diff.is_zero(exact_tol))
+               for (ridx, gidx, base), diff in zip(pairs, diffs)]
     max_disc = max((e.discrepancy for e in entries), default=0.0)
     return InvarianceReport(tuple(entries), max_disc,
                             all(e.passed for e in entries))

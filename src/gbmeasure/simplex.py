@@ -13,8 +13,7 @@ import math
 from itertools import combinations
 
 from .geom import face_region
-from .measure import (MeasureEstimate, combine_estimates, derive_mc,
-                      region_histogram)
+from .measure import Estimates, IndexMap, MeasureEstimate, derive_mc
 
 _ROLE_CUTSET = 10
 _ROLE_SIMPLEX = 11
@@ -38,46 +37,71 @@ def angle(simplex, cut_set, measure, mc=None):
     """Half the measure of the region cut out by the planes in cut_set."""
     cut = tuple(sorted(int(i) for i in cut_set))
     region = face_region(simplex, cut)
-    return measure.eval(region, derive_mc(mc, _ROLE_CUTSET,
-                                          _cut_mask(cut))).scaled(0.5)
+    mass = measure.eval(region, derive_mc(mc, _ROLE_CUTSET, _cut_mask(cut)))
+    return MeasureEstimate(0.5 * mass.value, 0.5 * mass.std_error,
+                           mass.samples)
 
 
-def angles_by_cut_set(simplices, measure, mc=None):
-    """Angles of several simplices: one dict per simplex, keyed by cut set
-    in cut_sets order, each angle a halved MeasureEstimate.
+def angle_estimates(simplices, measure, mc=None):
+    """The angles of simplices of one dimension n as one batch of
+    Estimates: simplex after simplex, each its 2^(n+1) cut sets in
+    cut_sets order.
 
     The full cut sets, whose angles are the halved simplex masses, come
     first, from one measure.eval_many call, so a sampled measure draws once
     for all simplices.  When a simplex's full-cut estimate is a Monte Carlo
     reading of a sign-code histogram against its n+1 planes, every other
-    cut set is a superset sum over the same histogram, so the entries share
-    samples (and say so in their parts); the empty cut set is the exact
-    angle 1.  The cut sets of every other simplex go to a second
-    eval_many call, all of them at once, with a seed derived from mc.
+    cut set is a superset share of the same histogram, so the entries
+    share its samples; the empty cut set is the exact angle 1.  The cut
+    sets of every other simplex go to a second eval_many call, all of them
+    at once, with a seed derived from mc.
     """
+    n = simplices[0].dim if len(simplices) else 0
+    if any(s.dim != n for s in simplices):
+        raise ValueError("angle tables need simplices of one dimension")
+    cuts = list(cut_sets(n))
+    masses = measure.eval_many([face_region(s, cuts[-1]) for s in simplices],
+                               mc)
+    size = len(cuts)
+    read = [i for i, h in enumerate(masses.histograms)
+            if h is not None and len(h.counts) == size]
+    pending = sorted(set(range(len(simplices))) - set(read))
+    rest = (measure.eval_many([face_region(simplices[i], cut)
+                               for i in pending for cut in cuts[:-1]],
+                              derive_mc(mc, _ROLE_SIMPLEX))
+            if pending else Estimates([]))
+    shares = masses.shares(read, [_cut_mask(cut) for cut in cuts[1:]])
+    one = len(simplices)    # the stack: the masses, 1, the shares, the rest
+    terms = ([(i * size, one, 1.0) for i in read]
+             + [(i * size + j, one + u * (size - 1) + j, 1.0)
+                for u, i in enumerate(read) for j in range(1, size)]
+             + [(i * size + j, one + 1 + len(shares) + q * (size - 1) + j, 0.5)
+                for q, i in enumerate(pending) for j in range(size - 1)]
+             + [(i * size + size - 1, i, 0.5) for i in pending])
+    return Estimates.stack([masses, Estimates([1.0]), shares, rest]).mapped(
+        IndexMap(one * size, *(zip(*terms) if terms else [()] * 3)))
+
+
+def angles_by_cut_set(simplices, measure, mc=None):
+    """Angles of several simplices of one dimension: one dict per simplex,
+    keyed by cut set in cut_sets order, of its halved MeasureEstimates
+    (see angle_estimates)."""
     simplices = list(simplices)
-    masses = measure.eval_many([face_region(s, tuple(range(s.dim + 1)))
-                                for s in simplices], mc)
-    tables, pending = [], []
-    for i, (simplex, mass) in enumerate(zip(simplices, masses)):
-        n = simplex.dim
-        hist = region_histogram(mass)
-        if hist is not None and hist.bits == n + 1:
-            tables.append({cut: hist.mass(_cut_mask(cut)).scaled(0.5) if cut
-                           else MeasureEstimate(1.0)
-                           for cut in cut_sets(n, n)})
-        else:
-            tables.append({})
-            pending += [(i, cut) for cut in cut_sets(n, n)]
-    if pending:
-        ests = measure.eval_many([face_region(simplices[i], cut)
-                                  for i, cut in pending],
-                                 derive_mc(mc, _ROLE_SIMPLEX))
-        for (i, cut), est in zip(pending, ests):
-            tables[i][cut] = est.scaled(0.5)
-    for simplex, mass, table in zip(simplices, masses, tables):
-        table[tuple(range(simplex.dim + 1))] = mass.scaled(0.5)
-    return tables
+    cuts = list(cut_sets(simplices[0].dim if simplices else 0))
+    batch = angle_estimates(simplices, measure, mc)
+    return [dict(zip(cuts, batch[i:i + len(cuts)]))
+            for i in range(0, len(batch), len(cuts))]
+
+
+def k_map(n, tops, stride):
+    """The IndexMap of k, top after top, from tables of stride angles per
+    top in cut_sets order: (-1)^(n - |T|) times the angle of each cut set
+    T of size at most n, in cut-set order."""
+    cuts = list(cut_sets(n, n))
+    return IndexMap(tops, [t for t in range(tops) for _ in cuts],
+                    [t * stride + i for t in range(tops)
+                     for i in range(len(cuts))],
+                    [(-1) ** (n - len(cut)) for cut in cuts] * tops)
 
 
 def k_value(simplex, measure, mc=None, table=None):
@@ -87,34 +111,34 @@ def k_value(simplex, measure, mc=None, table=None):
     sets of size at most n contribute, including the simplex itself (empty
     cut set, angle = half the total mass).  Exactly 0 in odd dimension and
     the simplex mass in even dimension for antipodally invariant measures.
-    The angles are read from table, the simplex's angles_by_cut_set table
-    for (measure, mc), which is evaluated when not given.
+    The angles are read from table, the simplex's angle_estimates batch
+    for (measure, mc), which is evaluated when not given; the value is
+    exactly rounded.
     """
-    n = simplex.dim
     if table is None:
-        table = angles_by_cut_set([simplex], measure, mc)[0]
-    return combine_estimates([(-1.0 if (n - len(cut)) % 2 else 1.0,
-                               table[cut])
-                              for cut in cut_sets(n, n)])
+        table = angle_estimates([simplex], measure, mc)
+    return table.mapped(k_map(simplex.dim, 1, len(table)), fsum=True)[0]
 
 
-def sgb_residual(simplex, measure, mc=None, table=None, k=None):
+def sgb_residual(simplex, measure, mc=None, table=None):
     """Residual of the spherical angle-sum identity.
 
     2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
     within statistical error for Monte Carlo ones.  k and the simplex mass,
     twice the full cut set's angle, are both read from table, as in
-    k_value, so a sampled table's shared histogram cancels exactly; k, when
-    given, is k_value of that same table, and is summed from it otherwise.
+    k_value, so a sampled table's shared histogram cancels exactly.
     """
     n = simplex.dim
     if table is None:
-        table = angles_by_cut_set([simplex], measure, mc)[0]
-    if k is None:
-        k = k_value(simplex, measure, mc, table)
-    simplex_mass = table[tuple(range(n + 1))].scaled(2.0)
-    even_factor = 1.0 + (-1.0) ** n
-    return combine_estimates([(2.0, k), (-even_factor, simplex_mass)])
+        table = angle_estimates([simplex], measure, mc)
+    k, even = k_map(n, 1, len(table)), 1.0 + (-1.0) ** n
+    residual = table.mapped(IndexMap(
+        1, [0] * (len(k.out) + 1), [*k.into, len(table) - 1],
+        [*(2 * k.scale), -2.0 * even]))
+    # the offset of 2 k - even mass, each exactly rounded as in k_value
+    residual.offset[0] = math.fsum([2.0 * math.fsum(
+        k.scale * table.offset[k.into]), -2.0 * even * table.offset[-1]])
+    return residual[0]
 
 
 def antipodal_inclusion_exclusion(simplex, measure, mc=None):

@@ -31,10 +31,10 @@ from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
                      InconsistentDichotomy, NotAManifold, SchemaError,
                      SingularMatrix)
 from .geom import ProjectiveMap, apply_map, simplex_stack
-from .measure import FiniteOrbitMeasure, MeasureEstimate, combine_estimates
+from .measure import FiniteOrbitMeasure, IndexMap, MeasureEstimate
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
-from .simplex import angle, angles_by_cut_set, cut_sets  # noqa: F401
+from .simplex import angle, angle_estimates, cut_sets, k_map  # noqa: F401
 from ._util import (MATCH_TOL, PointIndex, all_integers, is_integer,
                     normalized, numeric_array, points_projectively_equal,
                     projective_closure, projective_gaps, scaled_flat)
@@ -358,40 +358,60 @@ def euler_combinatorial(tri):
     return sum((-1) ** r * len(tri.faces[r]) for r in range(tri.dim + 1))
 
 
+def _defect_algebra(face_lists, incidences, angles, one, stride):
+    """defect_sums of angles, stride per top in cut_sets order: a vector of
+    floats or Fractions (an object array) or Estimates, with sum(d) and
+    sum(k) before the residual."""
+    n = len(face_lists) - 1
+    counts = [len(faces) for faces in face_lists]
+    first = np.cumsum([0] + counts)
+    index = {cut: i for i, cut in enumerate(cut_sets(n, n))}
+    tops, cuts, dims, ids, _ = zip(*incidences) if incidences else [()] * 5
+    link = IndexMap(first[-1], first[list(dims)] + np.array(ids, np.intp),
+                    np.array(tops, np.intp) * stride
+                    + np.array([index[cut] for cut in cuts], np.intp), 1)
+    vertices = [t[0] for t in face_lists[0]]
+    vertex = np.full(max(vertices, default=-1) + 1, counts[0], np.intp)
+    vertex[vertices] = range(counts[0])
+    tuples = [np.array(faces, np.intp).reshape(-1, r + 1)
+              for r, faces in enumerate(face_lists)]
+    # per vertex of each face: the vertex, the face and (-1)^r
+    out, into, sign = zip(*[(vertex[t].ravel(),
+                             first[r] + np.arange(t.size) // (r + 1),
+                             np.full(t.size, (-1) ** r))
+                            for r, t in enumerate(tuples)])
+    defect = IndexMap(counts[0], np.concatenate(out), np.concatenate(into),
+                      np.concatenate(sign))
+    links, ks = link(angles), k_map(n, counts[n], stride)(angles)
+    defects = defect((one - links) / np.repeat(np.arange(1, n + 2), counts))
+    sum_d = IndexMap(1, [0] * counts[0], range(counts[0]), 1)(defects)
+    sum_k = IndexMap(1, [0] * counts[n], range(counts[n]), 1)(ks)
+    chi = sum((-1) ** r * c for r, c in enumerate(counts))
+    return (dict(zip([(r, i) for r, c in enumerate(counts) for i in range(c)],
+                     links)), dict(zip(vertices, defects)), list(ks), chi,
+            sum_d[0], sum_k[0], (sum_d + sum_k - chi * one)[0])
+
+
 def defect_sums(face_lists, incidences, angle_of, one=1.0):
     """Link sums, vertex defects and per-top alternating sums, generically.
 
-    angle_of(top, cut) may return floats, exact Fractions or
-    MeasureEstimates; one is the unit of the same kind.  Values are added
-    left to right in incidence, cut-set and face order.  The returned
-    residual sum(d) + sum(k) - chi is an algebraic identity in the table
-    and vanishes exactly in exact arithmetic for ANY table values, provided
-    every (top, cut) pair is assigned to exactly one face of the matching
-    dimension (which the incidence list encodes).
+    angle_of(top, cut) may return floats or exact Fractions; one is the
+    unit of the same kind.  Each output is an index map of the vector of
+    angles, built from the faces and incidences (gb_report applies the same
+    maps to its Estimates): S(face) adds the face's angles in incidence
+    order, k signs each top's angles in cut-set order, and d(v) adds
+    (-1)^r (one - S) / (r + 1) over the faces through v in dimension order.
+    The returned residual sum(d) + sum(k) - chi is an algebraic identity in
+    the table and vanishes exactly in exact arithmetic for ANY table
+    values, provided every (top, cut) pair is assigned to exactly one face
+    of the matching dimension (which the incidence list encodes).
     """
     n = len(face_lists) - 1
-    zero = one - one
-    link = {(r, i): zero
-            for r in range(n + 1) for i in range(len(face_lists[r]))}
-    for rec in incidences:
-        key = (rec.dim, rec.face)
-        link[key] = link[key] + angle_of(rec.top, rec.cut)
-    k = []
-    for t in range(len(face_lists[n])):
-        acc = zero
-        for cut in cut_sets(n, n):
-            term = angle_of(t, cut)
-            acc = acc + term if (n - len(cut)) % 2 == 0 else acc - term
-        k.append(acc)
-    defects = {tup[0]: zero for tup in face_lists[0]}
-    for r in range(n + 1):
-        for i, tup in enumerate(face_lists[r]):
-            share = (one - link[(r, i)]) / (r + 1)
-            for v in tup:
-                defects[v] = (defects[v] + share if r % 2 == 0
-                              else defects[v] - share)
-    chi = sum((-1) ** r * len(face_lists[r]) for r in range(n + 1))
-    residual = sum(defects.values(), zero) + sum(k, zero) - chi * one
+    cuts = list(cut_sets(n, n))
+    angles = np.array([angle_of(t, cut) for t in range(len(face_lists[n]))
+                       for cut in cuts])
+    link, defects, k, chi, _, _, residual = _defect_algebra(
+        face_lists, incidences, angles, one, len(cuts))
     return link, defects, k, chi, residual
 
 
@@ -400,25 +420,35 @@ def defect_sums(face_lists, incidences, angle_of, one=1.0):
 
 @dataclass(frozen=True)
 class AngleTable:
-    """Angle estimates per (top, cut set), plus the per-incidence view."""
+    """Angle estimates per (top, cut set), plus the per-incidence view:
+    estimates holds every top's angles, top after top, each in cut_sets
+    order."""
     triangulation: GeometricTriangulation
-    per_cut: dict          # (top, cut) -> MeasureEstimate (the angle, in [0,1])
+    estimates: object       # Estimates
+
+    @property
+    def per_cut(self):
+        """(top, cut) -> MeasureEstimate (the angle, in [0, 1])."""
+        tri = self.triangulation
+        return dict(zip(((t, cut) for t in range(len(tri.tops))
+                         for cut in cut_sets(tri.dim)), self.estimates))
 
     def angle(self, top, cut):
         return self.per_cut[(top, tuple(sorted(cut)))]
 
     def incidence_angles(self):
         """[(incidence, estimate)] over every (face, top) incidence."""
-        return [(rec, self.per_cut[(rec.top, rec.cut)])
+        per_cut = self.per_cut
+        return [(rec, per_cut[(rec.top, rec.cut)])
                 for rec in self.triangulation.incidences]
 
     def induced_mass(self):
         """mu(M): the developed interior masses (twice the full-cut angles)
         summed over tops, with the value exactly rounded."""
-        tri = self.triangulation
-        full = tuple(range(tri.dim + 1))
-        return combine_estimates([(2.0, self.per_cut[(t, full)])
-                                  for t in range(len(tri.tops))])
+        tops, size = len(self.triangulation.tops), 2 << self.triangulation.dim
+        return self.estimates.mapped(IndexMap(
+            1, np.zeros(tops), np.arange(1, tops + 1) * size - 1, 2.0),
+                                     fsum=True)[0]
 
 
 def angle_table(tri, measure, mc=None):
@@ -426,7 +456,7 @@ def angle_table(tri, measure, mc=None):
 
     Includes the empty cut set (value exactly 1 for mass-2 measures) and
     the full cut set (half the developed interior mass, used for the
-    induced-measure totals).  All tops go through one angles_by_cut_set
+    induced-measure totals).  All tops go through one angle_estimates
     call, so the measure answers at most two eval_many calls, a sampled
     round or subsphere table makes one draw in all, and its entries carry
     the samples they share.  A BoundaryAtom raised by the measure is
@@ -434,13 +464,10 @@ def angle_table(tri, measure, mc=None):
     carries the mass.
     """
     try:
-        tables = angles_by_cut_set(tri.developed, measure, mc)
+        return AngleTable(tri, angle_estimates(tri.developed, measure, mc))
     except BoundaryAtom as err:
         _name_boundary_face(tri, err)
         raise
-    return AngleTable(tri, {(t, cut): est
-                            for t, angles in enumerate(tables)
-                            for cut, est in angles.items()})
 
 
 def _name_boundary_face(tri, err):
@@ -534,8 +561,8 @@ class GBReport:
 def gb_report(tri, measure, mc=None, tol=1e-9):
     """Full report: angle table, defects, induced mass and all verdicts.
 
-    One defect_sums pass over the angle table gives the link sums, vertex
-    defects, per-simplex sums k and the residual as MeasureEstimates.  The
+    The index maps of defect_sums, applied to the table's Estimates, give
+    the link sums, vertex defects, per-simplex sums k and the residual.  The
     rearrangement residual must vanish (to float accumulation) for any
     measure whatsoever; link sums = 1 and chi = mu need invariance plus
     measure-zero chart boundaries, checked by MeasureEstimate.is_zero: at
@@ -543,17 +570,16 @@ def gb_report(tri, measure, mc=None, tol=1e-9):
     """
     n = tri.dim
     table = angle_table(tri, measure, mc)
-    one = MeasureEstimate(1.0)
-    zero = one - one
-    link_sums, vertex_defects, simplex_sums, chi, residual = defect_sums(
-        tri.faces, tri.incidences, lambda t, cut: table.per_cut[(t, cut)],
-        one=one)
+    (link_sums, vertex_defects, simplex_sums, chi, sum_defects, sum_simplex,
+     residual) = _defect_algebra(tri.faces, tri.incidences, table.estimates,
+                                 1.0, 2 << n)
     mu_total = table.induced_mass()
 
     rearr = Verdict(abs(residual.value) <= tol, abs(residual.value),
                     "sum(d) + sum(k) - chi = %.3g" % residual.value)
 
-    link_gaps = [est - one for (r, _), est in link_sums.items() if r < n]
+    link_gaps = [MeasureEstimate(est.value - 1.0, est.std_error, est.samples)
+                 for (r, _), est in link_sums.items() if r < n]
     worst_link = max((abs(g.value) for g in link_gaps), default=0.0)
     link_verdict = Verdict(all(g.is_zero(tol) for g in link_gaps), worst_link,
                            "worst |S(face) - 1| = %.3g" % worst_link)
@@ -565,14 +591,14 @@ def gb_report(tri, measure, mc=None, tol=1e-9):
         k_verdict = Verdict(all(e.is_zero(tol) for e in simplex_sums),
                             worst_k, "worst |k| = %.3g" % worst_k)
     else:
-        gap = chi * one - mu_total
+        gap = MeasureEstimate(chi - mu_total.value, mu_total.std_error,
+                              mu_total.samples)
         main_res = gap.value
         main_verdict = Verdict(gap.is_zero(tol), abs(main_res),
                                "chi - mu = %.3g" % main_res)
 
     return GBReport(chi, link_sums, vertex_defects, tuple(simplex_sums),
-                    sum(vertex_defects.values(), zero),
-                    sum(simplex_sums, zero), mu_total, residual.value, rearr,
+                    sum_defects, sum_simplex, mu_total, residual.value, rearr,
                     link_verdict, main_res, main_verdict, odd, k_verdict,
                     transversality_check(tri, measure))
 
@@ -618,7 +644,9 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     for w in words:
         for dev in tri.developed:
             regions.append(apply_map(w, dev.region()))
-    mass = measure.union_mass(regions, mc).scaled(0.5)
+    whole = measure.union_mass(regions, mc)
+    mass = MeasureEstimate(0.5 * whole.value, 0.5 * whole.std_error,
+                           whole.samples)
 
     atoms_total = atoms_covered = None
     covered_positive = False

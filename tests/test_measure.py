@@ -17,7 +17,7 @@ from gbmeasure import measure as measure_module
 from gbmeasure.documents import builtin_document
 from gbmeasure.triangulation import _holonomy_words, dichotomy_check, load
 from gbmeasure._util import derive_seed, normalized
-from gbmeasure.measure import derive_mc, region_histogram
+from gbmeasure.measure import Estimates, IndexMap, derive_mc
 
 
 def region(dim, *normals):
@@ -230,9 +230,9 @@ class TestMonteCarlo:
         dim = 3
         regions = [self._coder_regions(dim, 1)[i] for i in picks]
         mc = MCConfig(seed=9, samples=1200)
-        got = [region_histogram(est).counts
-               for est in RoundMeasure(dim, monte_carlo=True).eval_many(
-                   regions, mc)]
+        got = [h.counts
+               for h in RoundMeasure(dim, monte_carlo=True).eval_many(
+                   regions, mc).histograms]
         assert [len(c) for c in got] == [
             [8, 8, 2, 2, 2, 2, 2, 4, 4][i] for i in picks]
         assert mm._layout(len(regions))[0] == chunk
@@ -261,9 +261,9 @@ class TestMonteCarlo:
         regions = [self._coder_regions(dim, 3)[i] for i in picks]
         for samples in (100, 128, 161, 500, 501, 1200):
             mc = MCConfig(seed=11, samples=samples)
-            got = [region_histogram(est).counts
-                   for est in RoundMeasure(dim, monte_carlo=True).eval_many(
-                       regions, mc)]
+            got = [h.counts
+                   for h in RoundMeasure(dim, monte_carlo=True).eval_many(
+                       regions, mc).histograms]
             want = self._plane_by_plane_counts(regions, mc, map(len, got))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -283,9 +283,9 @@ class TestMonteCarlo:
             regions = [Region([Hyperplane(u) for u in
                                rng.standard_normal((h, dim + 1))], dim)
                        for _ in range(count)]
-            got = [region_histogram(est).counts
-                   for est in RoundMeasure(dim, monte_carlo=True).eval_many(
-                       regions, mc)]
+            got = [h.counts
+                   for h in RoundMeasure(dim, monte_carlo=True).eval_many(
+                       regions, mc).histograms]
             want = self._plane_by_plane_counts(regions, mc, map(len, got),
                                                np.float64)
             moved = sum(int(abs(g - w).sum()) for g, w in zip(got, want))
@@ -394,8 +394,8 @@ class TestMonteCarlo:
             hits = self._rotated_union_hits(m, regions, mc)
             assert est.samples == samples
             assert est.value == 2.0 * hits / samples
-            assert region_histogram(est).counts.tolist() == [
-                samples - hits, hits]
+            assert m._union_mass(regions, mc).histograms[0].counts.tolist(
+                ) == [samples - hits, hits]
 
     def test_union_merges_a_plane_with_its_flip(self, monkeypatch):
         # nine planes, each region pairing one with the next one flipped:
@@ -471,8 +471,8 @@ class TestMonteCarlo:
             derive_mc(mc, mm._ROLE_UNION))
         est = m.union_mass(live + dead, mc)
         assert 0 < everything.counts[1] < mc.samples
-        assert region_histogram(est).counts.tolist() == (
-            everything.counts.tolist())
+        assert m._union_mass(live + dead, mc).histograms[0].counts.tolist(
+            ) == everything.counts.tolist()
         assert est == m.union_mass(live, mc)
         # with no live region there is nothing to draw; no regions at all
         # keep the zero of a draw
@@ -936,39 +936,50 @@ class TestFiniteOrbit:
 
 
 class TestEstimateAlgebra:
+    # sum and difference of a batch's two estimates
+    PLUS_MINUS = IndexMap(2, [0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, -1])
+
     def test_exact_plus_minus_exact_stays_exact(self):
-        a, b = MeasureEstimate(0.75), MeasureEstimate(0.5)
-        for est, value in ((a + b, 1.25), (a - b, 0.25)):
-            assert est == MeasureEstimate(value)
-            assert est.exact
+        both = Estimates([0.75, 0.5]).mapped(self.PLUS_MINUS)
+        assert list(both) == [MeasureEstimate(1.25), MeasureEstimate(0.25)]
+        assert all(est.exact for est in both)
 
     def test_errors_add_by_hypot_and_samples_add(self):
-        a = MeasureEstimate(1.0, 0.3, 100)
-        b = MeasureEstimate(2.0, 0.4, 50)
-        for est, value in ((a + b, 3.0), (a - b, -1.0)):
+        both = Estimates.measured([MeasureEstimate(1.0, 0.3, 100),
+                                   MeasureEstimate(2.0, 0.4, 50)])
+        for est, value in zip(both.mapped(self.PLUS_MINUS), (3.0, -1.0)):
             assert est.value == value
-            assert est.std_error == math.hypot(0.3, 0.4)
+            assert math.isclose(est.std_error, math.hypot(0.3, 0.4))
             assert est.samples == 150
-        assert (a + MeasureEstimate(0.5)).std_error == 0.3
+        mixed = Estimates.measured([MeasureEstimate(1.0, 0.3, 100),
+                                    MeasureEstimate(0.5)])
+        assert mixed.mapped(self.PLUS_MINUS)[0].std_error == 0.3
 
     def test_scalar_multiple_and_integer_division(self):
-        a = MeasureEstimate(1.5, 0.2, 40)
-        assert -2 * a == a * -2 == MeasureEstimate(-3.0, 0.4, 40)
-        assert a / 3 == MeasureEstimate(0.5, 0.2 / 3, 40)
+        a = Estimates.measured([MeasureEstimate(1.5, 0.2, 40)])
+        assert a.mapped(IndexMap(1, [0], [0], -2))[0] == MeasureEstimate(
+            -3.0, 0.4, 40)
+        third = (a / np.array([3]))[0]
+        assert math.isclose(third.value, 0.5)
+        assert math.isclose(third.std_error, 0.2 / 3)
+        assert third.samples == 40
+        assert (1.0 - a)[0].value == -0.5 and (a - 1.0)[0].value == 0.5
 
     def test_shared_histogram_adds_coefficients(self):
         m = RoundMeasure(2, monte_carlo=True)
-        est = m.eval(region(2, [1, 0, 0], [0, 1, 0]),
-                     MCConfig(seed=2, samples=20_000))
-        doubled = est + est
+        batch = m.eval_many([region(2, [1, 0, 0], [0, 1, 0])],
+                            MCConfig(seed=2, samples=20_000))
+        est, = batch
+        doubled = (batch + batch)[0]
         assert doubled.value == 2 * est.value
         assert doubled.samples == est.samples == 20_000
         assert math.isclose(doubled.std_error, 2 * est.std_error)
-        zero = est - est
+        zero = batch.mapped(IndexMap(1, [0, 0], [0, 0], [1, -1]))[0]
         assert zero.value == 0.0 and zero.std_error == 0.0
         # an estimate given by value and error alone is its own source too
-        a = MeasureEstimate(1.0, 0.3, 100)
-        assert math.isclose((a + a).std_error, 0.6)
+        a = Estimates.measured([MeasureEstimate(1.0, 0.3, 100)])
+        assert math.isclose((a + a)[0].std_error, 0.6)
+        assert (a + a)[0].samples == 100
 
     def test_is_zero_uses_tol_when_exact_and_four_sigma_otherwise(self):
         assert MeasureEstimate(1e-10).is_zero(1e-9)

@@ -12,11 +12,93 @@ from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        transversality_check)
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 from gbmeasure import measure as measure_module
+from gbmeasure import simplex as simplex_module
+from gbmeasure.geom import face_region
+from gbmeasure.measure import derive_mc
+from gbmeasure.simplex import cut_sets
 from gbmeasure.triangulation import Incidence, angle_table
 
 
 def octahedron():
     return load(builtin_document("s2-octahedron"))
+
+
+def _reference_std_errors(tri, measure, mc):
+    """Standard errors of every link sum, defect and k, of sum_defects and
+    of mu by brute force: each output's per-code coefficients on each
+    sampled histogram, summed from the incidences, and the centered
+    variance of their sample mean.  measure is round-mc or a mixture of
+    round-mc (read from code histograms of the tops' whole regions) and an
+    exact measure with weights w, 1 - w (read from one histogram per face
+    region: the full cut sets of the first eval_many call, the rest of the
+    second)."""
+    n, full = tri.dim, tuple(range(tri.dim + 1))
+    sampled = RoundMeasure(n, monte_carlo=True)
+    angle = {}      # (top, cut) -> {id: (histogram, coefficients)}
+    if isinstance(measure, Mixture):
+        w = measure.components[0][0]
+
+        def hists(regions, mc):
+            return sampled.eval_many(regions, derive_mc(
+                mc, measure_module._ROLE_COMPONENT, 0)).histograms
+        cuts = list(cut_sets(n, n))
+        rest = iter(hists([face_region(dev, cut) for dev in tri.developed
+                           for cut in cuts], derive_mc(
+                               mc, simplex_module._ROLE_SIMPLEX)))
+        tops = hists([face_region(dev, full) for dev in tri.developed], mc)
+        for t, top in enumerate(tops):
+            for cut in cuts + [full]:
+                h = top if cut == full else next(rest)
+                if h is None:       # the whole sphere, exact
+                    angle[(t, cut)] = {}
+                    continue
+                # half the mixture mass: w times twice the last code's share
+                coef = np.zeros(len(h.counts))
+                coef[-1] = w
+                angle[(t, cut)] = {id(h): (h, coef)}
+    else:
+        tops = sampled.eval_many([face_region(dev, full)
+                                  for dev in tri.developed], mc).histograms
+        for t, h in enumerate(tops):
+            for cut in cut_sets(n):
+                mask = sum(1 << i for i in cut)
+                coef = np.array([float(c & mask == mask)
+                                 for c in range(len(h.counts))])
+                angle[(t, cut)] = {} if not cut else {id(h): (h, coef)}
+
+    def add(into, scale, terms):
+        for key, (h, coef) in terms.items():
+            into.setdefault(key, (h, np.zeros(len(h.counts))))[1][:] += (
+                scale * coef)
+
+    link, k, defect, mu, total = {}, {}, {}, {}, {}
+    for rec in tri.incidences:
+        add(link.setdefault((rec.dim, rec.face), {}), 1.0,
+            angle[(rec.top, rec.cut)])
+    for t in range(len(tri.tops)):
+        for cut in cut_sets(n, n):
+            add(k.setdefault(t, {}), (-1.0) ** (n - len(cut)),
+                angle[(t, cut)])
+        add(mu, 2.0, angle[(t, full)])
+    for r, faces in enumerate(tri.faces):
+        for i, face in enumerate(faces):
+            for v in face:
+                add(defect.setdefault(v, {}), -(-1.0) ** r / (r + 1),
+                    link[(r, i)])
+    for terms in defect.values():
+        add(total, 1.0, terms)
+
+    def std(terms):
+        var = 0.0
+        for h, coef in terms.values():
+            m = h.samples
+            mean = h.counts @ coef / m
+            var += h.counts @ (coef - mean) ** 2 / ((m - 1) * m)
+        return np.sqrt(var)
+    return ({("link",) + key: std(t) for key, t in link.items()}
+            | {("defect", v): std(t) for v, t in defect.items()}
+            | {("k", t): std(terms) for t, terms in k.items()}
+            | {("sum_defects",): std(total), ("mu",): std(mu)})
 
 
 def _batched_measures():
@@ -317,6 +399,32 @@ class TestGBReport:
             scores = np.array(scores)
             assert np.count_nonzero(np.abs(scores) > 4.0) <= 1, key
             assert 0.75 <= np.std(scores) <= 1.3, key
+
+    @pytest.mark.parametrize("measure", [
+        RoundMeasure(2, monte_carlo=True),
+        Mixture([(0.5, RoundMeasure(2, monte_carlo=True)),
+                 (0.5, AtomicMeasure([([0.3, 0.5, 0.8], 1.2),
+                                      ([-0.7, 0.2, 0.4], 0.8)]))])],
+                             ids=["round-mc", "mixture"])
+    def test_error_bars_match_a_brute_force_reference(self, measure):
+        # every reported error bar of a sampled octahedron against the
+        # centered variance of its per-code coefficients, built here
+        tri = octahedron()
+        mc = MCConfig(seed=6, samples=20_000)
+        rep = gb_report(tri, measure, mc)
+        got = ({("link",) + key: e.std_error
+                for key, e in rep.link_sums.items()}
+               | {("defect", v): e.std_error
+                  for v, e in rep.vertex_defects.items()}
+               | {("k", t): e.std_error
+                  for t, e in enumerate(rep.simplex_sums)}
+               | {("sum_defects",): rep.sum_defects.std_error,
+                  ("mu",): rep.mu_total.std_error})
+        want = _reference_std_errors(tri, measure, mc)
+        assert got.keys() == want.keys()
+        assert sum(v > 0.0 for v in want.values()) > 20
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * value, key
 
     @pytest.mark.parametrize("measure", _batched_measures(),
                              ids=["mixture", "restriction"])

@@ -26,24 +26,30 @@ planes); then, still at 300000 samples, the angle tables of s1-polygon
 --m 3 and --m 4 under round-mc, whose 3 and 4 sampled tops read the
 half-size chunks of a call of 3-4 regions over several blocks, and
 check t2-grid --k 2 under round-mc, whose 8 tops read the full-size
-chunks of 5 or more regions; then the exact checks of t2-grid --k 24 and
-klein-grid --k 24 under their own measure, whose 1152 tops and 1728
-pairings load at size; then pullback of degrees 1-3 with the default
-covering and with two explicit ones, all with JSON output.  Each tree
-runs in one subprocess that writes no bytecode, with GBM_THREADS=1 so
-that a tree old enough to read it runs its Monte Carlo kernel
-sequentially too.  The
-script prints how many invocations are byte-identical, each differing
-invocation with the top-level report keys that differ and the largest
+chunks of 5 or more regions; then, at both seeds and 40000 samples,
+check t2-grid --k 16 under round-mc, whose 512 sampled tops make reports
+of thousands of estimates that share the tops' histograms; then the exact
+checks of t2-grid --k 24 and klein-grid --k 24 under their own measure,
+whose 1152 tops and 1728 pairings load at size; then pullback of degrees
+1-3 with the default covering and with two explicit ones, all with JSON
+output.  Each tree runs in one subprocess that writes no bytecode, with
+GBM_THREADS=1 so that a tree old enough to read it runs its Monte Carlo
+kernel sequentially too.  The script prints how many invocations are
+byte-identical, each differing invocation with the top-level report keys
+that differ, the largest
 |delta value| / std_error over the estimates (objects with "value" and
 "std_error") at the same place in both reports, so that a deliberate Monte
-Carlo change shows its size in sigma, and every exit-code change; it exits
-1 if any exit code changed.
+Carlo change shows its size in sigma, and the largest |delta| over every
+number at the same place, so that a change of rounding alone, which moves
+an exact value by an ulp and so reads as inf sigma, shows as such (two
+diagnostics of one error type compare the numbers in their details, in
+order); and every exit-code change.  It exits 1 if any exit code changed.
 """
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +134,8 @@ def battery():
                          "round-mc"] for m in ("3", "4")]
         runs += [head + ["check", "t2-grid", "--k", "2", "--measure",
                          "round-mc"]]
+        runs += [["--format", "json", "--seed", seed, "--samples", "40000",
+                  "check", "t2-grid", "--k", "16", "--measure", "round-mc"]]
     runs += [["--format", "json", "check", doc, "--k", "24"]
              for doc in ("t2-grid", "klein-grid")]
     for degree in (1, 2, 3):
@@ -202,6 +210,37 @@ def estimate_shift(old, new):
     return max(shifts, default=None)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _changes(a, b):
+    """|delta| of each number (not a boolean) at the same place in the
+    parsed reports a and b; two diagnostics of one error type pair the
+    numbers in their details in order."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if (set(a) == set(b) == {"error", "detail"}
+                and a["error"] == b["error"]):
+            a, b = ([float(x) for x in _NUMBER.findall(d["detail"])]
+                    for d in (a, b))
+        else:
+            return [c for k in set(a) & set(b) for c in _changes(a[k], b[k])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [c for x, y in zip(a, b) for c in _changes(x, y)]
+    numbers = [isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in (a, b)]
+    return [abs(a - b)] if all(numbers) else []
+
+
+def largest_change(old, new):
+    """The largest |delta| over the numbers of two reports (see _changes),
+    or None when no number pairs up."""
+    try:
+        changes = _changes(json.loads(old), json.loads(new))
+    except ValueError:
+        return None
+    return max(changes, default=None)
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: compare_reports.py OLD_SRC NEW_SRC")
@@ -215,8 +254,13 @@ def main(argv):
         line = "DIFFERS %s: %s" % (" ".join(args),
                                    differing_keys(old_out, new_out))
         shift = estimate_shift(old_out, new_out)
-        line += (" no estimate" if shift is None
-                 else " max shift %.3g sigma" % shift)
+        change = largest_change(old_out, new_out)
+        if shift is not None:
+            line += " max shift %.3g sigma" % shift
+        if change is not None:
+            line += " max change %.3g" % change
+        if shift is None and change is None:
+            line += " no estimate"
         if old_code != new_code:
             code_changes += 1
             line += " exit %s -> %s" % (old_code, new_code)
