@@ -19,8 +19,8 @@ The layers, bottom up:
 """
 
 from .errors import (AtomOnBoundary, BoundaryAtom, DegenerateSimplex,
-                     DevelopingMismatch, DimensionMismatch, DuplicateAtom,
-                     GBError, InconsistentDichotomy, NonAtomicBase,
+                     DevelopingMismatch, DimensionMismatch,
+                     DimensionTooLarge, DuplicateAtom, GBError, InconsistentDichotomy, NonAtomicBase,
                      NotAdapted, NotAGroup, NotAManifold, NotDeckInvariant,
                      OrbitOverflow, SchemaError, SingularMatrix,
                      UnsupportedMeasure, ZeroVector)

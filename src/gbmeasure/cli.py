@@ -34,7 +34,7 @@ from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, default_covering,
                        equivariance_check, induce_quotient, pullback)
-from .simplex import angle_estimates, k_value, sgb_residual
+from .simplex import angle_estimates, check_dimension, k_value, sgb_residual
 from .triangulation import dichotomy_check, gb_report, load
 from . import triangulation as _tri
 from ._util import is_integer, numeric_array
@@ -203,6 +203,7 @@ def cmd_sgb(args):
                               "numbers, got %s" % args.vertices)
         simplex = simplex_from_vertices(vertices)
     elif args.random_simplex:
+        check_dimension(args.dim)
         simplex = random_simplex(args.dim, np.random.default_rng(args.seed))
     else:
         raise GBError("give --random-simplex or --vertices")
@@ -403,8 +404,13 @@ def build_parser():
     return parser
 
 
+# parse_args leaves a parser as it found it, so every main call of a
+# process reads this one; build_parser still makes a fresh one
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args.mc = MCConfig(seed=args.seed, samples=args.samples)
     try:
         payload = args.func(args)

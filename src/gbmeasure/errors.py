@@ -28,6 +28,10 @@ class DimensionMismatch(GBError):
     """Ambient dimensions of two objects do not agree."""
 
 
+class DimensionTooLarge(GBError):
+    """A simplex is too wide for the angle table of all its cut sets."""
+
+
 # measures
 
 class BoundaryAtom(GBError):

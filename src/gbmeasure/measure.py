@@ -211,10 +211,23 @@ class Estimates:
     def shares(self, entries, masks):
         """Entry after entry, mask after mask, the share of the samples of
         the entry's whole-region histogram (all of one size) whose codes
-        have every bit of the mask."""
+        have every bit of the mask.
+
+        The codes of a mask are its supersets in ascending order: superset
+        t ORs the mask with the bits of t dealt, lowest first, to the bits
+        the mask leaves clear, so the pairs of 2^B codes number 3^B when
+        the masks are every subset of B bits."""
         size = len(self.histograms[entries[0]].counts) if entries else 0
-        masks = np.array(masks)[:, None]
-        mask, code = np.nonzero((np.arange(size) & masks) == masks)
+        masks = np.asarray(masks, dtype=np.intp)
+        supersets = size >> np.bitwise_count(masks).astype(np.intp)
+        mask = np.repeat(np.arange(len(masks)), supersets)
+        t = np.arange(len(mask)) - np.repeat(np.cumsum(supersets) - supersets,
+                                             supersets)
+        code = masks[mask]
+        for j in range(size.bit_length() - 1):
+            clear = ~code >> j & 1
+            code |= (t & clear) << j
+            t >>= clear
         first = self.cols[np.searchsorted(self.rows, entries)] + 1 - size
         rows = np.arange(len(entries))[:, None] * len(masks) + mask
         return Estimates(np.zeros(len(entries) * len(masks)), rows.ravel(),
@@ -421,15 +434,24 @@ def _haar_rotations(rng, shape, width):
     factorization whose R has a positive diagonal, and that Q is Haar
     distributed (F. Mezzadri, Notices AMS 54, 2007).  Batched numpy
     arithmetic, no LAPACK call.
+
+    The block is drawn as shape + (width, width) and orthonormalized in a
+    contiguous (width, width) + shape copy, so that row j of every matrix
+    is one array and a dot product adds whole arrays (256 width-5
+    rotations: 0.25 ms, against 0.37-0.51 ms reducing each short row).
+    Below width 8 that adds in the order of a row-wise reduction, bit for
+    bit; from width 8 on numpy sums a contiguous row pairwise, so the two
+    differ by rounding.  The result is a (..., width, width) view.
     """
     q = rng.standard_normal(tuple(shape) + (width, width))
+    rows = np.moveaxis(q, (-2, -1), (0, 1)).copy()
     for j in range(width):
-        row = q[..., j, :]
+        row = rows[j]
         for k in range(j):
-            done = q[..., k, :]
-            row -= (done * row).sum(axis=-1, keepdims=True) * done
-        row /= np.sqrt((row * row).sum(axis=-1, keepdims=True))
-    return q
+            done = rows[k]
+            row -= (done * row).sum(axis=0) * done
+        row /= np.sqrt((row * row).sum(axis=0))
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 class _PlaneGroup:

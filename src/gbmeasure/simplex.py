@@ -12,11 +12,17 @@ in odd dimension and equals the simplex mass in even dimension.
 import math
 from itertools import combinations
 
+from .errors import DimensionTooLarge
 from .geom import face_region
-from .measure import Estimates, IndexMap, MeasureEstimate, derive_mc
+from .measure import (_BLOCK, _GROUP_PLANES, Estimates, IndexMap,
+                      MeasureEstimate, derive_mc)
 
 _ROLE_CUTSET = 10
 _ROLE_SIMPLEX = 11
+# the widest angle table: the 3^(n+1) superset pairs of an n-simplex's cut
+# sets (see Estimates.shares) stay within _BLOCK x _GROUP_PLANES, as many as
+# the sign tests of one block of readings against a full group of planes
+MAX_DIM = next(n for n in range(64) if 3 ** (n + 2) > _BLOCK * _GROUP_PLANES)
 
 
 def _cut_mask(cut):
@@ -31,6 +37,14 @@ def cut_sets(n, max_size=None):
     top = n + 1 if max_size is None else max_size
     for size in range(top + 1):
         yield from combinations(range(n + 1), size)
+
+
+def check_dimension(n):
+    """Raise DimensionTooLarge when an n-simplex is wider than MAX_DIM."""
+    if n > MAX_DIM:
+        raise DimensionTooLarge(
+            "the angle table of a %d-simplex has 3^%d superset pairs; "
+            "simplex dimensions up to %d are supported" % (n, n + 1, MAX_DIM))
 
 
 def angle(simplex, cut_set, measure, mc=None):
@@ -54,11 +68,13 @@ def angle_estimates(simplices, measure, mc=None):
     cut set is a superset share of the same histogram, so the entries
     share its samples; the empty cut set is the exact angle 1.  The cut
     sets of every other simplex go to a second eval_many call, all of them
-    at once, with a seed derived from mc.
+    at once, with a seed derived from mc.  A simplex wider than MAX_DIM
+    raises DimensionTooLarge before anything is evaluated.
     """
     n = simplices[0].dim if len(simplices) else 0
     if any(s.dim != n for s in simplices):
         raise ValueError("angle tables need simplices of one dimension")
+    check_dimension(n)
     cuts = list(cut_sets(n))
     masses = measure.eval_many([face_region(s, cuts[-1]) for s in simplices],
                                mc)

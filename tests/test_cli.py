@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmeasure import cli, errors, simplex
+from gbmeasure import cli, errors, measure, simplex
 from gbmeasure.cli import main
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 from gbmeasure.simplex import k_value
@@ -127,6 +127,60 @@ def test_sgb_negative_dim_is_rejected(capsys):
     assert exit_info.value.code == 2
     assert "argument --dim: must be a non-negative integer" in (
         capsys.readouterr().err)
+
+
+def test_sgb_refuses_a_simplex_wider_than_its_angle_table(capsys,
+                                                         monkeypatch):
+    pairs = measure._BLOCK * measure._GROUP_PLANES
+    assert 3 ** (simplex.MAX_DIM + 1) <= pairs < 3 ** (simplex.MAX_DIM + 2)
+    # refused before a simplex is drawn or a region evaluated
+    monkeypatch.setattr(cli, "random_simplex", None)
+    monkeypatch.setattr(simplex, "face_region", None)
+    for argv in (["--random-simplex", "--dim", str(simplex.MAX_DIM + 1)],
+                 ["--random-simplex", "--dim", "17"],
+                 ["--vertices", json.dumps(np.eye(15).tolist())]):
+        code = main(["--format", "json", "sgb"] + argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"] == "DimensionTooLarge"
+        assert "up to %d" % simplex.MAX_DIM in json.loads(out)["detail"]
+
+
+def _reports(capsys, argvs):
+    """(exit code, stdout, stderr) of main on each argv in turn."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(["--format", "json", "--samples", "5000"] + argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        out.append((code,) + tuple(capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("first, second", [
+    (["sgb", "--random-simplex", "--dim", "-1"],
+     ["sgb", "--random-simplex", "--dim", "3"]),
+    (["check", "s2-octahedron", "--measure", "round-mc", "--dichotomy"],
+     ["check", "s2-octahedron", "--measure", "round-mc"]),
+    (["sgb", "--vertices", "[[1, 0.2, 0.1], [0.1, 1, 0.3], [0.2, 0.1, 1]]"],
+     ["sgb", "--random-simplex"])],
+    ids=["rejected-then-valid", "flag-then-none", "vertices-then-random"])
+def test_main_reuses_one_parser_with_fresh_parser_reports(capsys,
+                                                          monkeypatch,
+                                                          first, second):
+    parser = cli._PARSER
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", None)
+        reused = _reports(capsys, [first, second])
+    assert cli._PARSER is parser
+    fresh = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh += _reports(capsys, [argv])
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == (
+        [2, 0] if "-1" in first else [0, 0])
 
 
 @pytest.mark.parametrize("command", [

@@ -17,7 +17,7 @@ from gbmeasure import measure as measure_module
 from gbmeasure.documents import builtin_document
 from gbmeasure.triangulation import _holonomy_words, dichotomy_check, load
 from gbmeasure._util import derive_seed, normalized
-from gbmeasure.measure import Estimates, IndexMap, derive_mc
+from gbmeasure.measure import Estimates, IndexMap, SignHistogram, derive_mc
 
 
 def region(dim, *normals):
@@ -602,6 +602,44 @@ class TestMonteCarlo:
         assert reported / 2 <= scatter <= reported * 2
 
 
+def _row_major_haar(rng, shape, width):
+    """_haar_rotations as it was written row by row on the (..., width,
+    width) block, kept as the reference for the contiguous-row layout."""
+    q = rng.standard_normal(tuple(shape) + (width, width))
+    for j in range(width):
+        row = q[..., j, :]
+        for k in range(j):
+            done = q[..., k, :]
+            row -= (done * row).sum(axis=-1, keepdims=True) * done
+        row /= np.sqrt((row * row).sum(axis=-1, keepdims=True))
+    return q
+
+
+class TestHaarRotations:
+    SHAPES = pytest.mark.parametrize("shape", [(256, 1), (64, 8), (2, 3)])
+
+    @SHAPES
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_matches_row_major_gram_schmidt_bit_for_bit(self, shape, width):
+        q = measure_module._haar_rotations(np.random.default_rng(width),
+                                           shape, width)
+        want = _row_major_haar(np.random.default_rng(width), shape, width)
+        assert q.shape == want.shape == shape + (width, width)
+        assert np.array_equal(q, want)
+        assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
+
+    @SHAPES
+    @pytest.mark.parametrize("width", [8, 14])
+    def test_wide_rotations_differ_from_row_major_by_rounding(self, shape,
+                                                              width):
+        # numpy adds a contiguous row of 8 or more pairwise
+        q = measure_module._haar_rotations(np.random.default_rng(width),
+                                           shape, width)
+        want = _row_major_haar(np.random.default_rng(width), shape, width)
+        assert np.allclose(q, want, rtol=0.0, atol=1e-10)
+        assert np.allclose(q @ np.swapaxes(q, -1, -2), np.eye(width))
+
+
 class _GridGenerator:
     """Stands in for a generator: random() returns the given uniforms for
     the radii and again for the angles, so cell k pairs with cell k."""
@@ -980,6 +1018,25 @@ class TestEstimateAlgebra:
         a = Estimates.measured([MeasureEstimate(1.0, 0.3, 100)])
         assert math.isclose((a + a)[0].std_error, 0.6)
         assert (a + a)[0].samples == 100
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_shares_pair_each_mask_with_its_supersets_in_order(self, bits):
+        size = 1 << bits
+        hists = [SignHistogram(np.arange(size) + 1) for _ in range(2)]
+        batch = Estimates.masses([0.0, 0.0, 0.0], [0, 2], hists)
+        rng = np.random.default_rng(bits)
+        masks = list(rng.integers(0, size, 2 * size)) + [size - 1, 0]
+        shares = batch.shares([2, 0], masks)
+        # the 4^bits filter that shares replaced
+        column = np.array(masks)[:, None]
+        mask, code = np.nonzero((np.arange(size) & column) == column)
+        rows = np.concatenate([mask, len(masks) + mask])
+        assert np.array_equal(shares.rows, rows)
+        assert np.array_equal(shares.cols, np.concatenate([size + code,
+                                                           code]))
+        assert np.array_equal(shares.coef, np.ones(len(rows)))
+        every = batch.shares([0], range(size))
+        assert len(every.rows) == 3 ** bits
 
     def test_is_zero_uses_tol_when_exact_and_four_sigma_otherwise(self):
         assert MeasureEstimate(1e-10).is_zero(1e-9)
