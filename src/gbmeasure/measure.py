@@ -9,9 +9,9 @@ read from, so that linear maps of it keep their shared samples.
 
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
 per-block derived seeds and counts each sample's sign code against a
-region's planes into a SignHistogram, so a result is a pure function of
-(seed, samples).  A region of
-at most _TREE_BITS planes counts its codes by popcount over bit-packed
+region's planes into a histogram, an array of counts per code, so a
+result is a pure function of (seed, samples).  A region of at most
+_TREE_BITS planes counts its codes by popcount over bit-packed
 signs, a wider one by a code per sample and a bincount; both give the
 same integers.  Every measure answers eval_many as one batch: a round or
 subsphere measure draws once for all its sampled regions (see
@@ -106,27 +106,6 @@ class MeasureEstimate:
         return abs(self.value) <= bound
 
 
-class SignHistogram:
-    """Monte Carlo sample counts per code.
-
-    Against a region, bit j of a sample's code is set when the sample lies
-    on the positive side of plane j, so the mass where all planes of a mask
-    are positive is a superset sum of the counts.  The counts come from
-    _region_histograms: a popcount tree over packed signs for at most
-    _TREE_BITS planes, a bincount of codes above.  A region of more than
-    _CODE_BITS planes uses the one-bit code "inside"; a union's estimate is
-    the two-bin histogram of its misses and hits (see _union_histogram),
-    and an estimate known only by value and error reads two equal counts
-    that count its samples (see Estimates.measured).
-    """
-
-    __slots__ = ("counts", "samples")
-
-    def __init__(self, counts):
-        self.counts = counts
-        self.samples = int(counts.sum())
-
-
 def _runs(keys):
     """Whether each key starts a run of equal consecutive keys."""
     new = np.ones(len(keys), dtype=bool)
@@ -158,19 +137,25 @@ class IndexMap:
 class Estimates:
     """A batch of estimates, a sequence of MeasureEstimate records, each an
     exact offset plus the mean of a per-sample function linear in the codes
-    of its sources, SignHistograms laid end to end: the triples (rows,
-    cols, coef), sorted by row and code with no (row, code) twice, give
-    estimate rows[e] the coefficient coef[e] on code cols[e].
+    of its sources laid end to end: the triples (rows, cols, coef), sorted
+    by row and code with no (row, code) twice, give estimate rows[e] the
+    coefficient coef[e] on code cols[e].
+
+    A source is an array of Monte Carlo sample counts per code.  Against a
+    region, bit j of a sample's code is set when the sample lies on the
+    positive side of plane j, so the mass where all planes of a mask are
+    positive is a superset sum of the counts (see _region_histograms); a
+    union's source counts its misses and hits (see _union_histogram).
 
     An estimate without coefficients is exact.  Any other adds to its
     offset the exactly rounded sum, over the sources it reads, of the
     sample mean of its coefficients; its squared error sums their centered
-    quadratic forms over the counts, and its samples count each source
-    once.  So a per-sample identity, whose coefficients cancel code by
-    code, is exactly 0 +- 0.  IndexMaps, sums, subtraction of or from a
-    number and division by a number per estimate act on whole batches.
-    histograms[i] is the SignHistogram whose whole-region mass estimate i
-    reads, or None.
+    quadratic forms over the counts, and its samples add the count totals
+    of those sources.  So a per-sample identity, whose coefficients cancel
+    code by code, is exactly 0 +- 0.  IndexMaps, sums, subtraction of or
+    from numbers and division by a number per estimate act on whole
+    batches.  histograms[i] is the source whose whole-region mass estimate
+    i reads, or None.
     """
 
     __array_ufunc__ = None      # an ndarray operand defers to the batch
@@ -190,23 +175,9 @@ class Estimates:
         """offset, except that estimate rows[j] reads hists[j]: twice the
         share of its last code, the mass of its whole region."""
         read = dict(zip(rows, hists))
-        return cls(offset, rows, np.cumsum([len(h.counts) for h in hists]) - 1,
+        return cls(offset, rows, np.cumsum([len(h) for h in hists]) - 1,
                    [2.0] * len(rows), list(hists),
                    [read.get(i) for i in range(len(offset))])
-
-    @classmethod
-    def measured(cls, records):
-        """The MeasureEstimate records: each inexact one's value is its
-        offset, and its error a source of its own, two equal counts at
-        -std_error and +std_error (mean 0, variance std_error^2) that count
-        the record's samples."""
-        rows = [i for i, r in enumerate(records) if not r.exact]
-        sources = [SignHistogram(np.ones(2, dtype=int)) for _ in rows]
-        for i, source in zip(rows, sources):
-            source.samples = records[i].samples
-        return cls([r.value for r in records], np.repeat(rows, 2),
-                   range(2 * len(rows)), [x for i in rows for x in (
-                       -records[i].std_error, records[i].std_error)], sources)
 
     def shares(self, entries, masks):
         """Entry after entry, mask after mask, the share of the samples of
@@ -217,7 +188,7 @@ class Estimates:
         t ORs the mask with the bits of t dealt, lowest first, to the bits
         the mask leaves clear, so the pairs of 2^B codes number 3^B when
         the masks are every subset of B bits."""
-        size = len(self.histograms[entries[0]].counts) if entries else 0
+        size = len(self.histograms[entries[0]]) if entries else 0
         masks = np.asarray(masks, dtype=np.intp)
         supersets = size >> np.bitwise_count(masks).astype(np.intp)
         mask = np.repeat(np.arange(len(masks)), supersets)
@@ -242,7 +213,7 @@ class Estimates:
         for batch in batches:
             if id(batch.sources) not in shift:
                 shift[id(batch.sources)] = width
-                width += sum(len(s.counts) for s in batch.sources)
+                width += sum(map(len, batch.sources))
                 sources += batch.sources
         first = np.cumsum([0] + [len(batch) for batch in batches])
         return cls(*(np.concatenate([[]] + parts) for parts in (
@@ -303,11 +274,11 @@ class Estimates:
         if self._records is None:
             size, coef, src = len(self), self.coef, self.sources
             of = np.repeat(np.arange(len(src)), np.array(
-                [len(s.counts) for s in src], int))[self.cols]
-            counts = np.concatenate([[]] + [s.counts for s in src])[self.cols]
+                [len(s) for s in src], int))[self.cols]
+            counts = np.concatenate([[]] + list(src))[self.cols]
             new = _runs(self.rows * len(src) + of)      # a (row, source) pair
             pair, row, of = np.cumsum(new) - 1, self.rows[new], of[new]
-            n = np.array([s.counts.sum() for s in src], dtype=int)[of]
+            n = np.array([s.sum() for s in src], dtype=int)[of]
             mean = np.bincount(pair, coef * counts) / n
             dev = coef - mean[pair]
             var = (np.bincount(pair, counts * dev * dev) + (
@@ -318,10 +289,9 @@ class Estimates:
             first = np.flatnonzero(_runs(row))
             value[row[first]] += [math.fsum(means[a:b]) for a, b in zip(
                 first.tolist(), first[1:].tolist() + [len(means)])]
-            samples = np.array([s.samples for s in src], dtype=int)[of]
             self._records = [MeasureEstimate(*r) for r in zip(
                 value.tolist(), np.sqrt(np.bincount(row, var, size)).tolist(),
-                np.bincount(row, samples, size).astype(int).tolist())]
+                np.bincount(row, n, size).astype(int).tolist())]
         return self._records[i]
 
 
@@ -593,9 +563,14 @@ def _layout(count):
 
 
 def _region_histograms(normal_sets, width, mc, needs=None):
-    """One SignHistogram per region over the same mc.samples readings, or
+    """One histogram per region over the same mc.samples readings, or
     with needs, the (miss, hit) histogram of the one region's planes
     counted by _UnionGroup.
+
+    A histogram is an int64 array of counts per code: a region of h planes
+    has 2^h codes, bit j set where a reading lies on the positive side of
+    plane j (see Estimates), and a region of more than _CODE_BITS planes
+    the two codes outside and inside.
 
     Block b of _BLOCK readings draws from the stream (block, b), and the
     blocks' integer counts are summed in order.  The layout follows the
@@ -692,7 +667,7 @@ def _region_histograms(normal_sets, width, mc, needs=None):
         return counts
 
     counts = sum(count(b) for b in range(-(-n // _BLOCK)))
-    return [SignHistogram(counts[start:start + group.bins])
+    return [counts[start:start + group.bins]
             for group, first in zip(groups, offsets)
             for start in range(first, first + group.size, group.bins)]
 
@@ -715,7 +690,7 @@ def _covers(needs, k):
 
 
 def _union_histogram(normal_sets, width, mc):
-    """The (miss, hit) SignHistogram of mc.samples readings, a hit lying in
+    """The (miss, hit) counts of mc.samples readings, a hit lying in
     some region or its antipodal image.
 
     A PointIndex merges the normals up to sign within MATCH_TOL into k
@@ -730,7 +705,7 @@ def _union_histogram(normal_sets, width, mc):
     index, needs, signed = PointIndex(MATCH_TOL), set(), {}
     for normals in normal_sets:
         if not len(normals):
-            return SignHistogram(np.array([0, mc.samples]))
+            return np.array([0, mc.samples])
         need = set()
         for u in normals:
             key = u.tobytes()   # a repeated normal keeps its first match
@@ -743,9 +718,9 @@ def _union_histogram(normal_sets, width, mc):
             need = tuple(sorted(need, key=abs))
             needs.update((need, tuple(-j for j in need)))
     if not needs:
-        return SignHistogram(np.array([mc.samples, 0]))
+        return np.array([mc.samples, 0])
     if _covers(needs, len(index.rows)):
-        return SignHistogram(np.array([0, mc.samples]))
+        return np.array([0, mc.samples])
     return _region_histograms([np.array(index.rows)], width, mc, needs)[0]
 
 
@@ -1231,8 +1206,8 @@ class RestrictedNormalized(MeasureSpec):
                 raise UnsupportedMeasure("restriction subsphere has no mass")
             return Estimates([2.0 * self._base._subspace_mass(
                 self._subspace, region) / den for region in regions])
-        # every region reads A and -A afresh, so no two ratios share a
-        # denominator that the estimate algebra could not see
+        # each region reads A and -A as regions of its own, so the four
+        # sources of its ratio are its own
         a, neg_a = self._region, self._region.antipodal()
         ests = self._base.eval_many(
             [q for r in regions
@@ -1240,20 +1215,19 @@ class RestrictedNormalized(MeasureSpec):
             derive_mc(mc, _ROLE_RESTRICT))
         pairs = ests.mapped(IndexMap(
             len(ests) // 2, np.arange(len(ests)) // 2, range(len(ests)), 1))
-        out = []
-        for num, den in zip(pairs[0::2], pairs[1::2]):
-            if den.value <= 0.0:
-                raise UnsupportedMeasure("restriction region has no mass")
-            value = 2.0 * num.value / den.value
-            rel = 0.0
-            if num.value != 0.0:
-                rel += (num.std_error / num.value) ** 2
-            if den.value != 0.0:
-                rel += (den.std_error / den.value) ** 2
-            err = (abs(value) * math.sqrt(rel)
-                   if not (num.exact and den.exact) else 0.0)
-            out.append(MeasureEstimate(value, err, num.samples + den.samples))
-        return Estimates.measured(out)
+        values = np.array([est.value for est in pairs])
+        num, den = values[0::2], values[1::2]
+        if np.any(den <= 0.0):
+            raise UnsupportedMeasure("restriction region has no mass")
+        # the delta method: 2 n / d linearized about the pair's values, 2 / d
+        # per unit of n and -2 n / d^2 per unit of d; an exact pair keeps
+        # the ratio's bits, as its deviations from its values are 0
+        ratio = 2.0 * num / den
+        lin = (pairs - values).mapped(IndexMap(
+            len(ratio), np.arange(len(values)) // 2, range(len(values)),
+            np.column_stack([2.0 / den, -ratio / den]).ravel()))
+        return Estimates(lin.offset + ratio, lin.rows, lin.cols, lin.coef,
+                         lin.sources)
 
     def support_subspaces(self):
         subs = self._base.support_subspaces()

@@ -80,7 +80,7 @@ def angle_estimates(simplices, measure, mc=None):
                                mc)
     size = len(cuts)
     read = [i for i, h in enumerate(masses.histograms)
-            if h is not None and len(h.counts) == size]
+            if h is not None and len(h) == size]
     pending = sorted(set(range(len(simplices))) - set(read))
     rest = (measure.eval_many([face_region(simplices[i], cut)
                                for i in pending for cut in cuts[:-1]],

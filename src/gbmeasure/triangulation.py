@@ -31,15 +31,13 @@ from .errors import (BoundaryAtom, DegenerateSimplex, DevelopingMismatch,
                      InconsistentDichotomy, NotAManifold, SchemaError,
                      SingularMatrix)
 from .geom import ProjectiveMap, apply_map, simplex_stack
-from .measure import FiniteOrbitMeasure, IndexMap, MeasureEstimate
+from .measure import ATOM_TOL, FiniteOrbitMeasure, IndexMap, MeasureEstimate
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angle_estimates, cut_sets, k_map  # noqa: F401
 from ._util import (MATCH_TOL, PointIndex, all_integers, is_integer,
                     normalized, numeric_array, points_projectively_equal,
                     projective_closure, projective_gaps, scaled_flat)
-
-_SUPPORT_TOL = 1e-12
 
 
 class Incidence(NamedTuple):
@@ -527,7 +525,7 @@ def transversality_check(tri, measure):
         for rec in tri.incidences_of_face(n - 1, idx):
             normal = tri.developed[rec.top].planes[rec.cut[0]].normal
             for sidx, basis in enumerate(supports):
-                if np.max(np.abs(basis @ normal)) <= _SUPPORT_TOL:
+                if np.max(np.abs(basis @ normal)) <= ATOM_TOL:
                     failures.append((idx, rec.top, sidx))
     return TransversalityReport(not failures, False, tuple(failures))
 

@@ -333,19 +333,42 @@ def test_text_output_is_the_json_payload(tmp_path, capsys, argv):
             "PASS" if payload["passed"] else "FAIL")
 
 
+def _module_env():
+    """The environment for python -m gbmeasure on this tree's source."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_sgb_on_s0_is_its_closed_form_in_and_out_of_process(capsys):
+    # two weighted points: the simplex holds one, so k is 1 and the
+    # residual 2 k - (1 + (-1)^0) mu(s) is 0, both exact
+    argv = ["--format", "json", "sgb", "--random-simplex", "--dim", "0",
+            "--measure", "round"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == {"value": 1.0, "std_error": 0.0, "samples": 0}
+    assert payload["residual"] == {"value": 0.0, "std_error": 0.0,
+                                   "samples": 0}
+    assert payload["passed"]
+    proc = subprocess.run([sys.executable, "-m", "gbmeasure"] + argv,
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["angles", "s2-octahedron", "--measure", "round-mc"], 0),
     (["check", "s2-octahedron", "--measure", "bogus"], 2)],
     ids=["report", "error"])
 def test_closed_stdout_ends_quietly_with_the_run_exit_code(argv, code):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "gbmeasure", "--format", "json", "--samples",
          "4000"] + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=env)
+        env=_module_env())
     proc.stdout.close()     # the reader is gone before anything is written
     assert proc.stderr.read() == b""
     proc.stderr.close()
@@ -401,6 +424,45 @@ def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
     diagnostic = json.loads(out)
     assert issubclass(getattr(errors, diagnostic["error"]), error)
     assert all(name in diagnostic["detail"] for name in named)
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("matrix", [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+     "vertex slot 1 of face 0 maps 1.41421 away from its mate"),
+    ("face", 99, "face index 99 out of range"),
+    ("simplex_b", 7, "face 0 is not shared by simplices 0 and 7"),
+], ids=["matrix", "face", "simplex"])
+def test_mismatched_pairing_is_a_developing_mismatch(tmp_path, capsys, field,
+                                                     value, detail):
+    doc_path = tmp_path / "octahedron.json"
+    assert run(capsys, "example", "s2-octahedron", "-o",
+               str(doc_path))[0] == 0
+    document = json.loads(doc_path.read_text())
+    document["pairings"][0][field] = value
+    doc_path.write_text(json.dumps(document))
+    code = main(["--format", "json", "check", str(doc_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert json.loads(out) == {"error": "DevelopingMismatch",
+                               "detail": "pairing 0: " + detail}
+
+
+def test_repeated_face_tuples_are_dealt_round_robin(tmp_path, capsys):
+    # every edge of t2-grid --k 2 as a sorted tuple: each of the 6 vertex
+    # pairs then bounds two of the 12 edges, and load deals the two edges
+    # of a pair to its incidences in turn (the pairings are left out, as
+    # the dealing does not follow them)
+    document = builtin_document("t2-grid", k=2)
+    document["faces"]["1"] = [sorted(e) for e in document["faces"]["1"]]
+    assert len({tuple(e) for e in document["faces"]["1"]}) == 6
+    del document["pairings"]
+    doc_path = tmp_path / "grid.json"
+    doc_path.write_text(json.dumps(document))
+    code, out = run(capsys, "--format", "json", "check", str(doc_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["chi"] == 0 and report["passed"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--dichotomy"]])

@@ -17,7 +17,7 @@ from gbmeasure import measure as measure_module
 from gbmeasure.documents import builtin_document
 from gbmeasure.triangulation import _holonomy_words, dichotomy_check, load
 from gbmeasure._util import derive_seed, normalized
-from gbmeasure.measure import Estimates, IndexMap, SignHistogram, derive_mc
+from gbmeasure.measure import Estimates, IndexMap, derive_mc
 
 
 def region(dim, *normals):
@@ -230,9 +230,8 @@ class TestMonteCarlo:
         dim = 3
         regions = [self._coder_regions(dim, 1)[i] for i in picks]
         mc = MCConfig(seed=9, samples=1200)
-        got = [h.counts
-               for h in RoundMeasure(dim, monte_carlo=True).eval_many(
-                   regions, mc).histograms]
+        got = RoundMeasure(dim, monte_carlo=True).eval_many(
+            regions, mc).histograms
         assert [len(c) for c in got] == [
             [8, 8, 2, 2, 2, 2, 2, 4, 4][i] for i in picks]
         assert mm._layout(len(regions))[0] == chunk
@@ -261,9 +260,8 @@ class TestMonteCarlo:
         regions = [self._coder_regions(dim, 3)[i] for i in picks]
         for samples in (100, 128, 161, 500, 501, 1200):
             mc = MCConfig(seed=11, samples=samples)
-            got = [h.counts
-                   for h in RoundMeasure(dim, monte_carlo=True).eval_many(
-                       regions, mc).histograms]
+            got = RoundMeasure(dim, monte_carlo=True).eval_many(
+                regions, mc).histograms
             want = self._plane_by_plane_counts(regions, mc, map(len, got))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -283,9 +281,8 @@ class TestMonteCarlo:
             regions = [Region([Hyperplane(u) for u in
                                rng.standard_normal((h, dim + 1))], dim)
                        for _ in range(count)]
-            got = [h.counts
-                   for h in RoundMeasure(dim, monte_carlo=True).eval_many(
-                       regions, mc).histograms]
+            got = RoundMeasure(dim, monte_carlo=True).eval_many(
+                regions, mc).histograms
             want = self._plane_by_plane_counts(regions, mc, map(len, got),
                                                np.float64)
             moved = sum(int(abs(g - w).sum()) for g, w in zip(got, want))
@@ -394,7 +391,7 @@ class TestMonteCarlo:
             hits = self._rotated_union_hits(m, regions, mc)
             assert est.samples == samples
             assert est.value == 2.0 * hits / samples
-            assert m._union_mass(regions, mc).histograms[0].counts.tolist(
+            assert m._union_mass(regions, mc).histograms[0].tolist(
                 ) == [samples - hits, hits]
 
     def test_union_merges_a_plane_with_its_flip(self, monkeypatch):
@@ -438,7 +435,7 @@ class TestMonteCarlo:
                    for dev in tri.developed]
         assert len(normals) == 160
         assert len({u.tobytes() for rows in normals for u in rows}) > 3
-        assert mm._union_histogram(normals, 2, mc).counts.tolist() == [
+        assert mm._union_histogram(normals, 2, mc).tolist() == [
             mc.samples, 0]
         assert planes == [3]
         assert all(measure._exact_value(rows) == 0.0 for rows in normals)
@@ -470,9 +467,9 @@ class TestMonteCarlo:
             [r.normals for r in live + dead], 2,
             derive_mc(mc, mm._ROLE_UNION))
         est = m.union_mass(live + dead, mc)
-        assert 0 < everything.counts[1] < mc.samples
-        assert m._union_mass(live + dead, mc).histograms[0].counts.tolist(
-            ) == everything.counts.tolist()
+        assert 0 < everything[1] < mc.samples
+        assert m._union_mass(live + dead, mc).histograms[0].tolist(
+            ) == everything.tolist()
         assert est == m.union_mass(live, mc)
         # with no live region there is nothing to draw; no regions at all
         # keep the zero of a draw
@@ -542,7 +539,7 @@ class TestMonteCarlo:
                 assert calls == []
             patch.setattr(mm, "_covers", lambda needs, k: False)
             sampled = mm._union_histogram(normal_sets, width, mc)
-        assert decided.counts.tolist() == sampled.counts.tolist()
+        assert decided.tolist() == sampled.tolist()
 
     @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,
@@ -565,12 +562,10 @@ class TestMonteCarlo:
                     for u in sets]
             first = None
             for _ in range(calls):
-                tree = [h.counts
-                        for h in mm._region_histograms(sets, width, mc)]
+                tree = mm._region_histograms(sets, width, mc)
                 with monkeypatch.context() as patch:
                     patch.setattr(mm, "_TREE_BITS", 0)
-                    coded = [h.counts
-                             for h in mm._region_histograms(sets, width, mc)]
+                    coded = mm._region_histograms(sets, width, mc)
                 assert [len(c) for c in tree] == [1 << len(u) for u in sets]
                 first = first or tree
                 for t, c, f in zip(tree, coded, first):
@@ -983,23 +978,29 @@ class TestEstimateAlgebra:
         assert all(est.exact for est in both)
 
     def test_errors_add_by_hypot_and_samples_add(self):
-        both = Estimates.measured([MeasureEstimate(1.0, 0.3, 100),
-                                   MeasureEstimate(2.0, 0.4, 50)])
-        for est, value in zip(both.mapped(self.PLUS_MINUS), (3.0, -1.0)):
-            assert est.value == value
-            assert math.isclose(est.std_error, math.hypot(0.3, 0.4))
+        # masses 2 * 30 / 100 and 2 * 20 / 50 of two independent histograms
+        both = Estimates.masses([0.0, 0.0], [0, 1], [np.array([70, 30]),
+                                                     np.array([30, 20])])
+        errors = [2 * math.sqrt(0.3 * 0.7 / 99), 2 * math.sqrt(0.4 * 0.6 / 49)]
+        for est, error in zip(both, errors):
+            assert math.isclose(est.std_error, error)
+        for est, value in zip(both.mapped(self.PLUS_MINUS), (1.4, -0.2)):
+            assert math.isclose(est.value, value)
+            assert math.isclose(est.std_error, math.hypot(*errors))
             assert est.samples == 150
-        mixed = Estimates.measured([MeasureEstimate(1.0, 0.3, 100),
-                                    MeasureEstimate(0.5)])
-        assert mixed.mapped(self.PLUS_MINUS)[0].std_error == 0.3
+        mixed = Estimates.masses([0.0, 0.5], [0], [np.array([70, 30])])
+        total = mixed.mapped(self.PLUS_MINUS)[0]
+        assert total.std_error == mixed[0].std_error
+        assert total.samples == 100
 
     def test_scalar_multiple_and_integer_division(self):
-        a = Estimates.measured([MeasureEstimate(1.5, 0.2, 40)])
+        a = Estimates.masses([0.0], [0], [np.array([10, 30])])    # 1.5
+        error = a[0].std_error
         assert a.mapped(IndexMap(1, [0], [0], -2))[0] == MeasureEstimate(
-            -3.0, 0.4, 40)
+            -3.0, 2 * error, 40)
         third = (a / np.array([3]))[0]
         assert math.isclose(third.value, 0.5)
-        assert math.isclose(third.std_error, 0.2 / 3)
+        assert math.isclose(third.std_error, error / 3)
         assert third.samples == 40
         assert (1.0 - a)[0].value == -0.5 and (a - 1.0)[0].value == 0.5
 
@@ -1014,15 +1015,11 @@ class TestEstimateAlgebra:
         assert math.isclose(doubled.std_error, 2 * est.std_error)
         zero = batch.mapped(IndexMap(1, [0, 0], [0, 0], [1, -1]))[0]
         assert zero.value == 0.0 and zero.std_error == 0.0
-        # an estimate given by value and error alone is its own source too
-        a = Estimates.measured([MeasureEstimate(1.0, 0.3, 100)])
-        assert math.isclose((a + a)[0].std_error, 0.6)
-        assert (a + a)[0].samples == 100
 
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_shares_pair_each_mask_with_its_supersets_in_order(self, bits):
         size = 1 << bits
-        hists = [SignHistogram(np.arange(size) + 1) for _ in range(2)]
+        hists = [np.arange(size) + 1 for _ in range(2)]
         batch = Estimates.masses([0.0, 0.0, 0.0], [0, 2], hists)
         rng = np.random.default_rng(bits)
         masks = list(rng.integers(0, size, 2 * size)) + [size - 1, 0]

@@ -27,48 +27,68 @@ def _reference_std_errors(tri, measure, mc):
     """Standard errors of every link sum, defect and k, of sum_defects and
     of mu by brute force: each output's per-code coefficients on each
     sampled histogram, summed from the incidences, and the centered
-    variance of their sample mean.  measure is round-mc or a mixture of
-    round-mc (read from code histograms of the tops' whole regions) and an
-    exact measure with weights w, 1 - w (read from one histogram per face
-    region: the full cut sets of the first eval_many call, the rest of the
-    second)."""
+    variance of their sample mean.  measure is round-mc, read from code
+    histograms of the tops' whole regions, or one read region by region,
+    the full cut sets from the first eval_many call and the rest from the
+    second: a mixture of round-mc and an exact measure with weights w,
+    1 - w, whose mass is w times twice the last code's share of one
+    histogram, or round-mc restricted to a region A, whose mass 2 n / d
+    reads the histograms of R∩A, R∩-A, A and -A, n and d twice the sums
+    of their last codes' shares, by the delta method: coefficients 2 / d
+    on n and -2 n / d^2 on d."""
     n, full = tri.dim, tuple(range(tri.dim + 1))
     sampled = RoundMeasure(n, monte_carlo=True)
     angle = {}      # (top, cut) -> {id: (histogram, coefficients)}
-    if isinstance(measure, Mixture):
-        w = measure.components[0][0]
 
-        def hists(regions, mc):
-            return sampled.eval_many(regions, derive_mc(
-                mc, measure_module._ROLE_COMPONENT, 0)).histograms
-        cuts = list(cut_sets(n, n))
-        rest = iter(hists([face_region(dev, cut) for dev in tri.developed
-                           for cut in cuts], derive_mc(
-                               mc, simplex_module._ROLE_SIMPLEX)))
-        tops = hists([face_region(dev, full) for dev in tri.developed], mc)
-        for t, top in enumerate(tops):
-            for cut in cuts + [full]:
-                h = top if cut == full else next(rest)
-                if h is None:       # the whole sphere, exact
-                    angle[(t, cut)] = {}
-                    continue
-                # half the mixture mass: w times twice the last code's share
-                coef = np.zeros(len(h.counts))
-                coef[-1] = w
-                angle[(t, cut)] = {id(h): (h, coef)}
-    else:
+    def last(h, scale):
+        coef = np.zeros(len(h))
+        coef[-1] = scale
+        return coef
+
+    def masses(regions, mc):
+        """{id: (histogram, coefficients)} of each region's mass."""
+        if isinstance(measure, Mixture):
+            w = measure.components[0][0]
+            return [{} if h is None else {id(h): (h, last(h, 2.0 * w))}
+                    for h in sampled.eval_many(regions, derive_mc(
+                        mc, measure_module._ROLE_COMPONENT, 0)).histograms]
+        a, neg_a = measure._region, measure._region.antipodal()
+        hists = iter(sampled.eval_many(
+            [q for r in regions
+             for q in (r.intersect(a), r.intersect(neg_a), a, neg_a)],
+            derive_mc(mc, measure_module._ROLE_RESTRICT)).histograms)
+        out = []
+        for quad in zip(hists, hists, hists, hists):
+            num, den = (2.0 * sum(h[-1] / h.sum() for h in pair)
+                        for pair in (quad[:2], quad[2:]))
+            out.append({id(h): (h, last(h, 2.0 * scale)) for h, scale in zip(
+                quad, [2.0 / den] * 2 + [-2.0 * num / den ** 2] * 2)})
+        return out
+
+    if isinstance(measure, RoundMeasure):
         tops = sampled.eval_many([face_region(dev, full)
                                   for dev in tri.developed], mc).histograms
         for t, h in enumerate(tops):
             for cut in cut_sets(n):
                 mask = sum(1 << i for i in cut)
                 coef = np.array([float(c & mask == mask)
-                                 for c in range(len(h.counts))])
+                                 for c in range(len(h))])
                 angle[(t, cut)] = {} if not cut else {id(h): (h, coef)}
+    else:
+        cuts = list(cut_sets(n, n))
+        rest = iter(masses([face_region(dev, cut) for dev in tri.developed
+                            for cut in cuts], derive_mc(
+                                mc, simplex_module._ROLE_SIMPLEX)))
+        tops = masses([face_region(dev, full) for dev in tri.developed], mc)
+        for t, top in enumerate(tops):
+            for cut in cuts + [full]:
+                terms = top if cut == full else next(rest)
+                angle[(t, cut)] = {key: (h, 0.5 * coef)
+                                   for key, (h, coef) in terms.items()}
 
     def add(into, scale, terms):
         for key, (h, coef) in terms.items():
-            into.setdefault(key, (h, np.zeros(len(h.counts))))[1][:] += (
+            into.setdefault(key, (h, np.zeros(len(h))))[1][:] += (
                 scale * coef)
 
     link, k, defect, mu, total = {}, {}, {}, {}, {}
@@ -91,9 +111,9 @@ def _reference_std_errors(tri, measure, mc):
     def std(terms):
         var = 0.0
         for h, coef in terms.values():
-            m = h.samples
-            mean = h.counts @ coef / m
-            var += h.counts @ (coef - mean) ** 2 / ((m - 1) * m)
+            m = h.sum()
+            mean = h @ coef / m
+            var += h @ (coef - mean) ** 2 / ((m - 1) * m)
         return np.sqrt(var)
     return ({("link",) + key: std(t) for key, t in link.items()}
             | {("defect", v): std(t) for v, t in defect.items()}
@@ -404,8 +424,8 @@ class TestGBReport:
         RoundMeasure(2, monte_carlo=True),
         Mixture([(0.5, RoundMeasure(2, monte_carlo=True)),
                  (0.5, AtomicMeasure([([0.3, 0.5, 0.8], 1.2),
-                                      ([-0.7, 0.2, 0.4], 0.8)]))])],
-                             ids=["round-mc", "mixture"])
+                                      ([-0.7, 0.2, 0.4], 0.8)]))]),
+        _batched_measures()[1]], ids=["round-mc", "mixture", "restriction"])
     def test_error_bars_match_a_brute_force_reference(self, measure):
         # every reported error bar of a sampled octahedron against the
         # centered variance of its per-code coefficients, built here

@@ -4,11 +4,12 @@
 
 Each path is a checkout (holding src/gbmeasure) or the directory holding
 the gbmeasure package itself.  The battery runs every built-in document
-under eleven measures, its own, four named and six specs (check,
+under twelve measures, its own, four named and seven specs, among them
+one region restriction of round-mc and one of the atomic measure (check,
 check --dichotomy --orbit-depth 1, angles), sgb in dimensions 1-4 under
 its default round-mc and 1-2 under the exact round, sgb on one --vertices
 simplex under round-mc, round and the 25/75 mixture of round and atoms,
-and invariance of three measures under three groups, at seeds 1 and 2 and
+and invariance of ten measures under three groups, at seeds 1 and 2 and
 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
 octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
@@ -84,6 +85,7 @@ def _measures(width):
             {"weight": 0.25, "measure": {"type": "round"}},
             {"weight": 0.75, "measure": atomic}]},
         {"type": "restricted", "base": round_mc, "region": plane},
+        {"type": "restricted", "base": atomic, "region": plane},
         # a subspace basis must be orthonormal: first, scaled to unit length
         {"type": "restricted", "base": atomic,
          "subspace": [[x / math.hypot(*first) for x in first]]}]
