@@ -19,11 +19,12 @@ The layers, bottom up:
 """
 
 from .errors import (AtomOnBoundary, BoundaryAtom, DegenerateSimplex,
-                     DevelopingMismatch, DimensionMismatch,
-                     DimensionTooLarge, DuplicateAtom, GBError, InconsistentDichotomy, NonAtomicBase,
-                     NotAdapted, NotAGroup, NotAManifold, NotDeckInvariant,
-                     OrbitOverflow, SchemaError, SingularMatrix,
-                     UnsupportedMeasure, ZeroVector)
+                     DevelopingMismatch, DimensionMismatch, DimensionTooLarge,
+                     DuplicateAtom, GBError, InconsistentDichotomy,
+                     InsufficientSamples, NonAtomicBase, NotAdapted, NotAGroup,
+                     NotAManifold, NotDeckInvariant, OrbitOverflow,
+                     SchemaError, SingularMatrix, UnsupportedMeasure,
+                     ZeroVector)
 from .geom import (Hyperplane, ProjectiveMap, Region, SphericalSimplex,
                    UnitPoint, apply_map, face_region, random_region,
                    random_simplex, simplex_from_vertices, whole_sphere)

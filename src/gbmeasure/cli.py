@@ -27,14 +27,14 @@ import numpy as np
 
 from .documents import (BUILTIN_DOCUMENTS, builtin_document,
                         icosahedral_rotation_group, rotation_about)
-from .errors import GBError, SchemaError, SingularMatrix
+from .errors import GBError, InsufficientSamples, SchemaError, SingularMatrix
 from .geom import (ProjectiveMap, random_region, random_simplex,
                    simplex_from_vertices)
 from .measure import (MCConfig, check_invariance, measure_from_spec)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, default_covering,
                        equivariance_check, induce_quotient, pullback)
-from .simplex import angle_estimates, check_dimension, k_value, sgb_residual
+from .simplex import check_dimension, k_and_mass, k_value, sgb_residual
 from .triangulation import dichotomy_check, gb_report, load
 from . import triangulation as _tri
 from ._util import is_integer, numeric_array
@@ -208,9 +208,13 @@ def cmd_sgb(args):
     else:
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
-    table = angle_estimates([simplex], measure, args.mc)
-    k = k_value(simplex, measure, args.mc, table=table)
-    residual = sgb_residual(simplex, measure, args.mc, table=table)
+    pair = k_and_mass(simplex, measure, args.mc)
+    k = k_value(simplex, measure, args.mc, pair=pair)
+    residual = sgb_residual(simplex, measure, args.mc, pair=pair)
+    if residual.samples and not pair.readings():
+        raise InsufficientSamples(
+            "no reading of %d samples lies in the %d-simplex or its antipode"
+            % (args.mc.samples, simplex.dim))
     return {"dim": simplex.dim, "k": _fields(k),
             "residual": _fields(residual),
             "passed": residual.is_zero(args.tolerance)}

@@ -68,6 +68,10 @@ class UnsupportedMeasure(GBError):
     """The requested evaluation is not representable for this measure."""
 
 
+class InsufficientSamples(GBError):
+    """No Monte Carlo reading landed where a verdict reads its estimate."""
+
+
 # triangulations
 
 class SchemaError(GBError):

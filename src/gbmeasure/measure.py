@@ -8,21 +8,21 @@ mean and the sample count, and the batch the sample histograms they were
 read from, so that linear maps of it keep their shared samples.
 
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
-per-block derived seeds and counts each sample's sign code against a
-region's planes into a histogram, an array of counts per code, so a
-result is a pure function of (seed, samples).  A region of at most
-_TREE_BITS planes counts its codes by popcount over bit-packed
-signs, a wider one by a code per sample and a bincount; both give the
-same integers.  Every measure answers eval_many as one batch: a round or
-subsphere measure draws once for all its sampled regions (see
+per-block derived seeds and counts each sample's signs against a region's
+planes, packed into bits, into a histogram, so a result is a pure
+function of (seed, samples).  A region of at most _TREE_BITS planes
+counts every sign code by a popcount tree, a wider one the three bins
+-R, elsewhere and R; -R is the first bin and R the last either way, so a
+mass reads the last.  Every measure answers eval_many as one batch: a
+round or subsphere measure draws once for all its sampled regions (see
 _region_masses), a mixture asks each component once, a restriction asks
-its base once.  A call sampling G regions (1 for a union)
-reads chunks of _CHUNK / f rows, f the largest of 4, 2 and 1 with
-f G <= 8 (_layout): a block of readings draws at most _ROWS / f fresh
-rows and reads each of them up to f _BLOCK / _ROWS times, each time
-through a fresh Haar rotation, so reading i is fresh row i mod (_ROWS / f)
-and chunk rows times reads per row stay _CHUNK x 4 in every layout.  The
-error bars stay exact (see _region_masses), and samples counts readings.
+its base once.  A call sampling G regions (1 for a union) reads chunks
+of _CHUNK / f rows, f the largest of 4, 2 and 1 with f G <= 8 (_layout):
+a block of readings draws at most _ROWS / f fresh rows and reads each of
+them up to f _BLOCK / _ROWS times, each time through a fresh Haar
+rotation, so reading i is fresh row i mod (_ROWS / f) and chunk rows
+times reads per row stay _CHUNK x 4 in every layout.  The error bars
+stay exact (see _region_masses), and samples counts readings.
 A union reads such readings for one region of its distinct planes and
 counts those inside some region or its antipode from their packed signs.
 It samples only what is left undecided: a region of closed-form mass 0
@@ -57,12 +57,12 @@ from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, is_integer,
 ATOM_TOL = 1e-12
 Z_LIMIT = 4.0     # standard errors a Monte Carlo zero may deviate by
 _BLOCK = 1 << 17
-_CODE_BITS = 16   # planes coded bit by bit (2^16 histogram bins at most)
+_CODE_BITS = 16   # planes of a union whose codes _covers lists one by one
 _CHUNK = 2048     # rows per chunk: a region turns each by its own rotation
 _ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK;
                   # both / 2 or / 4 when at most 4 or 2 regions (_layout)
 _GROUP_PLANES = 64   # a product: at most 64 x _CHUNK float32 entries (512 KB)
-_TREE_BITS = 6    # planes up to which a region counts codes by popcount
+_TREE_BITS = 6    # planes up to which a region counts every code
 _TREE_WORDS = 256    # words of each plane per pass of the popcount tree
 
 # spawn-key roles keeping derived seed streams disjoint
@@ -141,11 +141,13 @@ class Estimates:
     by row and code with no (row, code) twice, give estimate rows[e] the
     coefficient coef[e] on code cols[e].
 
-    A source is an array of Monte Carlo sample counts per code.  Against a
-    region, bit j of a sample's code is set when the sample lies on the
-    positive side of plane j, so the mass where all planes of a mask are
-    positive is a superset sum of the counts (see _region_histograms); a
-    union's source counts its misses and hits (see _union_histogram).
+    A source is an array of Monte Carlo sample counts.  A region's has -R
+    in its first bin and R in its last, which a mass and a sampled k read
+    (simplex.k_and_mass): up to _TREE_BITS planes a bin per code, bit j
+    set when a sample lies on the positive side of plane j, so the mass
+    where all planes of a mask are positive is a superset sum of the
+    counts (shares); a wider region's are -R, elsewhere and R.  A union's
+    source counts its misses and hits (see _union_histogram).
 
     An estimate without coefficients is exact.  Any other adds to its
     offset the exactly rounded sum, over the sources it reads, of the
@@ -204,6 +206,12 @@ class Estimates:
         return Estimates(np.zeros(len(entries) * len(masks)), rows.ravel(),
                          (first[:, None] + code).ravel(), np.ones(rows.size),
                          self.sources)
+
+    def readings(self):
+        """Readings on codes some estimate weighs by a nonzero coefficient."""
+        counts = np.concatenate([[]] + list(self.sources))
+        weighed = np.bincount(self.cols, self.coef != 0.0, len(counts))
+        return int(counts[weighed > 0].sum())
 
     @classmethod
     def stack(cls, batches):
@@ -429,23 +437,18 @@ class _PlaneGroup:
     in chunks of chunk rows.
 
     A batch of chunks makes one product with the stacked planes, and its
-    (chunk, region, plane, sample) view holds every region's signs.  A
-    sample's code against a region has bit j set when the sample is on the
-    positive side of plane j; a region of more than _CODE_BITS planes codes
-    only "inside" (all h positive).  A group of at most _TREE_BITS planes
-    per region packs its signs into bits and counts codes with
-    packed_counts; a wider one builds codes, offset by r times its bins for
-    region r, so one bincount counts the whole batch.
+    (chunk, region, plane, sample) view holds every region's signs, packed
+    into bits for packed_counts: 2^h bins, one per code, up to _TREE_BITS
+    planes, and the three bins (-R, elsewhere, R) above.
     """
 
     def __init__(self, normal_sets, chunk, bins=None):
         self.count = len(normal_sets)
         self.h = len(normal_sets[0])
         self.planes = np.concatenate(normal_sets)
-        self.bins = bins or (2 if self.h > _CODE_BITS else 1 << self.h)
+        self.bins = bins or (1 << self.h if self.h <= _TREE_BITS else 3)
         self.size = self.count * self.bins
-        self.zero = np.arange(0, self.size, self.bins)   # bins of code 0
-        self.tree = self.h <= _TREE_BITS
+        self.zero = np.arange(0, self.size, self.bins)   # bins of -R
         self.chunk = chunk
         self.step = max(1, _GROUP_PLANES * _CHUNK
                         // (max(len(self.planes), 1) * chunk))
@@ -462,33 +465,23 @@ class _PlaneGroup:
                  for c in range(w, min(w + window, full), self.step)]
                 + ([(full, full + 1, rest)] if rest else []))
 
-    def codes(self, signs):
-        """Offset codes, (chunk, region, sample), from a batch's signs."""
-        positive = signs.reshape(len(signs), self.count, self.h,
-                                 -1).view(np.uint8)
-        base = (np.arange(self.count)[:, None] * self.bins).astype(
-            np.min_scalar_type(self.size - 1))
-        if self.h > _CODE_BITS:
-            return base + np.logical_and.reduce(positive, axis=2)
-        codes = base + positive[:, :, 0]
-        for j in range(1, self.h):
-            bit = positive[:, :, j].astype(codes.dtype)
-            bit <<= j
-            codes |= bit
-        return codes
-
     def packed_counts(self, words):
-        """Code counts of every region, (region, code) flattened, from its
-        signs packed into uint64 words, (plane, word).
-
-        Plane h-1 splits the words into the readings where it is clear and
-        where it is set, plane h-2 splits each of those, and so on down to
-        plane 0, so that leaf i holds the readings of code i, and
-        np.bitwise_count counts each leaf: about 2^(h+1) word operations
-        per 64 readings.  Bits clear in every plane, the padding of a short
-        chunk among them, count as code 0.
-        """
+        """The bins of every region, (region, bin) flattened, from its signs
+        packed into uint64 words, (plane, word): a wide region's -R and R
+        by a NOR and an AND of its planes.  Up to _TREE_BITS planes, plane
+        h-1 splits the words into the readings where it is clear and where
+        it is set, plane h-2 splits each of those, and so on down to plane
+        0, so that leaf i holds the readings of code i, and np.bitwise_count
+        counts each leaf: about 2^(h+1) word operations per 64 readings.
+        Bits clear in every plane, a short chunk's padding among them, count
+        in the first bin."""
         planes = words.reshape(self.count, self.h, -1)
+        if self.h > _TREE_BITS:
+            ends = [np.bitwise_count(w).sum(axis=1, dtype=np.int64) for w in (
+                ~np.bitwise_or.reduce(planes, axis=1),
+                np.bitwise_and.reduce(planes, axis=1))]
+            return np.column_stack(
+                [ends[0], planes.shape[2] * 64 - sum(ends), ends[1]]).ravel()
         top = planes[:, -1:]
         level = np.concatenate([~top, top], axis=1)
         for j in range(self.h - 2, -1, -1):
@@ -509,7 +502,6 @@ class _UnionGroup(_PlaneGroup):
 
     def __init__(self, planes, needs, chunk):
         super().__init__([planes], chunk, bins=2)
-        self.tree = True
         longest = max(map(len, needs))
         signed = np.array([need + need[:1] * (longest - len(need))
                            for need in sorted(needs)])
@@ -567,10 +559,10 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     with needs, the (miss, hit) histogram of the one region's planes
     counted by _UnionGroup.
 
-    A histogram is an int64 array of counts per code: a region of h planes
-    has 2^h codes, bit j set where a reading lies on the positive side of
-    plane j (see Estimates), and a region of more than _CODE_BITS planes
-    the two codes outside and inside.
+    A histogram is an int64 array of counts with -R in its first bin and
+    R in its last: a region of h <= _TREE_BITS planes has one bin per
+    code, bit j set where a reading lies on the positive side of plane j
+    (see Estimates), and a wider one the three bins (-R, elsewhere, R).
 
     Block b of _BLOCK readings draws from the stream (block, b), and the
     blocks' integer counts are summed in order.  The layout follows the
@@ -588,17 +580,12 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     _CHUNK entries, so a group of short chunks batches more of them per
     product.
 
-    A group of at most _TREE_BITS planes per region packs the signs of
-    each product, 64 readings of a chunk per uint64 word, into a
-    (plane, chunk, byte) buffer, likewise one per call, and
-    counts them by _PlaneGroup.packed_counts whenever the next batch would
-    overflow about _TREE_WORDS words per plane, so the tree's levels stay
-    in cache; the padding of a short last chunk is taken off the bins
-    where code 0 lands (group.zero).  A wider group counts one code per
-    reading with bincount, as the tree's 2^(h+1) word operations per 64
-    readings cost more from h = 7 on: one region on S^4 at 1e6 readings
-    took 32 ms by bincount and 35 ms by the tree at h = 7, 34 and 45 ms at
-    h = 8, and 32 and 29 ms at h = 6.
+    Every group packs the signs of each product, 64 readings of a chunk
+    per uint64 word, into a (plane, chunk, byte) buffer, likewise one per
+    call, and counts them by _PlaneGroup.packed_counts whenever the next
+    batch would overflow about _TREE_WORDS words per plane, so the tree's
+    levels stay in cache; the padding of a short last chunk is taken off
+    the first bins (group.zero).
     """
     n = int(mc.samples)
     if n <= 0:
@@ -610,14 +597,11 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     fresh = _gaussian_draw(width)
     window = _ROWS // _CHUNK
     words = -(-chunk // 64)             # uint64 words of one packed chunk
-    spans = [max(_TREE_WORDS // words, group.step) if group.tree else 0
-             for group in groups]
-    shapes = [(len(group.planes), span, 8 * words)
-              for group, span in zip(groups, spans)]
+    shapes = [(len(group.planes), max(_TREE_WORDS // words, group.step),
+               8 * words) for group in groups]
     signs = np.empty(max(map(math.prod, shapes)), dtype=np.uint8)
-    # each tree group's (plane, chunk, byte) view of the one sign buffer
-    views = [signs[:math.prod(shape)].reshape(shape) if group.tree else None
-             for group, shape in zip(groups, shapes)]
+    # each group's (plane, chunk, byte) view of the one sign buffer
+    views = [signs[:math.prod(shape)].reshape(shape) for shape in shapes]
     rows = np.empty((window, width, chunk), dtype=np.float32)
 
     def count(b):
@@ -632,20 +616,15 @@ def _region_histograms(normal_sets, width, mc, needs=None):
         rng = _rng(mc, _ROLE_REGION, b)
         chunks = -(-size // chunk)
         counts = np.zeros(offsets[-1], dtype=np.int64)
-        for group, span, bits, first, last in zip(groups, spans, views,
-                                                  offsets, offsets[1:]):
+        for group, bits, first, last in zip(groups, views, offsets,
+                                            offsets[1:]):
             q = _haar_rotations(rng, (chunks, group.count), width)
             turned = group.planes.reshape(group.count, group.h, width) @ q
             turned = turned.reshape(chunks, -1, width).astype(np.float32)
             filled = 0                  # chunks packed and not yet counted
             for start, stop, length in group.batches(size):
                 batch = rows[start % window:][:stop - start, :, :length]
-                if bits is None:
-                    counts[first:last] += np.bincount(group.codes(
-                        turned[start:stop] @ batch > 0.0).ravel(),
-                        minlength=group.size)
-                    continue
-                if filled + stop - start > span:
+                if filled + stop - start > bits.shape[1]:
                     counts[first:last] += group.packed_counts(
                         bits[:, :filled].view(np.uint64))
                     filled = 0
@@ -659,11 +638,10 @@ def _region_histograms(normal_sets, width, mc, needs=None):
                         packed.transpose(1, 0, 2))
                 into[:, :, packed.shape[2]:] = 0
                 filled += stop - start
-            if bits is not None:
-                counts[first:last] += group.packed_counts(
-                    bits[:, :filled].view(np.uint64))
-                # the padding bits of short chunks read as code 0
-                counts[first + group.zero] -= chunks * words * 64 - size
+            counts[first:last] += group.packed_counts(
+                bits[:, :filled].view(np.uint64))
+            # the padding bits of short chunks read as clear in every plane
+            counts[first + group.zero] -= chunks * words * 64 - size
         return counts
 
     counts = sum(count(b) for b in range(-(-n // _BLOCK)))

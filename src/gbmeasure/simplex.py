@@ -26,10 +26,7 @@ MAX_DIM = next(n for n in range(64) if 3 ** (n + 2) > _BLOCK * _GROUP_PLANES)
 
 
 def _cut_mask(cut):
-    mask = 0
-    for i in cut:
-        mask |= 1 << i
-    return mask
+    return sum(1 << i for i in set(cut))
 
 
 def cut_sets(n, max_size=None):
@@ -56,15 +53,15 @@ def angle(simplex, cut_set, measure, mc=None):
                            mass.samples)
 
 
-def angle_estimates(simplices, measure, mc=None):
+def angle_estimates(simplices, measure, mc=None, masses=None):
     """The angles of simplices of one dimension n as one batch of
     Estimates: simplex after simplex, each its 2^(n+1) cut sets in
     cut_sets order.
 
     The full cut sets, whose angles are the halved simplex masses, come
-    first, from one measure.eval_many call, so a sampled measure draws once
-    for all simplices.  When a simplex's full-cut estimate is a Monte Carlo
-    reading of a sign-code histogram against its n+1 planes, every other
+    first, from one measure.eval_many call (masses, when given), so a
+    sampled measure draws once for all simplices.  When a simplex's
+    full-cut estimate reads every sign code of its n+1 planes, every other
     cut set is a superset share of the same histogram, so the entries
     share its samples; the empty cut set is the exact angle 1.  The cut
     sets of every other simplex go to a second eval_many call, all of them
@@ -76,8 +73,9 @@ def angle_estimates(simplices, measure, mc=None):
         raise ValueError("angle tables need simplices of one dimension")
     check_dimension(n)
     cuts = list(cut_sets(n))
-    masses = measure.eval_many([face_region(s, cuts[-1]) for s in simplices],
-                               mc)
+    if masses is None:
+        masses = measure.eval_many([face_region(s, cuts[-1])
+                                    for s in simplices], mc)
     size = len(cuts)
     read = [i for i, h in enumerate(masses.histograms)
             if h is not None and len(h) == size]
@@ -120,41 +118,55 @@ def k_map(n, tops, stride):
                     [(-1) ** (n - len(cut)) for cut in cuts] * tops)
 
 
-def k_value(simplex, measure, mc=None, table=None):
+def k_and_mass(simplex, measure, mc=None):
+    """k(s) (see k_value) and the mass of s as one batch of two Estimates.
+
+    Summed over the cut sets T of at most n planes within a sign code,
+    (-1)^(n - |T|) is 1 at the code of s, (-1)^n at that of -s and 0 at
+    any other, so a sampled full cut with n > 0 gives k from the first and
+    last bins of its histogram (measure._region_histograms).  Any other
+    measure, and S^0, whose k is the exact 1, reads the angle table, given
+    the full cut's estimate, exactly rounded.  A simplex wider than
+    MAX_DIM raises DimensionTooLarge before anything is evaluated.
+    """
+    n = simplex.dim
+    check_dimension(n)
+    full = measure.eval_many([face_region(simplex, range(n + 1))], mc)
+    hist = full.histograms[0]
+    if hist is not None and n > 0:
+        last = len(hist) - 1
+        return Estimates([0.0, 0.0], [0, 0, 1], [0, last, last],
+                         [(-1.0) ** n, 1.0, 2.0], [hist])
+    table = angle_estimates([simplex], measure, mc, masses=full)
+    k = k_map(n, 1, len(table))
+    return table.mapped(IndexMap(2, [*k.out, 1], [*k.into, len(table) - 1],
+                                 [*k.scale, 2.0]), fsum=True)
+
+
+def k_value(simplex, measure, mc=None, pair=None):
     """Signed sum of all face angles: sum over faces of (-1)^r * angle.
 
     A face of dimension r corresponds to a cut set of size n - r; all cut
     sets of size at most n contribute, including the simplex itself (empty
     cut set, angle = half the total mass).  Exactly 0 in odd dimension and
     the simplex mass in even dimension for antipodally invariant measures.
-    The angles are read from table, the simplex's angle_estimates batch
-    for (measure, mc), which is evaluated when not given; the value is
-    exactly rounded.
+    Read from pair, the simplex's k_and_mass batch for (measure, mc),
+    which is evaluated when not given.
     """
-    if table is None:
-        table = angle_estimates([simplex], measure, mc)
-    return table.mapped(k_map(simplex.dim, 1, len(table)), fsum=True)[0]
+    return (pair or k_and_mass(simplex, measure, mc))[0]
 
 
-def sgb_residual(simplex, measure, mc=None, table=None):
+def sgb_residual(simplex, measure, mc=None, pair=None):
     """Residual of the spherical angle-sum identity.
 
-    2 * k(s) - (1 + (-1)^n) * mass(s); zero exactly for exact measures and
-    within statistical error for Monte Carlo ones.  k and the simplex mass,
-    twice the full cut set's angle, are both read from table, as in
-    k_value, so a sampled table's shared histogram cancels exactly.
+    2 * k(s) - (1 + (-1)^n) * mass(s), exactly rounded; zero exactly for
+    exact measures and within statistical error for Monte Carlo ones.  k
+    and the mass are read from pair, as in k_value, so a sampled
+    histogram's shared readings cancel exactly.
     """
-    n = simplex.dim
-    if table is None:
-        table = angle_estimates([simplex], measure, mc)
-    k, even = k_map(n, 1, len(table)), 1.0 + (-1.0) ** n
-    residual = table.mapped(IndexMap(
-        1, [0] * (len(k.out) + 1), [*k.into, len(table) - 1],
-        [*(2 * k.scale), -2.0 * even]))
-    # the offset of 2 k - even mass, each exactly rounded as in k_value
-    residual.offset[0] = math.fsum([2.0 * math.fsum(
-        k.scale * table.offset[k.into]), -2.0 * even * table.offset[-1]])
-    return residual[0]
+    even = 1.0 + (-1.0) ** simplex.dim
+    pair = pair or k_and_mass(simplex, measure, mc)
+    return pair.mapped(IndexMap(1, [0, 0], [0, 1], [2.0, -even]), fsum=True)[0]
 
 
 def antipodal_inclusion_exclusion(simplex, measure, mc=None):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gbmeasure
 from gbmeasure import cli, errors, measure, simplex
 from gbmeasure.cli import main
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
@@ -344,20 +345,46 @@ def _module_env():
 
 def test_sgb_on_s0_is_its_closed_form_in_and_out_of_process(capsys):
     # two weighted points: the simplex holds one, so k is 1 and the
-    # residual 2 k - (1 + (-1)^0) mu(s) is 0, both exact
-    argv = ["--format", "json", "sgb", "--random-simplex", "--dim", "0",
-            "--measure", "round"]
-    code, out = run(capsys, *argv)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["k"] == {"value": 1.0, "std_error": 0.0, "samples": 0}
-    assert payload["residual"] == {"value": 0.0, "std_error": 0.0,
-                                   "samples": 0}
-    assert payload["passed"]
-    proc = subprocess.run([sys.executable, "-m", "gbmeasure"] + argv,
-                          capture_output=True, text=True, env=_module_env(),
-                          timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    # residual 2 k - (1 + (-1)^0) mu(s) is 0, both exact.  Under the
+    # default round-mc both bins of S^0 weigh 1 in k, so k stays the exact
+    # 1, and only the residual reads the samples of mu(s)
+    for argv, residual in (
+            (["--format", "json", "sgb", "--random-simplex", "--dim", "0",
+              "--measure", "round"], (0.0, 0.0, 0)),
+            (["--format", "json", "--samples", "5000", "sgb",
+              "--random-simplex", "--dim", "0"], None)):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == {"value": 1.0, "std_error": 0.0,
+                                "samples": 0}
+        if residual is None:
+            assert payload["residual"]["samples"] == 5000
+            assert payload["residual"]["std_error"] > 0.0
+        else:
+            assert tuple(payload["residual"][key] for key in (
+                "value", "std_error", "samples")) == residual
+        assert payload["passed"]
+        proc = subprocess.run([sys.executable, "-m", "gbmeasure"] + argv,
+                              capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("dim", [12, 13])
+def test_sgb_refuses_a_verdict_on_no_readings(capsys, dim):
+    # at seed 0 no one of 10000 readings lies in the simplex or its
+    # antipode, where k and the residual read: the verdict is refused
+    code = main(["--format", "json", "--seed", "0", "--samples", "10000",
+                 "sgb", "--random-simplex", "--dim", str(dim)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": "InsufficientSamples",
+        "detail": "no reading of 10000 samples lies in the %d-simplex or "
+                  "its antipode" % dim}
+    assert gbmeasure.InsufficientSamples is errors.InsufficientSamples
+    assert issubclass(errors.InsufficientSamples, errors.GBError)
 
 
 @pytest.mark.parametrize("argv, code", [

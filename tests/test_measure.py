@@ -164,15 +164,17 @@ class TestMonteCarlo:
 
     @staticmethod
     def _coder_regions(dim, seed):
-        """Regions of 3, 3, 1, 17, 17, 17, 17, 2 and 2 planes: with
-        _GROUP_PLANES = 64 the 17-plane ones split into two stacks."""
+        """Regions of 3, 3, 1, 17, 17, 17, 17, 2, 2 and 9 planes: with
+        _GROUP_PLANES = 64 the 17-plane ones split into two stacks.  The
+        planes of a region wider than _TREE_BITS lie near one axis, so
+        that readings land in R, in -R and elsewhere."""
         rng = np.random.default_rng(seed)
         axis = np.eye(dim + 1)[0]
         return [Region([Hyperplane(axis + 0.3 * rng.standard_normal(dim + 1)
-                                   if h > measure_module._CODE_BITS
+                                   if h > measure_module._TREE_BITS
                                    else rng.standard_normal(dim + 1))
                         for _ in range(h)], dim)
-                for h in (3, 3, 1, 17, 17, 17, 17, 2, 2)]
+                for h in (3, 3, 1, 17, 17, 17, 17, 2, 2, 9)]
 
     @staticmethod
     def _plane_by_plane_counts(regions, mc, bins, dtype=np.float32):
@@ -181,7 +183,8 @@ class TestMonteCarlo:
         chunk c read from fresh row chunk c mod (_ROWS / _CHUNK).  Signs
         are tested as the kernel tests them, each plane turned in float64
         and rounded to float32 times the float32 rows, or with
-        dtype=np.float64 by float64 products."""
+        dtype=np.float64 by float64 products.  A region wider than
+        _TREE_BITS counts the bins [-R, elsewhere, R]."""
         mm = measure_module
         width = regions[0].ambient_dim + 1
         chunk, fresh_rows = mm._layout(len(regions))
@@ -205,8 +208,9 @@ class TestMonteCarlo:
                         signs = [rows.astype(dtype)
                                  @ (u @ q[c, i - first]).astype(dtype) > 0.0
                                  for u in regions[i].normals]
-                        if len(signs) > mm._CODE_BITS:
-                            code = np.all(signs, axis=0).astype(int)
+                        if len(signs) > mm._TREE_BITS:
+                            code = (np.all(signs, axis=0).astype(int)
+                                    + np.any(signs, axis=0))
                         else:
                             code = sum(s.astype(int) << j
                                        for j, s in enumerate(signs))
@@ -214,12 +218,13 @@ class TestMonteCarlo:
                 first += count
         return want
 
-    # all nine coder regions read 64-row chunks (f = 1); three of them, of
-    # 3, 17 and 2 planes, read 32-row chunks (f = 2), and one of 3 planes
-    # 16-row chunks (f = 4)
+    # all ten coder regions read 64-row chunks (f = 1); four of them, of 3,
+    # 17, 2 and 9 planes, read 32-row chunks (f = 2), and two, of 3 and 9
+    # planes, 16-row chunks (f = 4).  The ids count the regions of each
+    # pick other than the 9-plane one, which joins every pick
     _CODER_PICKS = pytest.mark.parametrize("picks, sizes, chunk", [
-        (range(9), [2, 1, 3, 1, 2], 64), ((0, 3, 7), [1, 1, 1], 32),
-        ((0,), [1], 16)], ids=["9-regions", "3-regions", "1-region"])
+        (range(10), [2, 1, 3, 1, 2, 1], 64), ((0, 3, 7, 9), [1, 1, 1, 1], 32),
+        ((0, 9), [1, 1], 16)], ids=["9-regions", "3-regions", "1-region"])
 
     @_CODER_PICKS
     def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch,
@@ -233,7 +238,7 @@ class TestMonteCarlo:
         got = RoundMeasure(dim, monte_carlo=True).eval_many(
             regions, mc).histograms
         assert [len(c) for c in got] == [
-            [8, 8, 2, 2, 2, 2, 2, 4, 4][i] for i in picks]
+            [8, 8, 2, 3, 3, 3, 3, 4, 4, 3][i] for i in picks]
         assert mm._layout(len(regions))[0] == chunk
         assert [g.count for g in mm._plane_groups(
             [r.normals for r in regions], chunk)] == sizes
@@ -241,8 +246,8 @@ class TestMonteCarlo:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         for i, w in zip(picks, want):
-            if i == 3:
-                assert 0 < w[1] < mc.samples   # the wide region is hit
+            if i in (3, 9):             # each bin of a wide region is hit
+                assert w.min() > 0
 
     @_CODER_PICKS
     def test_sign_coder_rereads_rows_beyond_the_fresh_row_cap(self,
@@ -267,8 +272,8 @@ class TestMonteCarlo:
                 assert np.array_equal(g, w)
             assert all(w.sum() == mc.samples for w in want)
         for i, w in zip(picks, want):
-            if i == 3:
-                assert 0 < w[1] < mc.samples   # the wide region is hit
+            if i in (3, 9):             # each bin of a wide region is hit
+                assert w.min() > 0
 
     def test_float32_sign_test_moves_few_counts(self):
         # a float32 product can flip only a reading within about 2.4e-7
@@ -544,34 +549,30 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 32769, 131073,
                                          300001])
-    def test_popcount_tree_counts_like_the_code_bincount(self, monkeypatch,
-                                                         calls, samples):
-        # _TREE_BITS = 0 sends every group through codes and bincount;
-        # groups of 1-6 planes per region, some sharing a stack, next to
-        # a 7-plane one that takes the bincount path either way.  With
-        # calls = 2 each histogram is taken twice in turn: the row and
-        # sign buffers are new to each call (np.empty, possibly recycled
-        # memory), so nothing of one call may reach the next
+    def test_popcount_tree_counts_like_the_code_bincount(self, calls,
+                                                         samples):
+        # groups of 1-6 planes per region, some sharing a stack, next to a
+        # 7-plane one that counts three bins, against the plane-by-plane
+        # reference.  With calls = 2 each histogram is taken twice in turn:
+        # the row and sign buffers are new to each call (np.empty, possibly
+        # recycled memory), so nothing of one call may reach the next
         mm = measure_module
         rng = np.random.default_rng(samples)
         mc = MCConfig(seed=samples, samples=samples)
         for width in range(2, 8):
-            sets = [rng.standard_normal((h, width))
-                    for h in (1, 2, 2, 3, 7, 4, 4, 4, 5, 6, 6, 3)]
-            sets = [u / np.linalg.norm(u, axis=1, keepdims=True)
-                    for u in sets]
-            first = None
+            regions = [Region([Hyperplane(u) for u in
+                               rng.standard_normal((h, width))], width - 1)
+                       for h in (1, 2, 2, 3, 7, 4, 4, 4, 5, 6, 6, 3)]
+            bins = [1 << len(r.normals) if len(r.normals) <= mm._TREE_BITS
+                    else 3 for r in regions]
+            want = self._plane_by_plane_counts(regions, mc, bins)
             for _ in range(calls):
-                tree = mm._region_histograms(sets, width, mc)
-                with monkeypatch.context() as patch:
-                    patch.setattr(mm, "_TREE_BITS", 0)
-                    coded = mm._region_histograms(sets, width, mc)
-                assert [len(c) for c in tree] == [1 << len(u) for u in sets]
-                first = first or tree
-                for t, c, f in zip(tree, coded, first):
-                    assert np.array_equal(t, c)
-                    assert np.array_equal(t, f)
-                    assert t.sum() == samples
+                got = mm._region_histograms([r.normals for r in regions],
+                                            width, mc)
+                assert [len(g) for g in got] == bins
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                    assert g.sum() == samples
 
     def test_partial_union_std_error_calibrated(self):
         # {x>0, y>0} and {y>0, z>0} with their antipodes miss the octants

@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 
 from gbmeasure import (AtomicMeasure, MCConfig, ProjectiveMap, RoundMeasure,
                        angle, angles_by_cut_set, apply_map, k_value,
                        random_simplex, sgb_residual, simplex_from_vertices)
 from gbmeasure import measure as measure_module
-from gbmeasure.simplex import antipodal_inclusion_exclusion, cut_sets
+from gbmeasure.measure import IndexMap
+from gbmeasure.simplex import (angle_estimates, antipodal_inclusion_exclusion,
+                               cut_sets, k_map)
 
 
 def octant():
@@ -183,6 +186,40 @@ class TestSharedSampleCalibration:
                 spreadless += 1
                 assert k.value == 0.0
         assert spreadless > 0
+
+
+class TestTwoBinRead:
+    """A sampled k reads two bins of the full cut's histogram.
+
+    Summed over the cut sets T of at most n planes within a sign code,
+    (-1)^(n - |T|) is 1 at R, (-1)^n at -R and 0 at every other code, so
+    k and the residual equal k_map over the angle table of the same
+    readings up to rounding.  From n = 6 on the full cut is wider than
+    _TREE_BITS and counts three bins; _TREE_BITS = n + 1 makes the same
+    readings count every code, as the table needs.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_two_bins_read_what_the_angle_table_reads(self, monkeypatch, n):
+        m = RoundMeasure(n, monte_carlo=True)
+        even = 1.0 + (-1.0) ** n
+        for seed in (1, 2):
+            s = random_simplex(n, np.random.default_rng(seed))
+            mc = MCConfig(seed=seed, samples=20_000)
+            got = [k_value(s, m, mc), sgb_residual(s, m, mc)]
+            with monkeypatch.context() as patch:
+                patch.setattr(measure_module, "_TREE_BITS",
+                              max(measure_module._TREE_BITS, n + 1))
+                table = angle_estimates([s], m, mc)
+            k = k_map(n, 1, len(table))
+            want = [table.mapped(k, fsum=True)[0], table.mapped(IndexMap(
+                1, [0] * (len(k.out) + 1), [*k.into, len(table) - 1],
+                [*(2 * k.scale), -2.0 * even]), fsum=True)[0]]
+            for g, w in zip(got, want):
+                assert abs(g.value - w.value) <= 1e-15
+                assert abs(g.std_error - w.std_error) <= 1e-12 * w.std_error
+                assert g.samples == w.samples == mc.samples
+            assert got[0].std_error > 0.0     # readings land in s or -s
 
 
 class TestInvariants:

@@ -13,8 +13,8 @@ and invariance of ten measures under three groups, at seeds 1 and 2 and
 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
 octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
-whose simplices of 5-8 planes count sign codes by popcount up to 6
-planes and by bincount above, and five more chart unions with
+whose simplices of 5-8 planes count every sign code up to 6 planes and
+three bins above, and five more chart unions with
 --dichotomy: t2-grid --k 6 and klein-grid --k 5 at --orbit-depth 2 under
 their own measure, whose 312 and 314 bitwise distinct normals merge into
 3 and 4 planes (every chart there has closed-form mass 0, so the union
@@ -29,7 +29,12 @@ half-size chunks of a call of 3-4 regions over several blocks, and
 check t2-grid --k 2 under round-mc, whose 8 tops read the full-size
 chunks of 5 or more regions; then, at both seeds and 40000 samples,
 check t2-grid --k 16 under round-mc, whose 512 sampled tops make reports
-of thousands of estimates that share the tops' histograms; then the exact
+of thousands of estimates that share the tops' histograms; then, at seed
+0 and 10000 samples, sgb in dimensions 8 and 13, which read three bins
+of 9 and 14 planes (no reading lies in the 13-simplex or its antipode,
+so it exits 2), and check and angles of s2-octahedron under round-mc
+restricted to a region of 4 planes, whose regions R∩A of a top's 3
+planes and A's 4 count three bins; then the exact
 checks of t2-grid --k 24 and klein-grid --k 24 under their own measure,
 whose 1152 tops and 1728 pairings load at size; then pullback of degrees
 1-3 with the default covering and with two explicit ones, all with JSON
@@ -138,6 +143,15 @@ def battery():
                          "round-mc"]]
         runs += [["--format", "json", "--seed", seed, "--samples", "40000",
                   "check", "t2-grid", "--k", "16", "--measure", "round-mc"]]
+    head = ["--format", "json", "--seed", "0", "--samples", "10000"]
+    runs += [head + ["sgb", "--random-simplex", "--dim", d]
+             for d in ("8", "13")]
+    restricted = json.dumps({"type": "restricted", "base": {
+        "type": "round", "monte_carlo": True}, "region": [
+            [0.1, 0.0, 1.0], [-0.1, 0.0, 1.0], [0.0, 0.1, 1.0],
+            [0.0, -0.1, 1.0]]})
+    runs += [head + [command, "s2-octahedron", "--measure", restricted]
+             for command in ("check", "angles")]
     runs += [["--format", "json", "check", doc, "--k", "24"]
              for doc in ("t2-grid", "klein-grid")]
     for degree in (1, 2, 3):
