@@ -19,7 +19,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .geom import ProjectiveMap
-from .triangulation import _assign_incidences, _face_vertices
+from .triangulation import _assign_incidences, _face_vertices, _walls
 from ._util import (MATCH_TOL, PointIndex, projective_closure,
                     projective_gaps, row_norms, scaled_flat)
 
@@ -195,7 +195,8 @@ def _shared_chart_pairings(doc, candidate_maps=None):
     """Pairings for every codim-1 face shared by two tops: the first
     candidate matrix (default: identity only) that maps the first chart's
     developed face vertices onto the second's, projectively and vertexwise,
-    every face and candidate in one stacked pass over load's incidences.
+    every face and candidate in one stacked pass over the codim-1 table
+    that load keeps (_walls).
     """
     n = doc["dim"]
     faces = [tuple(map(tuple, doc["faces"][str(r)])) for r in range(n + 1)]
@@ -203,12 +204,8 @@ def _shared_chart_pairings(doc, candidate_maps=None):
     verts /= row_norms(verts)[..., None]
     cands = np.array([np.eye(n + 1)] if candidate_maps is None
                      else candidate_maps, dtype=float)
-    by_face = {}
-    for rec in _assign_incidences(n, faces, dims=(n - 1,))[0]:
-        if rec.dim == n - 1:
-            by_face.setdefault(rec.face, []).append(rec)
-    shared = [(idx, recs) for idx, recs in sorted(by_face.items())
-              if len(recs) == 2]
+    walls = _walls(n, faces, _assign_incidences(n, faces, dims=(n - 1,))[0])
+    shared = [(idx, recs) for idx, recs in enumerate(walls) if len(recs) == 2]
     _, recs = zip(*shared)
     # (face, candidate, slot): each candidate maps the first chart's face
     # vertices, compared with the second chart's up to sign

@@ -183,24 +183,12 @@ class Estimates:
 
     def shares(self, entries, masks):
         """Entry after entry, mask after mask, the share of the samples of
-        the entry's whole-region histogram (all of one size) whose codes
-        have every bit of the mask.
-
-        The codes of a mask are its supersets in ascending order: superset
-        t ORs the mask with the bits of t dealt, lowest first, to the bits
-        the mask leaves clear, so the pairs of 2^B codes number 3^B when
-        the masks are every subset of B bits."""
+        the entry's whole-region histogram (all of one size, a code per
+        sign pattern of at most _TREE_BITS planes) whose codes have every
+        bit of the mask; a mask reads its supersets in ascending order."""
         size = len(self.histograms[entries[0]]) if entries else 0
         masks = np.asarray(masks, dtype=np.intp)
-        supersets = size >> np.bitwise_count(masks).astype(np.intp)
-        mask = np.repeat(np.arange(len(masks)), supersets)
-        t = np.arange(len(mask)) - np.repeat(np.cumsum(supersets) - supersets,
-                                             supersets)
-        code = masks[mask]
-        for j in range(size.bit_length() - 1):
-            clear = ~code >> j & 1
-            code |= (t & clear) << j
-            t >>= clear
+        mask, code = np.nonzero((masks[:, None] & ~np.arange(size)) == 0)
         first = self.cols[np.searchsorted(self.rows, entries)] + 1 - size
         rows = np.arange(len(entries))[:, None] * len(masks) + mask
         return Estimates(np.zeros(len(entries) * len(masks)), rows.ravel(),

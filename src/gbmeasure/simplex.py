@@ -14,15 +14,15 @@ from itertools import combinations
 
 from .errors import DimensionTooLarge
 from .geom import face_region
-from .measure import (_BLOCK, _GROUP_PLANES, Estimates, IndexMap,
-                      MeasureEstimate, derive_mc)
+from .measure import Estimates, IndexMap, MeasureEstimate, derive_mc
 
 _ROLE_CUTSET = 10
 _ROLE_SIMPLEX = 11
-# the widest angle table: the 3^(n+1) superset pairs of an n-simplex's cut
-# sets (see Estimates.shares) stay within _BLOCK x _GROUP_PLANES, as many as
-# the sign tests of one block of readings against a full group of planes
-MAX_DIM = next(n for n in range(64) if 3 ** (n + 2) > _BLOCK * _GROUP_PLANES)
+# the widest angle table: exact measures, mixtures and restrictions evaluate
+# all 2^(n+1) cut-set regions of an n-simplex; under a 50/50 mixture of two
+# sampled round measures at 10000 samples, sgb takes 0.15, 0.58, 2.74 and
+# 6.15 s at n = 8, 10, 12 and 13 (2-core box, 94 MB peak)
+MAX_DIM = 13
 
 
 def _cut_mask(cut):
@@ -40,7 +40,7 @@ def check_dimension(n):
     """Raise DimensionTooLarge when an n-simplex is wider than MAX_DIM."""
     if n > MAX_DIM:
         raise DimensionTooLarge(
-            "the angle table of a %d-simplex has 3^%d superset pairs; "
+            "the angle table of a %d-simplex has 2^%d cut-set regions; "
             "simplex dimensions up to %d are supported" % (n, n + 1, MAX_DIM))
 
 

@@ -19,10 +19,8 @@ The machinery evaluates, for an antipodally invariant measure:
   even dimension.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -64,26 +62,21 @@ class Pairing(NamedTuple):
 class GeometricTriangulation:
     """Validated triangulation with developed charts; immutable after load."""
 
-    def __init__(self, dim, n_vertices, faces, developed, incidences,
+    def __init__(self, dim, n_vertices, faces, developed, incidences, walls,
                  holonomy=(), pairings=(), measure_spec=None):
         self.dim = dim
         self.n_vertices = n_vertices
         self.faces = faces                  # faces[r] = tuple of vertex tuples
         self.developed = developed          # one SphericalSimplex per top
         self.incidences = incidences
+        self.walls = walls                  # incidences per codim-1 face
         self.holonomy = tuple(holonomy)
         self.pairings = tuple(pairings)
         self.measure_spec = measure_spec
-        by_face = self._by_face = {}
-        for rec in incidences:
-            by_face.setdefault((rec.dim, rec.face), []).append(rec)
 
     @property
     def tops(self):
         return self.faces[self.dim]
-
-    def incidences_of_face(self, r, index):
-        return tuple(self._by_face.get((r, index), ()))
 
     def default_measure(self):
         from .measure import measure_from_spec
@@ -216,14 +209,15 @@ def load(document):
     if inc_diag:
         raise SchemaError(inc_diag)
 
-    counts = Counter(map(attrgetter("dim", "face"), incidences))
+    walls = _walls(n, faces, incidences)
+    held = {(rec.dim, rec.face) for rec in incidences}
     bad = ["face %d %s of dim %d lies in no top simplex" % (idx, tup, r)
            for r in range(n - 1) for idx, tup in enumerate(faces[r])
-           if not counts[(r, idx)]]
+           if (r, idx) not in held]
     bad += ["codim-1 face %d %s belongs to %d top simplices, expected 2"
-            % (idx, tup, counts[(n - 1, idx)])
-            for idx, tup in enumerate(faces[n - 1])
-            if counts[(n - 1, idx)] != 2]
+            % (idx, tup, len(wall))
+            for idx, (tup, wall) in enumerate(zip(faces[n - 1], walls))
+            if len(wall) != 2]
     if bad:
         raise NotAManifold(bad)
 
@@ -263,7 +257,7 @@ def load(document):
         raise SchemaError(diag)
     tri = GeometricTriangulation(n, n_vertices, tuple(faces),
                                  tuple(developed), tuple(incidences),
-                                 holonomy, tuple(pairings),
+                                 walls, holonomy, tuple(pairings),
                                  document.get("measure"))
     bad = _pairing_errors(tri)
     if bad:
@@ -314,6 +308,15 @@ def _assign_incidences(n, faces, dims=None):
     return incidences, diag
 
 
+def _walls(n, faces, incidences):
+    """Every codim-1 face's incidences, each list in incidence order."""
+    walls = tuple([] for _ in faces[n - 1])
+    for rec in incidences:
+        if rec.dim == n - 1:
+            walls[rec.face].append(rec)
+    return walls
+
+
 def _face_vertices(verts, recs):
     """The (len(recs), n, n+1) face vertex rows of codim-1 incidences."""
     return verts[np.array([rec.top for rec in recs])[:, None],
@@ -322,18 +325,23 @@ def _face_vertices(verts, recs):
 
 def _pairing_errors(tri):
     """One diagnostic per failing pairing, in order: a face out of range, a
-    face its two simplices do not share, or the first vertex slot that the
-    map sends more than MATCH_TOL (up to sign) from its mate."""
-    n, errors, checked = tri.dim, {}, []
+    face whose two tops are not its simplices (in either order; when one
+    top holds both incidences, simplex_a's is the first), or the first
+    vertex slot that the map sends more than MATCH_TOL (up to sign) from
+    its mate."""
+    errors, checked = {}, []
     for pidx, p in enumerate(tri.pairings):
-        recs = {rec.top: rec for rec in tri._by_face.get((n - 1, p.face), ())}
-        if not 0 <= p.face < len(tri.faces[n - 1]):
+        if not 0 <= p.face < len(tri.walls):
             errors[pidx] = "face index %d out of range" % p.face
-        elif p.simplex_a not in recs or p.simplex_b not in recs:
+            continue
+        pair = tri.walls[p.face]
+        if (p.simplex_a, p.simplex_b) != (pair[0].top, pair[1].top):
+            pair = pair[::-1]
+        if (p.simplex_a, p.simplex_b) == (pair[0].top, pair[1].top):
+            checked.append((pidx, *pair))
+        else:
             errors[pidx] = ("face %d is not shared by simplices %d and %d"
                             % (p.face, p.simplex_a, p.simplex_b))
-        else:
-            checked.append((pidx, recs[p.simplex_a], recs[p.simplex_b]))
     if checked:
         verts = np.stack([s.vertices for s in tri.developed])
         pidxs, recs_a, recs_b = zip(*checked)
@@ -519,15 +527,16 @@ def transversality_check(tri, measure):
     supports = measure.support_subspaces()
     if not supports:
         return TransversalityReport(True, True, ())
-    failures = []
-    n = tri.dim
-    for idx in range(len(tri.faces[n - 1])):
-        for rec in tri.incidences_of_face(n - 1, idx):
-            normal = tri.developed[rec.top].planes[rec.cut[0]].normal
-            for sidx, basis in enumerate(supports):
-                if np.max(np.abs(basis @ normal)) <= ATOM_TOL:
-                    failures.append((idx, rec.top, sidx))
-    return TransversalityReport(not failures, False, tuple(failures))
+    # one row per (face, incidence), tested against each support at once
+    recs = [rec for wall in tri.walls for rec in wall]
+    normals = np.array([tri.developed[rec.top].planes[rec.cut[0]].normal
+                        for rec in recs])
+    hit = np.array([np.max(np.abs(basis @ normals.T), axis=0) <= ATOM_TOL
+                    for basis in supports])
+    rows, sidxs = np.nonzero(hit.T)
+    failures = tuple((recs[i].face, recs[i].top, sidx)
+                     for i, sidx in zip(rows.tolist(), sidxs.tolist()))
+    return TransversalityReport(not failures, False, failures)
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,10 @@ def test_sgb_random_simplex(capsys):
     assert "residual" in out
 
 
-# a sampled table reads every cut set from the full cut's histogram; an
-# exact one evaluates the full cut and then the 7 others of a 2-simplex.
-# Either way k is summed once, by cli.k_value, and the residual reuses it
+# a sampled sgb reads two bins of the full cut's histogram and builds no
+# table; an exact one evaluates the full cut and then the 7 others of a
+# 2-simplex.  Either way k is summed once, by cli.k_value, and the residual
+# reuses it
 @pytest.mark.parametrize("argv, regions", [
     (["--dim", "4"], 1), (["--dim", "2", "--measure", "round"], 8)],
     ids=["sampled", "exact"])
@@ -434,16 +435,35 @@ def _pairing(face, a, b, matrix):
      ["top simplex 0: vertex matrix determinant 0",
       "top simplex 2: vertex matrix determinant 0",
       "top simplex 7: vertex 2 has norm 0"], errors.DegenerateSimplex),
+    (("faces",), [[[0]]], ["faces must be an object keyed by dimension"],
+     errors.SchemaError),
+    (("dim",), 0, ["dim must be >= 1, got 0"], errors.SchemaError),
+    (("vertices",), 0, ["vertices must be >= 1"], errors.SchemaError),
+    (("faces", "1", 0), [0, 9],
+     ["face 0 of dim 1 references a vertex out of range"], errors.SchemaError),
+    (("faces", "0"), [[v] for v in range(5)],
+     ["0-faces must list every vertex exactly once"], errors.SchemaError),
+    (("developed",), [np.eye(3).tolist()] * 7,
+     ["developed has 7 entries for 8 top simplices"], errors.SchemaError),
+    (("pairings",), [{"face": 0, "simplex_a": 0, "simplex_b": 1}],
+     ["pairing 0 is malformed: 'matrix'"], errors.SchemaError),
+    # an empty path replaces the whole document
+    ((), [], ["document must be a JSON object"], errors.SchemaError),
 ], ids=["developed-int", "face-level-int", "holonomy-2x2", "pairing-2x2",
         "holonomy-zero", "holonomy-singular", "pairing-zero",
-        "pairings-share-singular", "developed-degenerate-tops"])
+        "pairings-share-singular", "developed-degenerate-tops", "faces-list",
+        "dim-0", "vertices-0", "vertex-out-of-range", "missing-0-face",
+        "developed-count", "pairing-without-matrix", "not-an-object"])
 def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
                                             named, error):
     document = builtin_document("s2-octahedron")
     target = document
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if path:
+        target[path[-1]] = value
+    else:
+        document = value
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(document))
     code, out = run(capsys, "--format", "json", "check", str(doc_path))
@@ -458,7 +478,9 @@ def test_malformed_document_is_schema_error(tmp_path, capsys, path, value,
      "vertex slot 1 of face 0 maps 1.41421 away from its mate"),
     ("face", 99, "face index 99 out of range"),
     ("simplex_b", 7, "face 0 is not shared by simplices 0 and 7"),
-], ids=["matrix", "face", "simplex"])
+    # face 0 lies in tops 0 and 1, so a pairing of top 0 with itself fails
+    ("simplex_b", 0, "face 0 is not shared by simplices 0 and 0"),
+], ids=["matrix", "face", "simplex", "one-top-twice"])
 def test_mismatched_pairing_is_a_developing_mismatch(tmp_path, capsys, field,
                                                      value, detail):
     doc_path = tmp_path / "octahedron.json"
@@ -473,6 +495,34 @@ def test_mismatched_pairing_is_a_developing_mismatch(tmp_path, capsys, field,
     assert "Traceback" not in out + err
     assert json.loads(out) == {"error": "DevelopingMismatch",
                                "detail": "pairing 0: " + detail}
+
+
+@pytest.mark.parametrize("turn, code", [(1, 0), (-1, 2)],
+                         ids=["forward", "backward"])
+def test_one_vertex_circle_pairs_its_chart_with_itself(tmp_path, capsys,
+                                                       turn, code):
+    # one arc of 2 pi / 3 whose two ends are the one vertex: both
+    # incidences of that codim-1 face lie in top 0, the first (vertex slot
+    # 0 of the arc, at e1) is simplex_a's and the second simplex_b's, so
+    # the pairing must turn e1 forward onto the arc's other end
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    rotation = [[c, -s], [s, c]]
+    document = {"dim": 1, "vertices": 1, "faces": {"0": [[0]], "1": [[0, 0]]},
+                "developed": [[[1.0, 0.0], [c, s]]],
+                "holonomy_generators": [rotation],
+                "pairings": [_pairing(0, 0, 0, [[c, -turn * s],
+                                                [turn * s, c]])]}
+    doc_path = tmp_path / "circle.json"
+    doc_path.write_text(json.dumps(document))
+    got, out = run(capsys, "--format", "json", "check", str(doc_path))
+    assert got == code
+    if code:
+        assert json.loads(out) == {
+            "error": "DevelopingMismatch",
+            "detail": "pairing 0: vertex slot 0 of face 0 maps 1 away from "
+                      "its mate"}
+    else:
+        assert json.loads(out)["passed"]
 
 
 def test_repeated_face_tuples_are_dealt_round_robin(tmp_path, capsys):

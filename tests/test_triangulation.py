@@ -7,9 +7,9 @@ import pytest
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
                        Hyperplane, InconsistentDichotomy, MCConfig, Mixture,
                        NotAManifold, Region, RestrictedNormalized,
-                       RoundMeasure, SchemaError, defect_sums,
-                       dichotomy_check, euler_combinatorial, gb_report, load,
-                       transversality_check)
+                       RoundMeasure, SchemaError, SubsphereUniform,
+                       defect_sums, dichotomy_check, euler_combinatorial,
+                       gb_report, load, transversality_check)
 from gbmeasure.documents import BUILTIN_DOCUMENTS, builtin_document
 from gbmeasure import measure as measure_module
 from gbmeasure import simplex as simplex_module
@@ -545,6 +545,20 @@ class TestTransversality:
         tri = octahedron()
         rep = transversality_check(tri, AtomicMeasure.dirac(np.ones(3)))
         assert rep.passed
+
+    def test_failures_keep_face_incidence_support_order(self):
+        # the plane x3 = 0 holds the subsphere and the atom, and is the
+        # developed plane of the octahedron's 4 edges there, each in 2 tops
+        measure = Mixture([
+            (0.5, SubsphereUniform([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+            (0.5, AtomicMeasure.dirac(np.array([1.0, 1.0, 0.0])))])
+        rep = transversality_check(octahedron(), measure)
+        assert rep.failures == (
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (2, 2, 0), (2, 2, 1),
+            (2, 3, 0), (2, 3, 1), (5, 4, 0), (5, 4, 1), (5, 5, 0), (5, 5, 1),
+            (9, 6, 0), (9, 6, 1), (9, 7, 0), (9, 7, 1))
+        assert all(type(x) is int for failure in rep.failures
+                   for x in failure)
 
 
 class TestDichotomy:

@@ -37,7 +37,13 @@ restricted to a region of 4 planes, whose regions R∩A of a top's 3
 planes and A's 4 count three bins; then the exact
 checks of t2-grid --k 24 and klein-grid --k 24 under their own measure,
 whose 1152 tops and 1728 pairings load at size; then pullback of degrees
-1-3 with the default covering and with two explicit ones, all with JSON
+1-3 with the default covering and with two explicit ones; and last the
+checks of three documents written to a temporary directory from the
+first tree's built-ins: the circle of one vertex, whose one arc's two
+ends lie in one top and are paired with each other, s2-octahedron with
+pairing 0 naming top 0 twice, and t2-grid --k 2 with every edge written
+as a sorted tuple and its 12 pairings kept (load deals the repeated
+tuples round-robin, not by the pairings, so it exits 2); all with JSON
 output.  Each tree runs in one subprocess that writes no bytecode, with
 GBM_THREADS=1 so that a tree old enough to read it runs its Monte Carlo
 kernel sequentially too.  The script prints how many invocations are
@@ -58,6 +64,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DOCUMENTS = ("s2-octahedron", "rp2-icosahedral", "t2-grid", "klein-grid",
@@ -161,6 +168,30 @@ def battery():
     return runs
 
 
+def write_documents(path, folder):
+    """The paths of the battery's three written documents (see above),
+    built in folder from the built-ins of the tree at path."""
+    folder = Path(folder)
+    circle, octahedron, grid = (folder / name for name in (
+        "circle.json", "octahedron.json", "grid.json"))
+    run_battery(path, [["example", "s2-octahedron", "-o", str(octahedron)],
+                       ["example", "t2-grid", "--k", "2", "-o", str(grid)]])
+    document = json.loads(octahedron.read_text())
+    document["pairings"][0]["simplex_b"] = 0
+    octahedron.write_text(json.dumps(document))
+    document = json.loads(grid.read_text())
+    document["faces"]["1"] = [sorted(e) for e in document["faces"]["1"]]
+    grid.write_text(json.dumps(document))
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    turn = [[c, -s], [s, c]]
+    circle.write_text(json.dumps({
+        "dim": 1, "vertices": 1, "faces": {"0": [[0]], "1": [[0, 0]]},
+        "developed": [[[1.0, 0.0], [c, s]]], "holonomy_generators": [turn],
+        "pairings": [{"face": 0, "simplex_a": 0, "simplex_b": 0,
+                      "matrix": turn}]}))
+    return [str(p) for p in (circle, octahedron, grid)]
+
+
 _RUNNER = """
 import contextlib, io, json, sys
 from gbmeasure.cli import main
@@ -260,8 +291,10 @@ def largest_change(old, new):
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: compare_reports.py OLD_SRC NEW_SRC")
-    runs = battery()
-    old, new = (run_battery(path, runs) for path in argv)
+    with tempfile.TemporaryDirectory() as folder:
+        runs = battery() + [["--format", "json", "check", doc]
+                            for doc in write_documents(argv[0], folder)]
+        old, new = (run_battery(path, runs) for path in argv)
     same, code_changes = 0, 0
     for args, (old_code, old_out), (new_code, new_out) in zip(runs, old, new):
         if (old_code, old_out) == (new_code, new_out):
