@@ -33,10 +33,11 @@ from .measure import (AtomicMeasure, FiniteOrbitMeasure, MCConfig,
                       RestrictedNormalized, RoundMeasure, SubsphereUniform,
                       average_over_group, check_invariance, derive_mc,
                       finite_orbit_measure, measure_from_spec)
-from .simplex import angle, angles_by_cut_set, k_value, sgb_residual
+from .simplex import angle, k_value, sgb_residual
 from .triangulation import (GBReport, GeometricTriangulation, angle_table,
                             defect_sums, dichotomy_check, euler_combinatorial,
-                            gb_report, load, transversality_check)
+                            gb_report, incidence_angles, load,
+                            transversality_check)
 from .pullback import (AdaptedCovering, CircleAtomicMeasure, PowerMap,
                        covering_independence, equivariance_check,
                        induce_quotient, pullback)

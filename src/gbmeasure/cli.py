@@ -226,7 +226,7 @@ def cmd_angles(args):
     return {"angles": [{"face_dim": rec.dim, "face": rec.face,
                         "top": rec.top, "cut": list(rec.cut),
                         "angle": _fields(est)}
-                       for rec, est in table.incidence_angles()]}
+                       for rec, est in _tri.incidence_angles(tri, table)]}
 
 
 def _named_group(name, dim):

@@ -782,7 +782,7 @@ class MeasureSpec(ABC):
         A pure function of (regions, mc), answered as one batch: a sampled
         round or subsphere measure draws once for all regions, a mixture
         asks each component once for all of them, and a region restriction
-        asks its base once for the four regions R∩A, R∩-A, A and -A of
+        asks its base once for A, -A and the regions R∩A and R∩-A of
         every region R.
         """
         return self._eval_many(self._checked(regions), mc)
@@ -1172,26 +1172,27 @@ class RestrictedNormalized(MeasureSpec):
                 raise UnsupportedMeasure("restriction subsphere has no mass")
             return Estimates([2.0 * self._base._subspace_mass(
                 self._subspace, region) / den for region in regions])
-        # each region reads A and -A as regions of its own, so the four
-        # sources of its ratio are its own
+        # d = m(A) + m(-A) is read once per call and shared by every ratio
         a, neg_a = self._region, self._region.antipodal()
         ests = self._base.eval_many(
-            [q for r in regions
-             for q in (r.intersect(a), r.intersect(neg_a), a, neg_a)],
+            [a, neg_a] + [r.intersect(b) for r in regions for b in (a, neg_a)],
             derive_mc(mc, _ROLE_RESTRICT))
         pairs = ests.mapped(IndexMap(
             len(ests) // 2, np.arange(len(ests)) // 2, range(len(ests)), 1))
         values = np.array([est.value for est in pairs])
-        num, den = values[0::2], values[1::2]
-        if np.any(den <= 0.0):
+        den, num = values[0], values[1:]
+        if den <= 0.0:
             raise UnsupportedMeasure("restriction region has no mass")
         # the delta method: 2 n / d linearized about the pair's values, 2 / d
         # per unit of n and -2 n / d^2 per unit of d; an exact pair keeps
         # the ratio's bits, as its deviations from its values are 0
         ratio = 2.0 * num / den
         lin = (pairs - values).mapped(IndexMap(
-            len(ratio), np.arange(len(values)) // 2, range(len(values)),
-            np.column_stack([2.0 / den, -ratio / den]).ravel()))
+            len(ratio), np.repeat(np.arange(len(ratio)), 2),
+            np.column_stack([np.arange(1, len(values)),
+                             np.zeros(len(ratio), np.intp)]).ravel(),
+            np.column_stack([np.full(len(ratio), 2.0 / den),
+                             -ratio / den]).ravel()))
         return Estimates(lin.offset + ratio, lin.rows, lin.cols, lin.coef,
                          lin.sources)
 
@@ -1217,7 +1218,7 @@ class RestrictedNormalized(MeasureSpec):
                 base.points[in_v], base.weights[in_v], dim=self.dim)
         else:
             a, neg_a = self._region, self._region.antipodal()
-            den = base.eval(a).value + base.eval(neg_a).value
+            den = sum(est.value for est in base.eval_many([a, neg_a]))
             regions = [r.intersect(b) for b in (a, neg_a) for r in regions]
         return Estimates([2.0 * base.union_mass(regions).value / den])
 

@@ -96,17 +96,6 @@ def angle_estimates(simplices, measure, mc=None, masses=None):
         IndexMap(one * size, *(zip(*terms) if terms else [()] * 3)))
 
 
-def angles_by_cut_set(simplices, measure, mc=None):
-    """Angles of several simplices of one dimension: one dict per simplex,
-    keyed by cut set in cut_sets order, of its halved MeasureEstimates
-    (see angle_estimates)."""
-    simplices = list(simplices)
-    cuts = list(cut_sets(simplices[0].dim if simplices else 0))
-    batch = angle_estimates(simplices, measure, mc)
-    return [dict(zip(cuts, batch[i:i + len(cuts)]))
-            for i in range(0, len(batch), len(cuts))]
-
-
 def k_map(n, tops, stride):
     """The IndexMap of k, top after top, from tables of stride angles per
     top in cut_sets order: (-1)^(n - |T|) times the angle of each cut set
@@ -179,8 +168,7 @@ def antipodal_inclusion_exclusion(simplex, measure, mc=None):
     n = simplex.dim
     direct = measure.eval(simplex.region().antipodal(),
                           derive_mc(mc, _ROLE_CUTSET, 1 << (n + 2)))
-    table = angles_by_cut_set([simplex], measure, mc)[0]
-    expanded = math.fsum(
-        ((-1.0) ** len(cut)) * 2.0 * table[tuple(cut)].value
-        for cut in cut_sets(n))
+    table = angle_estimates([simplex], measure, mc)
+    expanded = math.fsum(((-1.0) ** len(cut)) * 2.0 * est.value
+                         for cut, est in zip(cut_sets(n), table))
     return direct.value, expanded

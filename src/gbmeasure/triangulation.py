@@ -364,6 +364,14 @@ def euler_combinatorial(tri):
     return sum((-1) ** r * len(tri.faces[r]) for r in range(tri.dim + 1))
 
 
+def _entries(n, incidences, stride):
+    """Each incidence's entry in a table of stride angles per top, top
+    after top, each top's in cut_sets order."""
+    index = {cut: i for i, cut in enumerate(cut_sets(n))}
+    return np.array([rec.top * stride + index[rec.cut] for rec in incidences],
+                    np.intp)
+
+
 def _defect_algebra(face_lists, incidences, angles, one, stride):
     """defect_sums of angles, stride per top in cut_sets order: a vector of
     floats or Fractions (an object array) or Estimates, with sum(d) and
@@ -371,11 +379,9 @@ def _defect_algebra(face_lists, incidences, angles, one, stride):
     n = len(face_lists) - 1
     counts = [len(faces) for faces in face_lists]
     first = np.cumsum([0] + counts)
-    index = {cut: i for i, cut in enumerate(cut_sets(n, n))}
-    tops, cuts, dims, ids, _ = zip(*incidences) if incidences else [()] * 5
+    _, _, dims, ids, _ = zip(*incidences) if incidences else [()] * 5
     link = IndexMap(first[-1], first[list(dims)] + np.array(ids, np.intp),
-                    np.array(tops, np.intp) * stride
-                    + np.array([index[cut] for cut in cuts], np.intp), 1)
+                    _entries(n, incidences, stride), 1)
     vertices = [t[0] for t in face_lists[0]]
     vertex = np.full(max(vertices, default=-1) + 1, counts[0], np.intp)
     vertex[vertices] = range(counts[0])
@@ -424,56 +430,31 @@ def defect_sums(face_lists, incidences, angle_of, one=1.0):
 # ---------------------------------------------------------------------------
 # angle tables and the report
 
-@dataclass(frozen=True)
-class AngleTable:
-    """Angle estimates per (top, cut set), plus the per-incidence view:
-    estimates holds every top's angles, top after top, each in cut_sets
-    order."""
-    triangulation: GeometricTriangulation
-    estimates: object       # Estimates
-
-    @property
-    def per_cut(self):
-        """(top, cut) -> MeasureEstimate (the angle, in [0, 1])."""
-        tri = self.triangulation
-        return dict(zip(((t, cut) for t in range(len(tri.tops))
-                         for cut in cut_sets(tri.dim)), self.estimates))
-
-    def angle(self, top, cut):
-        return self.per_cut[(top, tuple(sorted(cut)))]
-
-    def incidence_angles(self):
-        """[(incidence, estimate)] over every (face, top) incidence."""
-        per_cut = self.per_cut
-        return [(rec, per_cut[(rec.top, rec.cut)])
-                for rec in self.triangulation.incidences]
-
-    def induced_mass(self):
-        """mu(M): the developed interior masses (twice the full-cut angles)
-        summed over tops, with the value exactly rounded."""
-        tops, size = len(self.triangulation.tops), 2 << self.triangulation.dim
-        return self.estimates.mapped(IndexMap(
-            1, np.zeros(tops), np.arange(1, tops + 1) * size - 1, 2.0),
-                                     fsum=True)[0]
-
-
 def angle_table(tri, measure, mc=None):
     """Evaluate every face angle in its top simplex's developed chart.
 
-    Includes the empty cut set (value exactly 1 for mass-2 measures) and
-    the full cut set (half the developed interior mass, used for the
-    induced-measure totals).  All tops go through one angle_estimates
-    call, so the measure answers at most two eval_many calls, a sampled
-    round or subsphere table makes one draw in all, and its entries carry
-    the samples they share.  A BoundaryAtom raised by the measure is
-    re-raised naming the codimension-1 face whose developed hyperplane
-    carries the mass.
+    Returns the angle_estimates batch of the tops: top after top, each its
+    2^(n+1) cut sets in cut_sets order, from the empty cut set (value
+    exactly 1 for mass-2 measures) to the full cut set (half the developed
+    interior mass, used for the induced-measure totals).  The measure
+    answers at most two eval_many calls, a sampled round or subsphere
+    table makes one draw in all, and its entries carry the samples they
+    share.  A BoundaryAtom raised by the measure is re-raised naming the
+    codimension-1 face whose developed hyperplane carries the mass.
     """
     try:
-        return AngleTable(tri, angle_estimates(tri.developed, measure, mc))
+        return angle_estimates(tri.developed, measure, mc)
     except BoundaryAtom as err:
         _name_boundary_face(tri, err)
         raise
+
+
+def incidence_angles(tri, table):
+    """[(incidence, estimate)] over every (face, top) incidence of tri,
+    read from its angle_table."""
+    entries = _entries(tri.dim, tri.incidences, 2 << tri.dim)
+    return [(rec, table[i]) for rec, i in zip(tri.incidences,
+                                              entries.tolist())]
 
 
 def _name_boundary_face(tri, err):
@@ -482,8 +463,6 @@ def _name_boundary_face(tri, err):
     Every evaluation of a top tests its full cut set first, and tops are
     evaluated in order, so that top is the one that raised.
     """
-    if err.normal is None:
-        return
     for rec in tri.incidences:
         if rec.dim == tri.dim - 1 and points_projectively_equal(
                 tri.developed[rec.top].planes[rec.cut[0]].normal, err.normal):
@@ -575,12 +554,14 @@ def gb_report(tri, measure, mc=None, tol=1e-9):
     measure-zero chart boundaries, checked by MeasureEstimate.is_zero: at
     tol for exact measures and 4 standard errors for Monte Carlo.
     """
-    n = tri.dim
+    n, tops, size = tri.dim, len(tri.tops), 2 << tri.dim
     table = angle_table(tri, measure, mc)
     (link_sums, vertex_defects, simplex_sums, chi, sum_defects, sum_simplex,
-     residual) = _defect_algebra(tri.faces, tri.incidences, table.estimates,
-                                 1.0, 2 << n)
-    mu_total = table.induced_mass()
+     residual) = _defect_algebra(tri.faces, tri.incidences, table, 1.0, size)
+    # mu(M): twice each top's full-cut angle, exactly rounded
+    mu_total = table.mapped(IndexMap(1, np.zeros(tops),
+                                     np.arange(1, tops + 1) * size - 1, 2.0),
+                            fsum=True)[0]
 
     rearr = Verdict(abs(residual.value) <= tol, abs(residual.value),
                     "sum(d) + sum(k) - chi = %.3g" % residual.value)

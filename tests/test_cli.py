@@ -706,6 +706,25 @@ def test_malformed_cli_input_is_a_named_error(tmp_path, capsys, argv, named):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, extra, detail", [
+    # neither the atom nor its antipode lies in A (z > 10 x > 0)
+    ({"type": "restricted", "base": {"type": "atomic", "atoms": [
+        {"point": [1, 2, 3], "weight": 2}]},
+      "region": [[1, 0, 0], [-1, 0, 0.1]]}, [],
+     "restriction region has no mass"),
+    ({"type": "restricted", "base": {"type": "round", "monte_carlo": True},
+      "region": [[0, 0.6, 0.8]]}, ["--dichotomy"],
+     "union_mass of a restricted non-atomic measure"),
+], ids=["region-without-mass", "sampled-union"])
+def test_unsupported_restriction_is_a_named_error(capsys, spec, extra,
+                                                  detail):
+    code, out = run(capsys, "--format", "json", "--samples", "2000", "check",
+                    "s2-octahedron", "--measure", json.dumps(spec), *extra)
+    assert code == 2
+    assert json.loads(out) == {"error": "UnsupportedMeasure",
+                               "detail": detail}
+
+
 def test_odd_dimensional_dichotomy_does_not_apply(capsys):
     # chi = 0 on every odd-dimensional manifold, so a chart union of
     # positive mass contradicts nothing

@@ -880,6 +880,23 @@ class TestMixtureAndRestriction:
             Mixture([(0.5, atoms), (0.5, SubsphereUniform(v))]), subspace=v)
         assert mixed.eval(quadrant).value == 5 / 7
 
+    def test_subspace_restriction_keeps_the_supports_inside_v(self):
+        # of the three atoms' lines and two planes, the lines through
+        # [1, 0.3, 0] and [0.2, 1, 0] and the plane V itself lie in V
+        v = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+        atoms = AtomicMeasure([([1, 0.3, 0], 1.0), ([0, 0, 1], 0.5),
+                               ([0.2, 1, 0], 0.5)])
+        base = Mixture([(0.5, atoms), (0.25, SubsphereUniform(v)),
+                        (0.25, SubsphereUniform(np.eye(3)[1:]))])
+        kept = RestrictedNormalized(base, subspace=v).support_subspaces()
+        subs = base.support_subspaces()
+        assert len(subs) == 5
+        assert [len(sub) for sub in kept] == [1, 1, 2]
+        assert all(any(np.array_equal(sub, s) for s in subs) for sub in kept)
+        assert np.allclose(np.abs(kept[0][0]), normalized([1, 0.3, 0]))
+        assert np.allclose(np.abs(kept[1][0]), normalized([0.2, 1, 0]))
+        assert np.array_equal(kept[2], v)
+
     def test_mixture_union_weighs_its_component_unions(self):
         regions = [region(2, [1, 0, 0], [0, 1, 0]),
                    region(2, [0, 0, 1], [1, 1, 0.1])]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gbmeasure import (AtomicMeasure, MCConfig, ProjectiveMap, RoundMeasure,
-                       angle, angles_by_cut_set, apply_map, k_value,
-                       random_simplex, sgb_residual, simplex_from_vertices)
+                       angle, apply_map, k_value, random_simplex,
+                       sgb_residual, simplex_from_vertices)
 from gbmeasure import measure as measure_module
 from gbmeasure.measure import IndexMap
 from gbmeasure.simplex import (angle_estimates, antipodal_inclusion_exclusion,
@@ -42,7 +42,7 @@ class TestAngle:
         rng = np.random.default_rng(2)
         s = random_simplex(2, rng)
         m = RoundMeasure(2)
-        table, = angles_by_cut_set([s], m)
+        table = dict(zip(cut_sets(2), angle_estimates([s], m)))
         for cut in cut_sets(2):
             for bigger in cut_sets(2):
                 if set(cut) <= set(bigger):
@@ -161,13 +161,13 @@ class TestSharedSampleCalibration:
         sampled = RoundMeasure(2, monte_carlo=True)
         z = []
         for s in [random_simplex(2, rng) for _ in range(3)]:
-            exact = angles_by_cut_set([s], RoundMeasure(2))[0]
-            assert all(est.exact for est in exact.values())
+            exact = angle_estimates([s], RoundMeasure(2))
+            assert all(est.exact for est in exact)
             for seed in range(200):
-                table = angles_by_cut_set(
-                    [s], sampled, MCConfig(seed=seed, samples=20_000))[0]
-                z += [(est.value - exact[cut].value) / est.std_error
-                      for cut, est in table.items() if not est.exact]
+                table = angle_estimates(
+                    [s], sampled, MCConfig(seed=seed, samples=20_000))
+                z += [(est.value - ex.value) / est.std_error
+                      for ex, est in zip(exact, table) if not est.exact]
         z = np.array(z)
         assert len(z) == 3 * 200 * 7
         assert np.mean(z ** 4) / np.mean(z ** 2) ** 2 <= 3.25

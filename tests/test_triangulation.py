@@ -16,11 +16,18 @@ from gbmeasure import simplex as simplex_module
 from gbmeasure.geom import face_region
 from gbmeasure.measure import derive_mc
 from gbmeasure.simplex import cut_sets
-from gbmeasure.triangulation import Incidence, angle_table
+from gbmeasure.triangulation import Incidence, angle_table, incidence_angles
 
 
 def octahedron():
     return load(builtin_document("s2-octahedron"))
+
+
+def _angle_of(tri, table):
+    """angle_of(top, cut) reading an angle_table, which holds each top's
+    2^(n+1) cut sets in cut_sets order."""
+    cuts = list(cut_sets(tri.dim))
+    return lambda t, c: table[t * len(cuts) + cuts.index(c)]
 
 
 def _reference_std_errors(tri, measure, mc):
@@ -33,9 +40,10 @@ def _reference_std_errors(tri, measure, mc):
     second: a mixture of round-mc and an exact measure with weights w,
     1 - w, whose mass is w times twice the last code's share of one
     histogram, or round-mc restricted to a region A, whose mass 2 n / d
-    reads the histograms of R∩A, R∩-A, A and -A, n and d twice the sums
-    of their last codes' shares, by the delta method: coefficients 2 / d
-    on n and -2 n / d^2 on d."""
+    reads the histograms of R∩A and R∩-A and those of A and -A, which
+    every region of one eval_many call shares, n and d twice the sums of
+    their last codes' shares, by the delta method: coefficients 2 / d on
+    n and -2 n / d^2 on d."""
     n, full = tri.dim, tuple(range(tri.dim + 1))
     sampled = RoundMeasure(n, monte_carlo=True)
     angle = {}      # (top, cut) -> {id: (histogram, coefficients)}
@@ -53,16 +61,17 @@ def _reference_std_errors(tri, measure, mc):
                     for h in sampled.eval_many(regions, derive_mc(
                         mc, measure_module._ROLE_COMPONENT, 0)).histograms]
         a, neg_a = measure._region, measure._region.antipodal()
-        hists = iter(sampled.eval_many(
-            [q for r in regions
-             for q in (r.intersect(a), r.intersect(neg_a), a, neg_a)],
-            derive_mc(mc, measure_module._ROLE_RESTRICT)).histograms)
+        shared, *hists = sampled.eval_many(
+            [a, neg_a] + [r.intersect(b) for r in regions
+                          for b in (a, neg_a)],
+            derive_mc(mc, measure_module._ROLE_RESTRICT)).histograms
+        shared, hists = (shared, hists[0]), iter(hists[1:])
+        den = 2.0 * sum(h[-1] / h.sum() for h in shared)
         out = []
-        for quad in zip(hists, hists, hists, hists):
-            num, den = (2.0 * sum(h[-1] / h.sum() for h in pair)
-                        for pair in (quad[:2], quad[2:]))
+        for pair in zip(hists, hists):
+            num = 2.0 * sum(h[-1] / h.sum() for h in pair)
             out.append({id(h): (h, last(h, 2.0 * scale)) for h, scale in zip(
-                quad, [2.0 / den] * 2 + [-2.0 * num / den ** 2] * 2)})
+                pair + shared, [2.0 / den] * 2 + [-2.0 * num / den ** 2] * 2)})
         return out
 
     if isinstance(measure, RoundMeasure):
@@ -227,10 +236,9 @@ class TestRearrangement:
         for measure in (tri.default_measure(),
                         RoundMeasure(tri.dim, monte_carlo=True)):
             rep = gb_report(tri, measure, mc)
-            table = angle_table(tri, measure, mc)
+            angle_of = _angle_of(tri, angle_table(tri, measure, mc))
             link, defects, k, chi, residual = defect_sums(
-                tri.faces, tri.incidences,
-                lambda t, c: table.per_cut[(t, c)].value)
+                tri.faces, tri.incidences, lambda t, c: angle_of(t, c).value)
             assert rep.chi_comb == chi
             assert rep.link_sums.keys() == link.keys()
             assert all(abs(rep.link_sums[key].value - value) <= 1e-12
@@ -248,7 +256,7 @@ class TestAngleTable:
     def test_octahedron_angles(self):
         tri = octahedron()
         table = angle_table(tri, RoundMeasure(2))
-        for rec, est in table.incidence_angles():
+        for rec, est in incidence_angles(tri, table):
             if rec.dim == 0:
                 assert abs(est.value - 0.25) < 1e-12
             elif rec.dim == 1:
@@ -259,16 +267,16 @@ class TestAngleTable:
     def test_icosahedral_vertex_angle(self):
         tri = load(builtin_document("rp2-icosahedral"))
         table = angle_table(tri, RoundMeasure(2))
-        for rec, est in table.incidence_angles():
+        for rec, est in incidence_angles(tri, table):
             if rec.dim == 0:
                 assert abs(est.value - 0.2) < 1e-12
 
     def test_grid_corner_angles_against_infinity_circle(self):
         tri = load(builtin_document("t2-grid", k=2))
-        table = angle_table(tri, tri.default_measure())
+        angle_of = _angle_of(tri, angle_table(tri, tri.default_measure()))
         # each triangle is a right triangle: corner angles pi/2, pi/4, pi/4
         for t in range(len(tri.tops)):
-            corners = sorted(table.angle(t, cut).value
+            corners = sorted(angle_of(t, cut).value
                              for cut in combinations(range(3), 2))
             expected = [np.pi / 4 / (2 * np.pi), np.pi / 4 / (2 * np.pi),
                         np.pi / 2 / (2 * np.pi)]
@@ -298,11 +306,11 @@ class TestAngleTable:
         monkeypatch.setattr(measure_module, "_gaussian_draw", counting)
         monkeypatch.setattr(measure_module, "_BLOCK", 1000)
         tri = octahedron()
-        table = angle_table(tri, RoundMeasure(2, monte_carlo=True),
-                            MCConfig(seed=4, samples=2500))
+        rep = gb_report(tri, RoundMeasure(2, monte_carlo=True),
+                        MCConfig(seed=4, samples=2500))
         assert draws == [1000, 1000, 500]
         # each top still counts its 2500 readings once
-        assert table.induced_mass().samples == len(tri.tops) * 2500
+        assert rep.mu_total.samples == len(tri.tops) * 2500
 
     @pytest.mark.parametrize("measure, calls", zip(_batched_measures(),
                                                    (4, 2)),
@@ -347,12 +355,13 @@ class TestAngleTable:
         monkeypatch.setattr(measure_module, "_CHUNK", 64)
         monkeypatch.setattr(measure_module, "_ROWS", 256)
         tri = octahedron()
-        table = angle_table(tri, RoundMeasure(2, monte_carlo=True),
-                            MCConfig(seed=4, samples=2500))
+        measure = RoundMeasure(2, monte_carlo=True)
+        mc = MCConfig(seed=4, samples=2500)
+        table = angle_table(tri, measure, mc)
         assert draws == [256, 256, 256]
-        assert table.induced_mass().samples == len(tri.tops) * 2500
-        assert {est.samples for est in table.per_cut.values()
-                if not est.exact} == {2500}
+        assert {est.samples for est in table if not est.exact} == {2500}
+        assert gb_report(tri, measure, mc).mu_total.samples == (
+            len(tri.tops) * 2500)
 
 
 class TestGBReport:

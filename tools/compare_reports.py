@@ -32,11 +32,15 @@ check t2-grid --k 16 under round-mc, whose 512 sampled tops make reports
 of thousands of estimates that share the tops' histograms; then, at seed
 0 and 10000 samples, sgb in dimensions 8 and 13, which read three bins
 of 9 and 14 planes (no reading lies in the 13-simplex or its antipode,
-so it exits 2), and check and angles of s2-octahedron under round-mc
+so it exits 2), check and angles of s2-octahedron under round-mc
 restricted to a region of 4 planes, whose regions R∩A of a top's 3
-planes and A's 4 count three bins; then the exact
-checks of t2-grid --k 24 and klein-grid --k 24 under their own measure,
-whose 1152 tops and 1728 pairings load at size; then pullback of degrees
+planes and A's 4 count three bins, and two checks of s2-octahedron that
+exit 2 with UnsupportedMeasure: under an atom at [1, 2, 3] restricted to
+a region that holds neither it nor its antipode, and --dichotomy under
+round-mc restricted to a hemisphere, whose chart union a restricted
+non-atomic measure does not give; then the exact checks of t2-grid
+--k 24 and klein-grid --k 24 under their own measure, whose 1152 tops
+and 1728 pairings load at size; then pullback of degrees
 1-3 with the default covering and with two explicit ones; and last the
 checks of three documents written to a temporary directory from the
 first tree's built-ins: the circle of one vertex, whose one arc's two
@@ -159,6 +163,14 @@ def battery():
             [0.0, -0.1, 1.0]]})
     runs += [head + [command, "s2-octahedron", "--measure", restricted]
              for command in ("check", "angles")]
+    without_mass = json.dumps({"type": "restricted", "base": {
+        "type": "atomic", "atoms": [{"point": [1, 2, 3], "weight": 2}]},
+        "region": [[1, 0, 0], [-1, 0, 0.1]]})
+    sampled_union = json.dumps({"type": "restricted", "base": {
+        "type": "round", "monte_carlo": True}, "region": [[0, 0.6, 0.8]]})
+    runs += [head + ["check", "s2-octahedron", "--measure", without_mass],
+             head + ["check", "s2-octahedron", "--measure", sampled_union,
+                     "--dichotomy"]]
     runs += [["--format", "json", "check", doc, "--k", "24"]
              for doc in ("t2-grid", "klein-grid")]
     for degree in (1, 2, 3):
