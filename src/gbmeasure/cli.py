@@ -159,6 +159,9 @@ def _named_measure(name, tri, dim):
 
 
 def cmd_check(args):
+    if args.orbit_depth is not None and not args.dichotomy:
+        raise SchemaError("--orbit-depth: the chart union it enlarges needs "
+                          "--dichotomy")
     tri, measure = _document_and_measure(args)
     report = gb_report(tri, measure, args.mc, tol=args.tolerance)
     verdicts = {
@@ -183,7 +186,7 @@ def cmd_check(args):
     ok = report.passed
     if args.dichotomy:
         dich = dichotomy_check(tri, measure, mc=args.mc,
-                               word_length=args.orbit_depth)
+                               word_length=args.orbit_depth or 0)
         payload["dichotomy"] = {
             "chart_mass": _fields(dich.chart_mass),
             "words": dich.words_used,
@@ -196,15 +199,22 @@ def cmd_check(args):
 
 
 def cmd_sgb(args):
-    if args.vertices:
+    if args.vertices is not None and args.random_simplex:
+        raise SchemaError("--vertices: give --random-simplex or --vertices, "
+                          "not both")
+    if args.vertices is not None and args.dim is not None:
+        raise SchemaError("--dim: a --vertices simplex takes its dimension "
+                          "from the vertices")
+    if args.vertices is not None:
         vertices = numeric_array(json.loads(args.vertices), (None, None))
         if vertices is None:
             raise SchemaError("--vertices must be a list of rows of finite "
                               "numbers, got %s" % args.vertices)
         simplex = simplex_from_vertices(vertices)
     elif args.random_simplex:
-        check_dimension(args.dim)
-        simplex = random_simplex(args.dim, np.random.default_rng(args.seed))
+        dim = 2 if args.dim is None else args.dim
+        check_dimension(dim)
+        simplex = random_simplex(dim, np.random.default_rng(args.seed))
     else:
         raise GBError("give --random-simplex or --vertices")
     measure = _resolve_measure(args.measure or "round-mc", None, simplex.dim)
@@ -372,13 +382,14 @@ def build_parser():
                        help="full report on a manifold document")
     p.add_argument("--dichotomy", action="store_true",
                    help="also run the chart-union dichotomy check")
-    p.add_argument("--orbit-depth", type=_non_negative_int, default=0,
-                   help="holonomy word length enlarging the chart union")
+    p.add_argument("--orbit-depth", type=_non_negative_int, help=(
+        "holonomy word length enlarging the chart union (default 0)"))
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sgb", help="alternating angle sum of one simplex")
     p.add_argument("--random-simplex", action="store_true")
-    p.add_argument("--dim", type=_non_negative_int, default=2)
+    p.add_argument("--dim", type=_non_negative_int,
+                   help="dimension of the random simplex (default 2)")
     p.add_argument("--vertices", help="JSON rows of simplex vertices")
     p.add_argument("--measure")
     p.set_defaults(func=cmd_sgb)

@@ -49,7 +49,7 @@ class BoundaryAtom(GBError):
 
 
 class NotAGroup(GBError):
-    """An explicit matrix list is not closed under composition/inverse."""
+    """An explicit matrix list is not closed under composition."""
 
 
 class NonAtomicBase(GBError):

@@ -1045,11 +1045,11 @@ class SubsphereUniform(_UniformMeasure):
 
     @classmethod
     def from_spanning(cls, rows, dim=None):
-        """Orthonormalize arbitrary spanning rows (QR) and build."""
-        a = np.asarray(rows, dtype=float)
-        q, r = np.linalg.qr(a.T)
-        keep = np.abs(np.diag(r)) > UNIT_TOL
-        return cls(q.T[keep], dim=dim)
+        """Build on the span of arbitrary rows: their right singular vectors
+        whose singular value exceeds UNIT_TOL."""
+        _, sv, vt = np.linalg.svd(np.asarray(rows, dtype=float),
+                                  full_matrices=False)
+        return cls(vt[sv > UNIT_TOL], dim=dim)
 
     @property
     def dim(self):
@@ -1230,12 +1230,14 @@ class RestrictedNormalized(MeasureSpec):
 class FiniteOrbitMeasure(AtomicMeasure):
     """Equal weights on a finite projectively-invariant point set.
 
-    With m projective points the lift carries 2m sphere atoms of weight
+    A point listed twice, up to sign within 1e-9, counts once.  With m
+    distinct projective points the lift carries 2m sphere atoms of weight
     1/m each, so the total mass is 2.
     """
 
     def __init__(self, orbit_points):
-        pts = [normalized(p) for p in orbit_points]
+        pts = projective_closure([normalized(p) for p in orbit_points], [],
+                                 lambda p: p)
         if not pts:
             raise ValueError("empty orbit")
         self.orbit = tuple(pts)
@@ -1248,35 +1250,28 @@ class FiniteOrbitMeasure(AtomicMeasure):
 # ---------------------------------------------------------------------------
 # constructions
 
-def average_over_group(base, group, tol=MATCH_TOL):
+def average_over_group(base, group):
     """Average an atomic measure over an explicit finite matrix group.
 
     Realizes the invariant mean of a finite group acting on measures: the
-    result has atoms h^{-1}(a) over all listed h and base atoms a, with
-    weights divided by the group order, and is invariant under every listed
-    element.  Raises NotAGroup when the list is not closed under
-    composition and inverse within tol, NonAtomicBase otherwise.
+    result has atoms h^{-1}(a) over the distinct listed h (up to sign within
+    1e-9) and base atoms a, with weights divided by the group order, and is
+    invariant under every listed element.  Raises NotAGroup when one closure
+    step, right multiplication by each element, finds a product not listed,
+    NonAtomicBase when base is not atomic.
     """
     if not isinstance(base, AtomicMeasure):
         raise NonAtomicBase("group averaging needs an atomic base, got %s"
                             % type(base).__name__)
-    elems = list(group)
+    elems = projective_closure(group, [], lambda g: scaled_flat(g.matrix))
     if not elems:
         raise NotAGroup("empty group list")
-    listed = PointIndex(tol)
-    for g in elems:
-        if g.dim != base.dim:
-            raise DimensionMismatch("group element dimension mismatch")
-        listed.add(scaled_flat(g.matrix))
-    for i, g in enumerate(elems):
-        if listed.find(scaled_flat(g.inverse_matrix)) is None:
-            raise NotAGroup("inverse of element %d is not in the list" % i)
-    mats = np.array([g.matrix for g in elems])
-    products = np.einsum("iab,jbc->ijac", mats, mats)
-    for bad, prod in enumerate(products.reshape(len(elems) ** 2, -1)):
-        if listed.find(scaled_flat(prod)) is None:
-            raise NotAGroup("product of elements %d and %d is not in the list"
-                            % divmod(bad, len(elems)))
+    if any(g.dim != base.dim for g in elems):
+        raise DimensionMismatch("group element dimension mismatch")
+    mats = [g.matrix for g in elems]
+    if len(projective_closure(mats, [lambda m, h=h: m @ h for h in mats],
+                              scaled_flat, depth=1)) > len(mats):
+        raise NotAGroup("a product of two elements is not in the list")
     scale = 1.0 / len(elems)
     points = [normalized(g.inverse_matrix @ p)
               for g in elems for p in base.points]

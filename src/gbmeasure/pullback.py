@@ -8,9 +8,10 @@ downstream measure of f(A intersect piece).  For atomic measures this is
 realized exactly: every preimage of a downstream atom lies in exactly one
 piece and carries the downstream atom's full weight.
 
-Everything here is exact: no tolerance enters beyond the 1e-12 guard that
-rejects atoms sitting on arc endpoints, where the half-open disjointification
-convention would otherwise decide the answer silently.
+Everything here is exact: no tolerance enters beyond the 1e-12 at which two
+angles, matched as unit vectors (cos, sin) in a PointIndex, count as one.
+It rejects duplicate atoms and atoms on arc endpoints, where the half-open
+disjointification convention would otherwise decide the answer silently.
 """
 
 import math
@@ -18,9 +19,11 @@ from dataclasses import dataclass
 
 from .errors import (AtomOnBoundary, DuplicateAtom, NotAdapted,
                      NotDeckInvariant)
+from ._util import PointIndex
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
+COVERING_OFFSET = 0.123456789
 
 
 def _mod(theta):
@@ -30,6 +33,18 @@ def _mod(theta):
 def circle_distance(a, b):
     d = _mod(a - b)
     return min(d, TWO_PI - d)
+
+
+def _unit(theta):
+    return (math.cos(theta), math.sin(theta))
+
+
+def _angle_index(angles):
+    """A PointIndex of the angles as unit vectors, matching at ANGLE_TOL."""
+    index = PointIndex(ANGLE_TOL, projective=False)
+    for theta in angles:
+        index.add(_unit(theta))
+    return index
 
 
 class PowerMap:
@@ -125,34 +140,31 @@ class AdaptedCovering:
         return "AdaptedCovering(%d arcs)" % len(self.arcs)
 
 
-def default_covering(f, offset=0.123456789):
-    """A generic adapted covering for a map: overlapping equal arcs.
-
-    The irrational-looking offset keeps arc endpoints away from atoms at
-    rational multiples of pi.
-    """
+def default_covering(f):
+    """A generic adapted covering for a map: overlapping equal arcs.  The
+    first starts at COVERING_OFFSET, an irrational-looking value that keeps
+    arc endpoints away from atoms at rational multiples of pi."""
     k = max(1, abs(f.degree))
     count = 2 * k + 1
     length = 0.9 * TWO_PI / k
-    return AdaptedCovering([(offset + TWO_PI * j / count, length)
+    return AdaptedCovering([(COVERING_OFFSET + TWO_PI * j / count, length)
                             for j in range(count)])
 
 
 class CircleAtomicMeasure:
-    """Finitely many weighted atoms on the circle, angles reduced mod 2 pi."""
+    """Finitely many weighted atoms on the circle, angles reduced mod 2 pi
+    and sorted; two atoms within 1e-12 are a DuplicateAtom."""
 
     def __init__(self, atoms):
         pairs = sorted((_mod(a), float(w)) for a, w in atoms)
-        for a, w in pairs:
-            if w <= 0.0:
-                raise ValueError("atom weights must be positive")
-        for (a1, _), (a2, _) in zip(pairs, pairs[1:]):
-            if circle_distance(a1, a2) <= ANGLE_TOL:
-                raise DuplicateAtom("atoms at %g and %g coincide" % (a1, a2))
-        if len(pairs) > 1 and circle_distance(pairs[0][0],
-                                              pairs[-1][0]) <= ANGLE_TOL:
-            raise DuplicateAtom("atoms at %g and %g coincide"
-                                % (pairs[0][0], pairs[-1][0]))
+        if any(w <= 0.0 for _, w in pairs):
+            raise ValueError("atom weights must be positive")
+        self._index = _angle_index([])
+        for n, (a, _) in enumerate(pairs):
+            i = self._index.insert(_unit(a))
+            if i < n:
+                raise DuplicateAtom("atoms at %g and %g coincide"
+                                    % (pairs[i][0], a))
         self.atoms = tuple(pairs)
 
     @property
@@ -162,21 +174,13 @@ class CircleAtomicMeasure:
     def rotated(self, delta):
         return CircleAtomicMeasure([(a + delta, w) for a, w in self.atoms])
 
-    def same_as(self, other, tol=ANGLE_TOL):
-        """Exact equality of atom sets: matched angles within tol, weights ==."""
-        if len(self.atoms) != len(other.atoms):
+    def same_as(self, other):
+        """Exact equality of atom sets: each atom matches a distinct atom of
+        other within 1e-12, and their weights are ==."""
+        hits = [other._index.find(_unit(a)) for a, _ in self.atoms]
+        if None in hits or sorted(hits) != list(range(len(other.atoms))):
             return False
-        unused = list(other.atoms)
-        for a, w in self.atoms:
-            hit = None
-            for i, (b, u) in enumerate(unused):
-                if circle_distance(a, b) <= tol and w == u:
-                    hit = i
-                    break
-            if hit is None:
-                return False
-            unused.pop(hit)
-        return True
+        return [other.atoms[i][1] for i in hits] == [w for _, w in self.atoms]
 
     def __repr__(self):
         return "CircleAtomicMeasure(%d atoms, mass %.6g)" % (len(self.atoms),
@@ -193,12 +197,12 @@ def pullback(f, lam, covering):
     of an arc endpoint.
     """
     covering.check_adapted(f)
-    ends = [end for arc in covering.arcs
-            for end in (arc.start, arc.start + arc.length)]
+    ends = _angle_index(end for arc in covering.arcs
+                        for end in (arc.start, arc.start + arc.length))
     out = []
     for a, w in lam.atoms:
         for p in f.preimages(a):
-            if min(circle_distance(p, end) for end in ends) <= ANGLE_TOL:
+            if ends.find(_unit(p)) is not None:
                 raise AtomOnBoundary(
                     "preimage %g of atom %g lies on a covering arc endpoint"
                     % (p, a))
@@ -250,22 +254,13 @@ def induce_quotient(p, lam_up):
     if not lam_up.same_as(lam_up.rotated(delta)):
         raise NotDeckInvariant(
             "measure is not invariant under rotation by 2 pi / %d" % k)
-    remaining = list(lam_up.atoms)
-    out = []
-    while remaining:
-        a, w = remaining[0]
-        orbit_idx = []
-        for j in range(k):
-            target = _mod(a + j * delta)
-            found = None
-            for i, (b, u) in enumerate(remaining):
-                if circle_distance(b, target) <= ANGLE_TOL:
-                    found = i
-                    break
-            if found is None:
-                raise NotDeckInvariant("incomplete deck orbit through %g" % a)
-            orbit_idx.append(found)
-        for i in sorted(set(orbit_idx), reverse=True):
-            remaining.pop(i)
+    seen, out = set(), []
+    for i, (a, w) in enumerate(lam_up.atoms):
+        if i in seen:
+            continue
+        orbit = {lam_up._index.find(_unit(a + j * delta)) for j in range(k)}
+        if None in orbit or orbit & seen:
+            raise NotDeckInvariant("incomplete deck orbit through %g" % a)
+        seen |= orbit
         out.append((p.value(a), w))
     return CircleAtomicMeasure(out)

@@ -33,9 +33,9 @@ from .measure import ATOM_TOL, FiniteOrbitMeasure, IndexMap, MeasureEstimate
 # angle is not called here but stays importable: bench/spans.py wraps
 # triangulation.angle by name
 from .simplex import angle, angle_estimates, cut_sets, k_map  # noqa: F401
-from ._util import (MATCH_TOL, PointIndex, all_integers, is_integer,
-                    normalized, numeric_array, points_projectively_equal,
-                    projective_closure, projective_gaps, scaled_flat)
+from ._util import (MATCH_TOL, all_integers, is_integer, numeric_array,
+                    points_projectively_equal, projective_closure,
+                    projective_gaps, scaled_flat)
 
 
 class Incidence(NamedTuple):
@@ -622,9 +622,11 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     image's mass.  chi = 0 demands the bound stay 0; a certified positive
     bound with chi = 0 raises InconsistentDichotomy.  With a finite
     invariant point set supplied and chi > 0, every point must lie inside
-    some (translated) chart.  In odd dimension chi = 0 whatever the
-    measure, as chi = mu holds in even dimension only, so the check does
-    not apply there and reads consistent.
+    some (translated) chart; a point listed twice, up to sign within 1e-9,
+    counts once, and the set is invariant when one closure step under the
+    holonomy generators finds no new point (ValueError otherwise).  In odd
+    dimension chi = 0 whatever the measure, as chi = mu holds in even
+    dimension only, so the check does not apply there and reads consistent.
     """
     chi = euler_combinatorial(tri)
     words = _holonomy_words(tri.holonomy, tri.dim, word_length)
@@ -639,9 +641,12 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
     atoms_total = atoms_covered = None
     covered_positive = False
     if invariant_set is not None:
-        pts = [normalized(p) for p in invariant_set]
-        _require_invariant(pts, tri.holonomy)
-        orbit = FiniteOrbitMeasure(pts)
+        orbit = FiniteOrbitMeasure(invariant_set)
+        pts = orbit.orbit
+        step = [g.apply_to_vector for g in tri.holonomy]
+        if len(projective_closure(pts, step, lambda p: p, depth=1)) > len(pts):
+            raise ValueError("supplied point set is not invariant under the "
+                             "holonomy generators")
         cov = orbit.union_mass(regions)
         atoms_total = len(pts)
         # each covered projective atom contributes 2/m of the sphere mass
@@ -678,13 +683,3 @@ def dichotomy_check(tri, measure, invariant_set=None, mc=None, word_length=0):
                   " dimension")
     return DichotomyReport(chi, mass, len(words), atoms_total, atoms_covered,
                            consistent, detail)
-
-
-def _require_invariant(points, generators):
-    index = PointIndex()
-    for p in points:
-        index.add(p)
-    if any(index.find(g.apply_to_vector(p)) is None
-           for g in generators for p in points):
-        raise ValueError("supplied point set is not invariant under the "
-                         "holonomy generators")

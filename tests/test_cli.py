@@ -80,6 +80,22 @@ def test_check_dichotomy_flag(capsys):
     assert "dichotomy" in out
 
 
+@pytest.mark.parametrize("argv, options", [
+    (["check", "s2-octahedron", "--orbit-depth", "3"],
+     ("--orbit-depth", "--dichotomy")),
+    (["sgb", "--random-simplex", "--vertices", "[[1, 0], [0, 1]]"],
+     ("--random-simplex", "--vertices")),
+    (["sgb", "--vertices", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "--dim",
+      "5"], ("--vertices", "--dim"))],
+    ids=["orbit-depth-without-dichotomy", "random-simplex-and-vertices",
+         "vertices-and-dim"])
+def test_ignored_option_is_a_named_conflict(capsys, argv, options):
+    code, out = run(capsys, "--format", "json", "--samples", "1000", *argv)
+    diagnostic = json.loads(out)
+    assert code == 2 and diagnostic["error"] == "SchemaError"
+    assert all(option in diagnostic["detail"] for option in options)
+
+
 def test_sgb_random_simplex(capsys):
     code, out = run(capsys, "--seed", "7", "--samples", "50000", "sgb",
                     "--random-simplex", "--dim", "2")

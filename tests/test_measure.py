@@ -795,6 +795,13 @@ class TestSubsphere:
                                                       [3.0, 4.0, 0]]))
         assert ok.subsphere_dim == 1
 
+    def test_from_spanning_keeps_a_row_after_a_dependent_one(self):
+        m = SubsphereUniform.from_spanning([[1.0, 0, 0], [2.0, 0, 0],
+                                            [0, 1.0, 0]])
+        assert m.subsphere_dim == 1
+        # the basis spans e1 and e2: its projector is diag(1, 1, 0)
+        assert np.allclose(m.basis.T @ m.basis, np.diag([1.0, 1.0, 0.0]))
+
     def test_shear_invariance_exact(self):
         # affine translations act trivially on the circle at infinity
         shear = ProjectiveMap([[1, 0, 3.0], [0, 1, -2.0], [0, 0, 1]])
@@ -942,6 +949,19 @@ class TestAveraging:
         report = check_invariance(out, klein_four_group(), regions)
         assert report.passed and report.max_discrepancy == 0.0
 
+    def test_repeated_element_counts_once(self):
+        # [I, I, g] is the group {I, g}: each element weighs 1/2
+        g = ProjectiveMap(np.diag([-1.0, 1.0, 1.0]))
+        identity = ProjectiveMap.identity(2)
+        out = average_over_group(AtomicMeasure.dirac([1, 0.3, 0.2]),
+                                 [identity, identity, g])
+        assert len(out.points) == 4
+        assert np.allclose(out.weights, 0.5)
+        regions = [random_region(2, np.random.default_rng(s), 2)
+                   for s in range(20)]
+        report = check_invariance(out, [g], regions)
+        assert report.passed and report.max_discrepancy == 0.0
+
     def test_not_a_group(self):
         with pytest.raises(NotAGroup):
             average_over_group(AtomicMeasure.dirac([1, 0, 0]),
@@ -964,6 +984,12 @@ class TestFiniteOrbit:
                                  10)
         assert len(m.orbit) == 5
         assert np.allclose(m.weights, 1.0 / 5.0)
+
+    def test_repeated_point_counts_once(self):
+        p, q = [1.0, 1.0, 1.0], [1.0, -2.0, 1.5]
+        m = FiniteOrbitMeasure([p, p, q])
+        assert len(m.orbit) == 2
+        assert np.allclose(m.weights, 0.5)
 
     def test_irrational_rotation_overflows(self):
         with pytest.raises(OrbitOverflow) as overflow:

@@ -152,6 +152,15 @@ class TestQuotient:
         lam = CircleAtomicMeasure([(0.7, 0.3)])
         assert induce_quotient(PowerMap(1), lam).same_as(lam)
 
+    def test_round_trip_across_the_seam(self):
+        # atoms within 0.01 of 0 on both sides of 2 pi, so deck orbits and
+        # matches cross the seam
+        p = PowerMap(3)
+        lam = CircleAtomicMeasure([(0.005, 1.0), (TWO_PI - 0.007, 0.5)])
+        up = pullback(p, lam, default_covering(p))
+        assert equivariance_check(p, lam).passed
+        assert induce_quotient(p, up).same_as(lam)
+
     def test_not_deck_invariant(self):
         with pytest.raises(NotDeckInvariant):
             induce_quotient(PowerMap(2),
@@ -184,6 +193,13 @@ class TestCircleAtomicMeasure:
     def test_wraparound_duplicate(self):
         with pytest.raises(DuplicateAtom):
             CircleAtomicMeasure([(1e-14, 1.0), (TWO_PI - 1e-14, 1.0)])
+
+    def test_same_as_matches_across_the_seam(self):
+        near_zero = CircleAtomicMeasure([(1e-13, 1.0), (2.0, 0.5)])
+        assert near_zero.same_as(CircleAtomicMeasure([(TWO_PI - 1e-13, 1.0),
+                                                      (2.0, 0.5)]))
+        assert not near_zero.same_as(CircleAtomicMeasure([(0.0, 0.5),
+                                                          (2.0, 1.0)]))
 
     def test_circle_distance(self):
         assert circle_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2)

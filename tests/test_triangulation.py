@@ -595,6 +595,15 @@ class TestDichotomy:
         assert rep.atoms_covered == rep.atoms_total == 2
         assert rep.consistent
 
+    def test_repeated_invariant_point_counts_once(self):
+        # p and -p are one projective point
+        p, q = np.array([1.0, 1.0, 1.0]), np.array([1.0, -2.0, 1.5])
+        rep = dichotomy_check(octahedron(), RoundMeasure(2),
+                              invariant_set=[p, -p, q],
+                              mc=MCConfig(seed=6, samples=50_000))
+        assert rep.atoms_covered == rep.atoms_total == 2
+        assert rep.detail == "2/2 invariant points inside the chart union"
+
     def test_inconsistent_raises(self):
         # round measure is NOT holonomy invariant for the torus: the chart
         # union has positive round mass while chi = 0

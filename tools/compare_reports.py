@@ -41,8 +41,14 @@ round-mc restricted to a hemisphere, whose chart union a restricted
 non-atomic measure does not give; then the exact checks of t2-grid
 --k 24 and klein-grid --k 24 under their own measure, whose 1152 tops
 and 1728 pairings load at size; then pullback of degrees
-1-3 with the default covering and with two explicit ones; and last the
-checks of three documents written to a temporary directory from the
+1-3 with the default covering and with two explicit ones, and of degree 3
+with both coverings and atoms within 0.01 of 0 on both sides of the 2 pi
+seam, so that matches and deck orbits cross it; then three invocations
+with an option that the others make meaningless, each of which exits 2
+naming both (a tree that ignores the option exits 0): check --orbit-depth
+without --dichotomy, sgb with --random-simplex and --vertices, and sgb
+with --vertices and --dim; and last the checks of three documents
+written to a temporary directory from the
 first tree's built-ins: the circle of one vertex, whose one arc's two
 ends lie in one top and are paired with each other, s2-octahedron with
 pairing 0 naming top 0 twice, and t2-grid --k 2 with every edge written
@@ -173,10 +179,17 @@ def battery():
                      "--dichotomy"]]
     runs += [["--format", "json", "check", doc, "--k", "24"]
              for doc in ("t2-grid", "klein-grid")]
-    for degree in (1, 2, 3):
-        data = {"degree": degree, "atoms": [[0.0, 1.0], [2.5, 0.25]]}
+    for degree, atoms in ((1, [[0.0, 1.0], [2.5, 0.25]]),
+                          (2, [[0.0, 1.0], [2.5, 0.25]]),
+                          (3, [[0.0, 1.0], [2.5, 0.25]]),
+                          (3, [[0.004, 1.0], [-0.006, 0.5]])):
+        data = {"degree": degree, "atoms": atoms}
         runs += [["--format", "json", "pullback", json.dumps(
             dict(data, **extra))] for extra in ({}, {"coverings": COVERINGS})]
+    runs += [["--format", "json", "--samples", "1000"] + args for args in (
+        ["check", "s2-octahedron", "--orbit-depth", "3"],
+        ["sgb", "--random-simplex", "--vertices", "[[1, 0], [0, 1]]"],
+        ["sgb", "--vertices", json.dumps(VERTICES), "--dim", "5"])]
     return runs
 
 
