@@ -3,8 +3,8 @@ triangulated projective manifolds, and holonomy-invariant measures.
 
 The layers, bottom up:
 
-- geom: points, oriented great hyperplanes, half-space regions, spherical
-  simplices, and invertible matrices acting up to scale.
+- geom: half-space regions and spherical simplices as arrays of unit rows,
+  and invertible matrices acting up to scale.
 - measure: antipodally invariant measures of total mass 2 (uniform, atomic,
   subsphere-uniform, mixtures, restrictions, finite orbits), exact or Monte
   Carlo evaluation, group averaging and invariance checking.
@@ -25,9 +25,9 @@ from .errors import (AtomOnBoundary, BoundaryAtom, DegenerateSimplex,
                      NotAManifold, NotDeckInvariant, OrbitOverflow,
                      SchemaError, SingularMatrix, UnsupportedMeasure,
                      ZeroVector)
-from .geom import (Hyperplane, ProjectiveMap, Region, SphericalSimplex,
-                   UnitPoint, apply_map, face_region, random_region,
-                   random_simplex, simplex_from_vertices, whole_sphere)
+from .geom import (ProjectiveMap, Region, SphericalSimplex, apply_map,
+                   face_region, random_region, random_simplex,
+                   simplex_from_vertices, whole_sphere)
 from .measure import (AtomicMeasure, FiniteOrbitMeasure, MCConfig,
                       MeasureEstimate, MeasureSpec, Mixture,
                       RestrictedNormalized, RoundMeasure, SubsphereUniform,

@@ -41,6 +41,9 @@ from ._util import is_integer, numeric_array
 
 _ESTIMATE = ("value", "std_error", "samples")
 _VERDICT = ("passed", "worst", "detail")
+# the global options, each with its default; a command names in "reads"
+# those it reads, and main refuses any other that is given
+_GLOBALS = {"seed": 0, "samples": 1_000_000, "tolerance": 1e-9}
 
 
 def _fields(obj, names=_ESTIMATE):
@@ -363,9 +366,9 @@ def build_parser():
         prog="gbm",
         description="Euler characteristic vs invariant-measure checks for "
                     "triangulated projective manifolds")
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--samples", type=_positive_int, default=1_000_000)
-    parser.add_argument("--tolerance", default=1e-9, type=_number_from(
+    parser.add_argument("--seed", type=_non_negative_int)
+    parser.add_argument("--samples", type=_positive_int)
+    parser.add_argument("--tolerance", type=_number_from(
         0.0, "a finite number >= 0", float))
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,7 +387,7 @@ def build_parser():
                    help="also run the chart-union dichotomy check")
     p.add_argument("--orbit-depth", type=_non_negative_int, help=(
         "holonomy word length enlarging the chart union (default 0)"))
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, reads=tuple(_GLOBALS))
 
     p = sub.add_parser("sgb", help="alternating angle sum of one simplex")
     p.add_argument("--random-simplex", action="store_true")
@@ -392,11 +395,11 @@ def build_parser():
                    help="dimension of the random simplex (default 2)")
     p.add_argument("--vertices", help="JSON rows of simplex vertices")
     p.add_argument("--measure")
-    p.set_defaults(func=cmd_sgb)
+    p.set_defaults(func=cmd_sgb, reads=tuple(_GLOBALS))
 
     p = sub.add_parser("angles", parents=[document],
                        help="angle table of a document")
-    p.set_defaults(func=cmd_angles)
+    p.set_defaults(func=cmd_angles, reads=("seed", "samples"))
 
     p = sub.add_parser("invariance", help="measure invariance report")
     p.add_argument("--measure", required=True)
@@ -404,18 +407,18 @@ def build_parser():
                    help="icosahedral | klein4 | cyclic:N | @matrices.json")
     p.add_argument("--dim", type=_non_negative_int, default=2)
     p.add_argument("--regions", type=_positive_int, default=20)
-    p.set_defaults(func=cmd_invariance)
+    p.set_defaults(func=cmd_invariance, reads=tuple(_GLOBALS))
 
     p = sub.add_parser("pullback", help="circle pull-back / quotient checks")
     p.add_argument("input",
                    help="JSON {degree, atoms, coverings} or @file.json")
-    p.set_defaults(func=cmd_pullback)
+    p.set_defaults(func=cmd_pullback, reads=())
 
     p = sub.add_parser("example", parents=[sized],
                        help="write a built-in document")
     p.add_argument("name", choices=sorted(BUILTIN_DOCUMENTS))
     p.add_argument("--output", "-o")
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(func=cmd_example, reads=())
     return parser
 
 
@@ -426,8 +429,14 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    args.mc = MCConfig(seed=args.seed, samples=args.samples)
     try:
+        for key, default in _GLOBALS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
+            elif key not in args.reads:
+                raise SchemaError("--%s: command %r takes no --%s"
+                                  % (key, args.command, key))
+        args.mc = MCConfig(seed=args.seed, samples=args.samples)
         payload = args.func(args)
         code = 0 if payload.get("passed", True) else 1
     except (GBError, OSError, json.JSONDecodeError) as err:

@@ -1,10 +1,11 @@
-"""Spherical/projective linear algebra: points, hyperplanes, half-space
-regions, simplices and the action of invertible matrices up to scale.
+"""Spherical/projective linear algebra: half-space regions, simplices and
+the action of invertible matrices up to scale.
 
-Everything lives on the unit sphere S^n inside R^{n+1}.  A great hyperplane
-is the sphere's intersection with a codimension-1 linear subspace; its unit
-normal fixes an orientation, with positive side {x : <normal, x> > 0}.
-All objects are immutable after construction.
+Everything lives on the unit sphere S^n inside R^{n+1}, and a point is a
+unit row.  A great hyperplane is the sphere's intersection with a
+codimension-1 linear subspace; its unit normal fixes an orientation, with
+positive side {x : <normal, x> > 0}.  Regions and simplices hold read-only
+arrays of such rows and are immutable after construction.
 """
 
 import numpy as np
@@ -26,104 +27,55 @@ def _unit(v, what="vector"):
     return v
 
 
-class UnitPoint:
-    """A point of S^n, stored as a unit vector in R^{n+1}."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = _unit(coords, "point")
-
-    @property
-    def dim(self):
-        return len(self.coords) - 1
-
-    def __repr__(self):
-        return "UnitPoint(%s)" % np.array2string(self.coords, precision=6)
-
-
-class Hyperplane:
-    """An oriented great hypersphere; positive side {x : <normal, x> > 0}.
-
-    Negating the normal swaps the sides.
-    """
-
-    __slots__ = ("normal",)
-
-    def __init__(self, normal):
-        self.normal = _unit(normal, "hyperplane normal")
-
-    @property
-    def dim(self):
-        return len(self.normal) - 1
-
-    def side(self, point):
-        """Signed coordinate of a point against this plane."""
-        coords = point.coords if isinstance(point, UnitPoint) else point
-        return float(np.dot(self.normal, coords))
-
-    def flipped(self):
-        """The plane with the exactly negated normal: the sides swap, and
-        flipping twice gives back the same normal bit for bit."""
-        return _plane(-self.normal)
-
-    def __repr__(self):
-        return "Hyperplane(%s)" % np.array2string(self.normal, precision=6)
-
-
-def _plane(normal):
-    """A Hyperplane holding the unit row normal as it is, made read-only."""
-    plane = Hyperplane.__new__(Hyperplane)
-    plane.normal = normal
-    normal.flags.writeable = False
-    return plane
-
-
 class Region:
-    """Intersection of the open positive sides of finitely many hyperplanes.
+    """Intersection of the open positive sides {x : <u, x> > 0} of finitely
+    many great hyperplanes, one unit normal u per row of normals.
 
-    An empty list of halves denotes all of S^n.  Membership is exactly the
-    conjunction of strict sign tests.
+    No rows denote all of S^n.  Membership is exactly the conjunction of
+    strict sign tests.  Negating a row swaps the sides of its plane.
     """
 
-    __slots__ = ("halves", "ambient_dim", "_normals")
+    __slots__ = ("normals", "ambient_dim")
 
-    def __init__(self, halves, ambient_dim):
-        self.halves = tuple(halves)
-        self.ambient_dim = int(ambient_dim)
-        for h in self.halves:
-            if h.dim != self.ambient_dim:
+    def __init__(self, normals, ambient_dim):
+        rows = [_unit(u, "hyperplane normal") for u in normals]
+        ambient_dim = int(ambient_dim)
+        for u in rows:
+            if len(u) != ambient_dim + 1:
                 raise DimensionMismatch(
                     "hyperplane of dim %d in a region of dim %d"
-                    % (h.dim, self.ambient_dim))
-        normals = np.array([h.normal for h in self.halves], dtype=float)
-        normals = normals.reshape(len(self.halves), self.ambient_dim + 1)
-        normals.flags.writeable = False
-        self._normals = normals
-
-    @property
-    def normals(self):
-        """(#halves, n+1) array of the bounding unit normals."""
-        return self._normals
+                    % (len(u) - 1, ambient_dim))
+        self.normals = np.array(rows, dtype=float).reshape(len(rows),
+                                                           ambient_dim + 1)
+        self.normals.flags.writeable = False
+        self.ambient_dim = ambient_dim
 
     def contains(self, point):
-        coords = point.coords if isinstance(point, UnitPoint) else np.asarray(point)
-        if len(self.halves) == 0:
-            return True
-        return bool(np.all(self._normals @ coords > 0.0))
+        return bool(np.all(self.normals @ np.asarray(point) > 0.0))
 
     def antipodal(self):
-        """The image of this region under x -> -x."""
-        return Region([h.flipped() for h in self.halves], self.ambient_dim)
+        """The image of this region under x -> -x: every row exactly
+        negated, so that taking it twice gives back the same bits."""
+        return _region(-self.normals, self.ambient_dim)
 
     def intersect(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("regions of dims %d and %d"
                                     % (self.ambient_dim, other.ambient_dim))
-        return Region(self.halves + other.halves, self.ambient_dim)
+        return _region(np.concatenate([self.normals, other.normals]),
+                       self.ambient_dim)
 
     def __repr__(self):
-        return "Region(%d halves, S^%d)" % (len(self.halves), self.ambient_dim)
+        return "Region(%d halves, S^%d)" % (len(self.normals),
+                                            self.ambient_dim)
+
+
+def _region(normals, ambient_dim):
+    """A Region holding the unit rows normals as they are, made read-only."""
+    region = Region.__new__(Region)
+    normals.flags.writeable = False
+    region.normals, region.ambient_dim = normals, ambient_dim
+    return region
 
 
 def whole_sphere(dim):
@@ -133,18 +85,19 @@ def whole_sphere(dim):
 class SphericalSimplex:
     """n+1 unit vertices in general position and their opposite planes.
 
-    Plane i is spanned by all vertices except vertex i and oriented so that
-    vertex i (hence the whole simplex) lies strictly on its positive side.
+    Plane i, of unit normal normals[i], is spanned by all vertices except
+    vertex i and oriented so that vertex i (hence the whole simplex) lies
+    strictly on its positive side.
     The simplex itself is the region cut out by all n+1 positive sides; it
     always sits inside an open hemisphere because independent vertices span
     a salient cone.
     """
 
-    __slots__ = ("vertices", "planes")
+    __slots__ = ("vertices", "normals")
 
-    def __init__(self, vertices, planes):
-        self.vertices = vertices        # (n+1, n+1) rows, unit
-        self.planes = tuple(planes)     # n+1 Hyperplane, plane i opposite vertex i
+    def __init__(self, vertices, normals):
+        self.vertices = vertices        # (n+1, n+1) unit rows, read-only
+        self.normals = normals          # (n+1, n+1) unit rows, read-only
 
     @property
     def dim(self):
@@ -152,7 +105,7 @@ class SphericalSimplex:
 
     def interior_point(self):
         """The normalized vertex sum; strictly inside every positive side."""
-        return UnitPoint(self.vertices.sum(axis=0))
+        return _unit(self.vertices.sum(axis=0), "point")
 
     def region(self):
         """The open simplex interior as a Region (all n+1 positive sides)."""
@@ -201,10 +154,11 @@ def simplex_stack(vertices, det_tol=DET_TOL):
     ok &= np.all(np.vecdot(normals, mats.sum(axis=1)[:, None, :]) > 0.0,
                  axis=1)
     mats.flags.writeable = False
+    normals.flags.writeable = False
     out = []
     for t, (rows, planes) in enumerate(zip(mats, normals)):
         if ok[t]:
-            out.append(SphericalSimplex(rows, map(_plane, planes)))
+            out.append(SphericalSimplex(rows, planes))
         elif zero[t].any():
             i = int(np.argmax(zero[t]))
             out.append(ZeroVector("vertex %d has norm %g (< %g)"
@@ -229,18 +183,18 @@ def face_region(simplex, cut_set):
     for i in cut:
         if not 0 <= i < n1:
             raise IndexError("plane index %d out of range 0..%d" % (i, n1 - 1))
-    return Region([simplex.planes[i] for i in cut], simplex.dim)
+    return _region(simplex.normals[cut], simplex.dim)
 
 
 class ProjectiveMap:
     """An invertible matrix up to nonzero scale, acting on S^n objects.
 
-    Points map by matrix-apply-then-normalize, hyperplanes by the inverse
-    transpose, so containment is equivariant: x on the positive side of H
-    iff g.x is on the positive side of g.H.  The stored matrix is scaled to
-    a canonical representative; on the sphere the action is therefore only
-    defined up to the antipodal map, which is invisible to the antipodally
-    invariant measures used throughout.
+    Points map by matrix-apply-then-normalize, hyperplane normals by the
+    inverse transpose, so containment is equivariant: x on the positive
+    side of H iff g.x is on the positive side of g.H.  The stored matrix is
+    scaled to a canonical representative; on the sphere the action is
+    therefore only defined up to the antipodal map, which is invisible to
+    the antipodally invariant measures used throughout.
     """
 
     __slots__ = ("matrix", "inverse_matrix")
@@ -287,16 +241,12 @@ class ProjectiveMap:
 
 
 def apply_map(g, obj):
-    """Apply a projective map to a point, plane, region or simplex."""
-    if isinstance(obj, UnitPoint):
-        _check_dims(g, obj.dim)
-        return UnitPoint(g.apply_to_vector(obj.coords))
-    if isinstance(obj, Hyperplane):
-        _check_dims(g, obj.dim)
-        return Hyperplane(g.apply_to_normal(obj.normal))
+    """Apply a projective map to a region or a simplex; a point maps by
+    g.apply_to_vector."""
     if isinstance(obj, Region):
         _check_dims(g, obj.ambient_dim)
-        return Region([apply_map(g, h) for h in obj.halves], obj.ambient_dim)
+        return Region([g.apply_to_normal(u) for u in obj.normals],
+                      obj.ambient_dim)
     if isinstance(obj, SphericalSimplex):
         _check_dims(g, obj.dim)
         return simplex_from_vertices([g.apply_to_vector(v)
@@ -332,5 +282,5 @@ def random_simplex(dim, rng, det_tol=None):
 
 def random_region(dim, rng, n_halves):
     """A region bounded by n_halves random hyperplanes."""
-    halves = [Hyperplane(rng.standard_normal(dim + 1)) for _ in range(n_halves)]
-    return Region(halves, dim)
+    return Region([rng.standard_normal(dim + 1) for _ in range(n_halves)],
+                  dim)

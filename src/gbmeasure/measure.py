@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (BoundaryAtom, DimensionMismatch, NonAtomicBase,
                      NotAGroup, OrbitOverflow, SchemaError,
                      SingularMatrix, UnsupportedMeasure)
-from .geom import Hyperplane, ProjectiveMap, Region, apply_map
+from .geom import ProjectiveMap, Region, apply_map
 from ._util import (UNIT_TOL, MATCH_TOL, PointIndex, derive_seed, is_integer,
                     is_number, normalized, numeric_array,
                     projective_closure, scaled_flat)
@@ -1289,8 +1289,7 @@ def finite_orbit_measure(seed_point, generators, max_orbit):
     """
     if max_orbit < 1:
         raise ValueError("max_orbit must be >= 1")
-    seed = normalized(seed_point if not hasattr(seed_point, "coords")
-                      else seed_point.coords)
+    seed = normalized(seed_point)
     steps = [lambda p, m=m: normalized(m @ p)
              for g in generators for m in (g.matrix, g.inverse_matrix)]
     points = projective_closure([seed], steps, lambda p: p, limit=max_orbit)
@@ -1475,8 +1474,7 @@ def measure_from_spec(spec, dim):
         base = measure_from_spec(_required(spec, "base", kind), dim)
         if "region" in spec:
             normals = _spec_array(spec, "region", kind, (None, width), True)
-            return RestrictedNormalized(
-                base, region=Region([Hyperplane(u) for u in normals], dim))
+            return RestrictedNormalized(base, region=Region(normals, dim))
         return _spec_built("subspace", kind, RestrictedNormalized, base,
                            subspace=_spec_array(spec, "subspace", kind,
                                                 (None, width)))

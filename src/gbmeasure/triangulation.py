@@ -205,7 +205,14 @@ def load(document):
     if bad:
         raise DegenerateSimplex("; ".join(bad))
 
-    incidences, inc_diag = _assign_incidences(n, faces)
+    # the tops each well-formed pairing names for its codim-1 face
+    claims, entries = {}, document.get("pairings", [])
+    for p in entries if isinstance(entries, list) else ():
+        ids = [p.get(key) if isinstance(p, dict) else None
+               for key in ("face", "simplex_a", "simplex_b")]
+        if all_integers(ids):
+            claims.setdefault((n - 1, ids[0]), []).extend(ids[1:])
+    incidences, inc_diag = _assign_incidences(n, faces, claims=claims)
     if inc_diag:
         raise SchemaError(inc_diag)
 
@@ -265,14 +272,17 @@ def load(document):
     return tri
 
 
-def _assign_incidences(n, faces, dims=None):
+def _assign_incidences(n, faces, dims=None, claims=None):
     """Match every top-simplex subtuple of a face dimension in dims (by
     default all below n) to a face index.
 
     Ordered-tuple match first, then reversed-tuple match (orientation-
-    reversing identifications); exact duplicate tuples are consumed
-    round-robin so a doubled face receives a balanced share.
+    reversing identifications).  Among faces of one repeated tuple, a top
+    goes to a face (r, idx) whose list claims[(r, idx)] names it, once per
+    naming; the faces no list names take the other tops round-robin, so a
+    doubled face receives a balanced share.
     """
+    claims = {key: list(tops) for key, tops in (claims or {}).items()}
     diag, lookup = [], {}
     for r in range(n) if dims is None else dims:
         table = lookup[r] = {}
@@ -301,9 +311,15 @@ def _assign_incidences(n, faces, dims=None):
                 continue
             face = cands[0]
             if len(cands) > 1:
-                use = counters.get((r, key), 0)
-                counters[(r, key)] = use + 1
-                face = cands[use % len(cands)]
+                named = [c for c in cands if t in claims.get((r, c), ())]
+                if named:
+                    face = named[0]
+                    claims[(r, face)].remove(t)
+                else:
+                    free = [c for c in cands if (r, c) not in claims] or cands
+                    use = counters.get((r, key), 0)
+                    counters[(r, key)] = use + 1
+                    face = free[use % len(free)]
             incidences.append(new(Incidence, (t, cut, r, face, positions)))
     return incidences, diag
 
@@ -465,7 +481,7 @@ def _name_boundary_face(tri, err):
     """
     for rec in tri.incidences:
         if rec.dim == tri.dim - 1 and points_projectively_equal(
-                tri.developed[rec.top].planes[rec.cut[0]].normal, err.normal):
+                tri.developed[rec.top].normals[rec.cut[0]], err.normal):
             err.face = (tri.dim - 1, rec.face)
             err.args = ("%s [codim-1 face %d of top simplex %d]"
                         % (err.args[0], rec.face, rec.top),)
@@ -508,7 +524,7 @@ def transversality_check(tri, measure):
         return TransversalityReport(True, True, ())
     # one row per (face, incidence), tested against each support at once
     recs = [rec for wall in tri.walls for rec in wall]
-    normals = np.array([tri.developed[rec.top].planes[rec.cut[0]].normal
+    normals = np.array([tri.developed[rec.top].normals[rec.cut[0]]
                         for rec in recs])
     hit = np.array([np.max(np.abs(basis @ normals.T), axis=0) <= ATOM_TOL
                     for basis in supports])

@@ -194,9 +194,9 @@ def test_09_pullback_suite():
 
 
 def test_10_monte_carlo_calibration():
-    from gbmeasure import Hyperplane, Region
+    from gbmeasure import Region
     measure = RoundMeasure(2, monte_carlo=True)
-    hemisphere = Region([Hyperplane([0.0, 0.0, 1.0])], 2)
+    hemisphere = Region([[0.0, 0.0, 1.0]], 2)
     estimates = [measure.eval(hemisphere, MCConfig(seed=s, samples=100_000))
                  for s in range(100)]
     ok = all(abs(e.value - 1.0) <= 4 * e.std_error for e in estimates)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -94,6 +95,49 @@ def test_ignored_option_is_a_named_conflict(capsys, argv, options):
     diagnostic = json.loads(out)
     assert code == 2 and diagnostic["error"] == "SchemaError"
     assert all(option in diagnostic["detail"] for option in options)
+
+
+_PULLBACK = ["pullback", '{"degree": 2, "atoms": [[0.1, 1]]}']
+_EXAMPLE = ["example", "s1-polygon", "-o", "@TMP/polygon.json"]
+
+
+@pytest.mark.parametrize("option, value, argv", [
+    ("--tolerance", "0.5", ["angles", "s2-octahedron", "--measure", "round"])
+] + [(option, value, argv) for argv in (_PULLBACK, _EXAMPLE)
+     for option, value in (("--seed", "3"), ("--samples", "1000"),
+                           ("--tolerance", "0.5"))],
+    ids=["angles-tolerance", "pullback-seed", "pullback-samples",
+         "pullback-tolerance", "example-seed", "example-samples",
+         "example-tolerance"])
+def test_global_option_a_command_does_not_read_is_refused(
+        tmp_path, capsys, option, value, argv):
+    argv = [a.replace("@TMP", str(tmp_path)) for a in argv]
+    code, out = run(capsys, "--format", "json", option, value, *argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "SchemaError",
+        "detail": "%s: command %r takes no %s" % (option, argv[0], option)}
+    assert list(tmp_path.iterdir()) == []    # example wrote nothing
+
+
+def _readme_commands():
+    """(argv, exit code) of each line of the README's first command block:
+    2 where its comment says exit 2, else 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    lines = [line.partition("#") for line in block.strip().splitlines()]
+    return [(shlex.split(argv), 2 if "exit 2" in comment else 0)
+            for argv, _, comment in lines]
+
+
+def test_readme_command_block_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv, code in commands:
+        assert argv[0] == "gbm"
+        assert (main(argv[1:]), argv) == (code, argv)
+        assert capsys.readouterr().err == ""
 
 
 def test_sgb_random_simplex(capsys):
@@ -541,21 +585,29 @@ def test_one_vertex_circle_pairs_its_chart_with_itself(tmp_path, capsys,
         assert json.loads(out)["passed"]
 
 
-def test_repeated_face_tuples_are_dealt_round_robin(tmp_path, capsys):
+@pytest.mark.parametrize("pairings", [True, False], ids=["kept", "deleted"])
+def test_repeated_face_tuples_are_dealt_round_robin(tmp_path, capsys,
+                                                    pairings):
     # every edge of t2-grid --k 2 as a sorted tuple: each of the 6 vertex
-    # pairs then bounds two of the 12 edges, and load deals the two edges
-    # of a pair to its incidences in turn (the pairings are left out, as
-    # the dealing does not follow them)
+    # pairs then bounds two of the 12 edges.  With its pairings, each edge
+    # goes to the two tops its pairing names, and the report is the
+    # built-in's; without them, load deals the two edges of a pair to its
+    # incidences in turn
     document = builtin_document("t2-grid", k=2)
     document["faces"]["1"] = [sorted(e) for e in document["faces"]["1"]]
     assert len({tuple(e) for e in document["faces"]["1"]}) == 6
-    del document["pairings"]
+    if not pairings:
+        del document["pairings"]
     doc_path = tmp_path / "grid.json"
     doc_path.write_text(json.dumps(document))
     code, out = run(capsys, "--format", "json", "check", str(doc_path))
     assert code == 0
     report = json.loads(out)
     assert report["chi"] == 0 and report["passed"]
+    if pairings:
+        _, builtin = run(capsys, "--format", "json", "check", "t2-grid",
+                         "--k", "2")
+        assert dict(report, document="t2-grid") == json.loads(builtin)
 
 
 @pytest.mark.parametrize("extra", [[], ["--dichotomy"]])
@@ -669,6 +721,9 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
       '{"type": "subsphere", "basis": [[1, 1, 0]]}'], "'basis'"),
     (["check", "s2-octahedron", "--measure", '{"type": "restricted", '
       '"base": {"type": "round"}, "subspace": [[1, 1, 0]]}'], "'subspace'"),
+    (["check", "s2-octahedron", "--measure", '{"type": "restricted", '
+      '"base": {"type": "round"}, "region": [[0, 0, 0]]}'],
+     "hyperplane normal has norm 0 (< 1e-12)"),
     (["check", "t2-grid", "--k", "1"], "--k"),
     (["check", "klein-grid", "--k", "2"], "--k"),
     (["check", "s1-polygon", "--m", "2"], "--m"),
@@ -698,7 +753,8 @@ _MATRIX_FILES = {"@ONE_TWO": [1, 2], "@STRINGS": [[["a", "b", "c"]] * 3],
         "vertices-flat", "vertices-number", "vertices-string",
         "weight-negative", "degree-zero", "atoms-empty", "point-zero",
         "atom-weights-sum", "seed-point-zero", "max-orbit-zero",
-        "basis-not-orthonormal", "subspace-not-orthonormal", "t2-grid-k",
+        "basis-not-orthonormal", "subspace-not-orthonormal",
+        "region-normal-zero", "t2-grid-k",
         "klein-grid-k", "s1-polygon-m", "s1-polygon-takes-no-k",
         "t2-grid-takes-no-m", "group-zero", "orbit-generator-zero",
         "orbit-generator-singular", "tolerance-nan", "tolerance-negative",

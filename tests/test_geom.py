@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmeasure import (DegenerateSimplex, DimensionMismatch, Hyperplane,
-                       ProjectiveMap, Region, SingularMatrix, UnitPoint,
-                       ZeroVector, apply_map, face_region, random_region,
-                       random_simplex, simplex_from_vertices)
+from gbmeasure import (DegenerateSimplex, DimensionMismatch, ProjectiveMap,
+                       Region, SingularMatrix, ZeroVector, apply_map,
+                       face_region, random_region, random_simplex,
+                       simplex_from_vertices)
 from gbmeasure.geom import simplex_stack
 
 
@@ -42,21 +42,21 @@ def icosahedron_faces(verts):
     return faces
 
 
-class TestUnitPoint:
+class TestRegionRows:
     def test_normalizes(self):
-        p = UnitPoint([3.0, 0.0, 4.0])
-        assert np.allclose(np.linalg.norm(p.coords), 1.0, atol=1e-12)
+        r = Region([[3.0, 0.0, 4.0]], 2)
+        assert np.allclose(np.linalg.norm(r.normals[0]), 1.0, atol=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            UnitPoint([0.0, 0.0, 1e-15])
+        with pytest.raises(ZeroVector, match="hyperplane normal has norm"):
+            Region([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-15]], 2)
 
 
 class TestSimplexFromVertices:
     def test_octant(self):
         s = simplex_from_vertices(np.eye(3))
         for i in range(3):
-            assert np.allclose(s.planes[i].normal, np.eye(3)[i], atol=1e-12)
+            assert np.allclose(s.normals[i], np.eye(3)[i], atol=1e-12)
 
     def test_coplanar_rejected(self):
         with pytest.raises(DegenerateSimplex):
@@ -80,8 +80,7 @@ class TestSimplexFromVertices:
         scales = rng.uniform(0.2, 5.0, size=4)
         scaled = simplex_from_vertices(base.vertices * scales[:, None])
         assert np.allclose(scaled.vertices, base.vertices, atol=1e-12)
-        for p, q in zip(scaled.planes, base.planes):
-            assert np.allclose(p.normal, q.normal, atol=1e-12)
+        assert np.allclose(scaled.normals, base.normals, atol=1e-12)
 
     def test_random_simplex_rejects_negative_dimension(self):
         # a (0, 0) vertex matrix is never a simplex, so it used to redraw
@@ -103,7 +102,7 @@ class TestSimplexFromVertices:
         for seed in range(6):
             s = random_simplex(dim, Counted(seed))
             assert s.dim == dim
-            assert all(p.side(s.interior_point()) > 0 for p in s.planes)
+            assert np.all(s.normals @ s.interior_point() > 0)
 
     def test_random_simplex_keeps_the_low_dimensional_rule(self):
         # up to dim 7 the vertex rows still need |det| > 0.05
@@ -122,16 +121,16 @@ class TestSimplexFromVertices:
         for _ in range(25):
             s = random_simplex(2, rng)
             interior = s.interior_point()
-            assert all(p.side(interior) > 0 for p in s.planes)
+            assert np.all(s.normals @ interior > 0)
 
     def test_vertices_positive_on_own_plane(self):
         rng = np.random.default_rng(7)
         s = random_simplex(3, rng)
         for i in range(4):
-            assert s.planes[i].side(s.vertices[i]) > 0
+            assert s.normals[i] @ s.vertices[i] > 0
             for j in range(4):
                 if j != i:
-                    assert abs(s.planes[i].side(s.vertices[j])) < 1e-12
+                    assert abs(s.normals[i] @ s.vertices[j]) < 1e-12
 
 
 def _per_row_simplex(rows):
@@ -147,8 +146,8 @@ def _per_row_simplex(rows):
 def _same_bits(simplex, rows):
     mat, normals = _per_row_simplex(rows)
     return (np.array_equal(simplex.vertices, mat)
-            and all(np.array_equal(p.normal, q)
-                    for p, q in zip(simplex.planes, normals)))
+            and all(np.array_equal(p, q)
+                    for p, q in zip(simplex.normals, normals)))
 
 
 @pytest.mark.parametrize("width", range(2, 9))
@@ -188,12 +187,12 @@ class TestFaceRegion:
 
     def test_pair_cut(self):
         r = face_region(self.octant, [0, 1])
-        assert len(r.halves) == 2
+        assert len(r.normals) == 2
         assert r.contains([0.6, 0.6, -0.5]) and not r.contains([-0.6, 0.6, 0.5])
 
     def test_empty_cut_is_whole_sphere(self):
         r = face_region(self.octant, [])
-        assert len(r.halves) == 0
+        assert len(r.normals) == 0
         assert r.contains([-1.0, 0.0, 0.0])
 
     def test_full_cut_is_interior(self):
@@ -209,15 +208,15 @@ class TestFaceRegion:
 class TestProjectiveMap:
     def test_identity_fixes_points(self):
         g = ProjectiveMap.identity(2)
-        p = UnitPoint([0.6, 0.0, 0.8])
-        assert np.allclose(apply_map(g, p).coords, p.coords, atol=1e-12)
+        p = np.array([0.6, 0.0, 0.8])
+        assert np.allclose(g.apply_to_vector(p), p, atol=1e-12)
 
     def test_antipodal_map(self):
         g = ProjectiveMap(-np.eye(3))
-        p = apply_map(g, UnitPoint([1.0, 0.0, 0.0]))
+        p = g.apply_to_vector([1.0, 0.0, 0.0])
         # -I and I agree projectively; the sphere action is defined up to sign
-        assert min(np.linalg.norm(p.coords - [-1, 0, 0]),
-                   np.linalg.norm(p.coords - [1, 0, 0])) < 1e-12
+        assert min(np.linalg.norm(p - [-1, 0, 0]),
+                   np.linalg.norm(p - [1, 0, 0])) < 1e-12
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
@@ -246,7 +245,7 @@ class TestProjectiveMap:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_map(ProjectiveMap.identity(3), UnitPoint([1.0, 0.0, 0.0]))
+            apply_map(ProjectiveMap.identity(3), Region([[1.0, 0.0, 0.0]], 2))
 
 
 def rotation_about(axis, theta):
@@ -298,7 +297,7 @@ def test_membership_equivariance(seed, n_halves):
 
 def test_region_dimension_check():
     with pytest.raises(DimensionMismatch):
-        Region([Hyperplane([1.0, 0.0, 0.0])], ambient_dim=3)
+        Region([[1.0, 0.0, 0.0]], ambient_dim=3)
 
 
 def test_random_region_shape():
@@ -310,10 +309,8 @@ def test_random_region_shape():
 def test_flipping_negates_the_normal_exactly():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        p = Hyperplane(rng.standard_normal(4))
-        flipped = p.flipped()
-        assert np.array_equal(flipped.normal, -p.normal)
-        assert not flipped.normal.flags.writeable
-        assert flipped.flipped().normal.tobytes() == p.normal.tobytes()
-    r = random_region(3, rng, 5)
-    assert r.antipodal().antipodal().normals.tobytes() == r.normals.tobytes()
+        r = random_region(3, rng, 5)
+        flipped = r.antipodal()
+        assert np.array_equal(flipped.normals, -r.normals)
+        assert not flipped.normals.flags.writeable
+        assert flipped.antipodal().normals.tobytes() == r.normals.tobytes()

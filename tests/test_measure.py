@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DimensionMismatch,
-                       FiniteOrbitMeasure, Hyperplane, MCConfig,
+                       FiniteOrbitMeasure, MCConfig,
                        MeasureEstimate, Mixture,
                        NotAGroup, NonAtomicBase, OrbitOverflow, ProjectiveMap,
                        Region, RestrictedNormalized, RoundMeasure,
@@ -21,7 +21,7 @@ from gbmeasure.measure import Estimates, IndexMap, derive_mc
 
 
 def region(dim, *normals):
-    return Region([Hyperplane(u) for u in normals], dim)
+    return Region(normals, dim)
 
 
 def rotation_x(theta):
@@ -81,7 +81,7 @@ class TestRoundExact:
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             if abs(np.linalg.det(normals)) < 1e-6:
                 continue
-            est = self.m.eval(Region([Hyperplane(u) for u in normals], 2))
+            est = self.m.eval(Region(normals, 2))
             assert est.exact
             dual = np.linalg.inv(normals)
             v = dual / np.linalg.norm(dual, axis=0, keepdims=True)
@@ -109,10 +109,10 @@ class TestRoundExact:
         rng = np.random.default_rng(9)
         for _ in range(10):
             r = random_region(2, rng, 2)
-            h = Hyperplane(rng.standard_normal(3))
+            h = rng.standard_normal(3)
             whole = self.m.eval(r)
-            plus = self.m.eval(r.intersect(region(2, h.normal)))
-            minus = self.m.eval(r.intersect(region(2, -h.normal)))
+            plus = self.m.eval(r.intersect(region(2, h)))
+            minus = self.m.eval(r.intersect(region(2, -h)))
             if whole.exact and plus.exact and minus.exact:
                 assert abs(plus.value + minus.value - whole.value) < 1e-12
 
@@ -133,7 +133,7 @@ class TestArcMeasure:
             k = rng.integers(1, 4)
             normals = rng.standard_normal((k, 2))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            exact = m.eval(Region([Hyperplane(u) for u in normals], 1)).value
+            exact = m.eval(Region(normals, 1)).value
             frac = np.all(pts @ normals.T > 0, axis=1).mean()
             assert abs(exact - 2 * frac) < 1e-3
 
@@ -170,9 +170,9 @@ class TestMonteCarlo:
         that readings land in R, in -R and elsewhere."""
         rng = np.random.default_rng(seed)
         axis = np.eye(dim + 1)[0]
-        return [Region([Hyperplane(axis + 0.3 * rng.standard_normal(dim + 1)
-                                   if h > measure_module._TREE_BITS
-                                   else rng.standard_normal(dim + 1))
+        return [Region([axis + 0.3 * rng.standard_normal(dim + 1)
+                        if h > measure_module._TREE_BITS
+                        else rng.standard_normal(dim + 1)
                         for _ in range(h)], dim)
                 for h in (3, 3, 1, 17, 17, 17, 17, 2, 2, 9)]
 
@@ -283,8 +283,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(21)
         mc = MCConfig(seed=17, samples=1 << 20)
         for dim, h, count in ((2, 3, 8), (4, 5, 1)):
-            regions = [Region([Hyperplane(u) for u in
-                               rng.standard_normal((h, dim + 1))], dim)
+            regions = [Region(rng.standard_normal((h, dim + 1)), dim)
                        for _ in range(count)]
             got = RoundMeasure(dim, monte_carlo=True).eval_many(
                 regions, mc).histograms
@@ -344,18 +343,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(mm, "_ROWS", 128)
         monkeypatch.setattr(mm, "_GROUP_PLANES", 1)
         # the last normal, (1, 1, -1, 1) / 2, is negated exactly by
-        # flipped(), and merges with it as one plane
-        p = [Hyperplane(u) for u in
-             np.random.default_rng(6).standard_normal((4, 4))]
-        p.append(Hyperplane([1, 1, -1, 1]))
-        few = [Region([p[0], p[1], p[2].flipped()], 3),
+        # negating its row, and merges with it as one plane
+        p = list(np.random.default_rng(6).standard_normal((4, 4)))
+        p.append(np.array([1.0, 1, -1, 1]))
+        few = [Region([p[0], p[1], -p[2]], 3),
                Region([p[1], p[3], p[1]], 3),            # p1 twice
-               Region([p[4], p[0], p[4].flipped()], 3),  # empty
-               Region([p[3].flipped(), p[4]], 3)]
+               Region([p[4], p[0], -p[4]], 3),           # empty
+               Region([-p[3], p[4]], 3)]
         # more than the 16 planes that once sent a union to fresh rows
-        q = [Hyperplane(u) for u in
-             np.random.default_rng(7).standard_normal((24, 4))]
-        many = [Region([q[i], q[(i + 1) % 24].flipped(), q[(i + 5) % 24]], 3)
+        q = np.random.default_rng(7).standard_normal((24, 4))
+        many = [Region([q[i], -q[(i + 1) % 24], q[(i + 5) % 24]], 3)
                 for i in range(0, 24, 2)]
         mc = MCConfig(seed=8, samples=1200)
         for regions in (few, many):
@@ -367,9 +364,9 @@ class TestMonteCarlo:
         # neither draws: a region listing a plane with both signs holds
         # nothing, and a region without planes is the whole sphere
         monkeypatch.setattr(mm, "_region_histograms", None)
-        empty = [Region([p[4], p[0], p[4].flipped()], 3),
-                 Region([q[0], q[9], q[3], q[9].flipped()], 3),
-                 Region([q[5].flipped(), q[5]], 3)]
+        empty = [Region([p[4], p[0], -p[4]], 3),
+                 Region([q[0], q[9], q[3], -q[9]], 3),
+                 Region([-q[5], q[5]], 3)]
         for regions, value in ((empty[:1], 0.0), (empty, 0.0), ([], 0.0),
                                (few + [Region([], 3)], 2.0),
                                (many + [Region([], 3)], 2.0)):
@@ -385,13 +382,12 @@ class TestMonteCarlo:
         # is, is a hit; in the second (its first region is empty) every
         # need has a positive plane, and such a reading is a miss
         m = RoundMeasure(3, monte_carlo=True)
-        p = [Hyperplane(u) for u in
-             np.random.default_rng(12).standard_normal((4, 4))]
-        mixed = Region([p[0].flipped(), p[2], p[3].flipped()], 3)
+        p = np.random.default_rng(12).standard_normal((4, 4))
+        mixed = Region([-p[0], p[2], -p[3]], 3)
         mc = MCConfig(seed=samples, samples=samples)
         for first in (Region([p[0], p[1]], 3),
-                      Region([p[0], p[1], p[0].flipped()], 3)):
-            regions = [first, Region([p[0], p[1].flipped()], 3), mixed]
+                      Region([p[0], p[1], -p[0]], 3)):
+            regions = [first, Region([p[0], -p[1]], 3), mixed]
             est = m.union_mass(regions, mc)
             hits = self._rotated_union_hits(m, regions, mc)
             assert est.samples == samples
@@ -400,13 +396,13 @@ class TestMonteCarlo:
                 ) == [samples - hits, hits]
 
     def test_union_merges_a_plane_with_its_flip(self, monkeypatch):
-        # nine planes, each region pairing one with the next one flipped:
+        # nine planes, each region pairing one with the next one negated:
         # merged up to sign they are nine, within _CODE_BITS, so the union
         # reads one region histogram of nine planes
         mm = measure_module
         rng = np.random.default_rng(13)
-        p = [Hyperplane(u) for u in rng.standard_normal((9, 4))]
-        regions = [Region([p[i], p[(i + 1) % 9].flipped()], 3)
+        p = rng.standard_normal((9, 4))
+        regions = [Region([p[i], -p[(i + 1) % 9]], 3)
                    for i in range(9)]
         histograms = mm._region_histograms
         planes = []
@@ -417,7 +413,7 @@ class TestMonteCarlo:
         assert 0.0 < m.union_mass(regions, mc).value < 2.0
         assert planes == [9]
         # a region listing a plane with both signs holds nothing
-        empty = m.union_mass([Region([p[0], p[1], p[0].flipped()], 3)], mc)
+        empty = m.union_mass([Region([p[0], p[1], -p[0]], 3)], mc)
         assert (empty.value, empty.std_error) == (0.0, 0.0)
 
     def test_grid_chart_union_reads_its_three_planes_at_infinity(
@@ -460,11 +456,10 @@ class TestMonteCarlo:
         mm = measure_module
         m = RoundMeasure(1)
         turn = np.random.default_rng(21).uniform(0.0, 2.0 * math.pi)
-        n = [Hyperplane([math.cos(turn + a), math.sin(turn + a)])
+        n = [np.array([math.cos(turn + a), math.sin(turn + a)])
              for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
         live = [Region([n[0], n[1]], 1), Region([n[1], n[2]], 1)]
-        dead = [Region(n, 1), Region([n[2].flipped(), n[0].flipped(),
-                                      n[1].flipped()], 1)]
+        dead = [Region(n, 1), Region([-n[2], -n[0], -n[1]], 1)]
         assert [m.eval(r).value for r in dead] == [0.0, 0.0]
         assert all(m.eval(r).value > 0.0 for r in live)
         mc = MCConfig(seed=5, samples=5000)
@@ -498,7 +493,7 @@ class TestMonteCarlo:
         calls = []
         monkeypatch.setattr(mm, "_region_histograms", lambda *args: (
             calls.append(args) or histograms(*args)))
-        regions = [Region([Hyperplane(np.sign(j) * np.eye(4)[abs(j) - 1])
+        regions = [Region([np.sign(j) * np.eye(4)[abs(j) - 1]
                            for j in signed], 3) for signed in picks]
         mc = MCConfig(seed=2, samples=3000)
         est = RoundMeasure(3, monte_carlo=True).union_mass(regions, mc)
@@ -517,20 +512,20 @@ class TestMonteCarlo:
         width = data.draw(st.integers(2, 5), "width")
         k = data.draw(st.integers(0, 4), "random planes")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32), "rng"))
-        planes = [Hyperplane(u) for u in np.concatenate(
-            [rng.standard_normal((k, width)), np.eye(width)])]
+        planes = np.concatenate([rng.standard_normal((k, width)),
+                                 np.eye(width)])
         signed = st.tuples(st.integers(0, len(planes) - 1), st.booleans())
-        regions = [[planes[j].flipped() if neg else planes[j]
+        regions = [[-planes[j] if neg else planes[j]
                     for j, neg in picks]
                    for picks in data.draw(st.lists(st.lists(
                        signed, min_size=1, max_size=4), max_size=6),
                        "regions")]
         orthants = data.draw(st.lists(st.integers(k, len(planes) - 1),
                                       unique=True, max_size=3), "orthants")
-        regions += [[planes[j] if bit & (1 << i) else planes[j].flipped()
+        regions += [[planes[j] if bit & (1 << i) else -planes[j]
                      for i, j in enumerate(orthants)]
                     for bit in range(1 << len(orthants))]
-        normal_sets = [np.array([p.normal for p in r]) for r in regions if r]
+        normal_sets = [Region(r, width - 1).normals for r in regions if r]
         mc = MCConfig(seed=data.draw(st.integers(0, 99), "seed"),
                       samples=data.draw(st.sampled_from([1, 700, 2049]),
                                         "samples"))
@@ -560,8 +555,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(samples)
         mc = MCConfig(seed=samples, samples=samples)
         for width in range(2, 8):
-            regions = [Region([Hyperplane(u) for u in
-                               rng.standard_normal((h, width))], width - 1)
+            regions = [Region(rng.standard_normal((h, width)), width - 1)
                        for h in (1, 2, 2, 3, 7, 4, 4, 4, 5, 6, 6, 3)]
             bins = [1 << len(r.normals) if len(r.normals) <= mm._TREE_BITS
                     else 3 for r in regions]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gbmeasure import (AtomicMeasure, BoundaryAtom, DegenerateSimplex,
-                       Hyperplane, InconsistentDichotomy, MCConfig, Mixture,
+                       InconsistentDichotomy, MCConfig, Mixture,
                        NotAManifold, Region, RestrictedNormalized,
                        RoundMeasure, SchemaError, SubsphereUniform,
                        defect_sums, dichotomy_check, euler_combinatorial,
@@ -137,7 +137,7 @@ def _batched_measures():
     sampled = RoundMeasure(2, monte_carlo=True)
     return [Mixture([(0.5, sampled), (0.5, sampled)]),
             RestrictedNormalized(sampled, region=Region(
-                [Hyperplane([0.0, 0.6, 0.8])], 2))]
+                [[0.0, 0.6, 0.8]], 2))]
 
 
 class TestLoad:

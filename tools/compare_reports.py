@@ -47,21 +47,27 @@ seam, so that matches and deck orbits cross it; then three invocations
 with an option that the others make meaningless, each of which exits 2
 naming both (a tree that ignores the option exits 0): check --orbit-depth
 without --dichotomy, sgb with --random-simplex and --vertices, and sgb
-with --vertices and --dim; and last the checks of three documents
-written to a temporary directory from the
-first tree's built-ins: the circle of one vertex, whose one arc's two
-ends lie in one top and are paired with each other, s2-octahedron with
-pairing 0 naming top 0 twice, and t2-grid --k 2 with every edge written
-as a sorted tuple and its 12 pairings kept (load deals the repeated
-tuples round-robin, not by the pairings, so it exits 2); all with JSON
-output.  Each tree runs in one subprocess that writes no bytecode, with
-GBM_THREADS=1 so that a tree old enough to read it runs its Monte Carlo
-kernel sequentially too.  The script prints how many invocations are
-byte-identical, each differing invocation with the top-level report keys
-that differ, the largest
-|delta value| / std_error over the estimates (objects with "value" and
-"std_error") at the same place in both reports, so that a deliberate Monte
-Carlo change shows its size in sigma, and the largest |delta| over every
+with --vertices and --dim; then check of s2-octahedron restricted to a
+region whose one normal is zero (exit 2, ZeroVector); then seven
+invocations with a global option that the command does not read, each of
+which exits 2 naming the option and the command (a tree that ignores the
+option exits 0): angles with --tolerance, and pullback and example (its
+-o in the temporary directory below) each with --seed, --samples and
+--tolerance; and last the checks of three documents written to a
+temporary directory from the first tree's built-ins: the circle of one
+vertex, whose one arc's two ends lie in one top and are paired with each
+other, s2-octahedron with pairing 0 naming top 0 twice, and t2-grid --k 2
+with every edge written as a sorted tuple and its 12 pairings kept (load
+gives each repeated tuple to the two tops its pairing names, so it exits
+0 with the built-in's report; a tree that deals them round-robin exits
+2); all with JSON output.  Each tree runs in one subprocess that writes
+no bytecode, with GBM_THREADS=1 so that a tree old enough to read it runs
+its Monte Carlo kernel sequentially too.  The script prints how many
+invocations are byte-identical, each differing invocation with the
+top-level report keys that differ, the largest |delta value| /
+std_error over the estimates (objects with "value" and "std_error") at
+the same place in both reports, so that a deliberate Monte Carlo change
+shows its size in sigma, and the largest |delta| over every
 number at the same place, so that a change of rounding alone, which moves
 an exact value by an ulp and so reads as inf sigma, shows as such (two
 diagnostics of one error type compare the numbers in their details, in
@@ -115,8 +121,9 @@ def _measures(width):
             + [json.dumps(spec) for spec in specs])
 
 
-def battery():
-    """Every argv of the battery, in a fixed order."""
+def battery(folder):
+    """Every argv of the battery, in a fixed order; example writes into
+    folder."""
     runs = []
     exact_mixture = _measures(3)[8]     # 0.25 round + 0.75 atomic
     for seed in ("1", "2"):
@@ -190,6 +197,18 @@ def battery():
         ["check", "s2-octahedron", "--orbit-depth", "3"],
         ["sgb", "--random-simplex", "--vertices", "[[1, 0], [0, 1]]"],
         ["sgb", "--vertices", json.dumps(VERTICES), "--dim", "5"])]
+    runs += [["--format", "json", "check", "s2-octahedron", "--measure",
+              json.dumps({"type": "restricted", "base": {"type": "round"},
+                          "region": [[0, 0, 0]]})]]
+    pullback = ["pullback", '{"degree": 2, "atoms": [[0.1, 1]]}']
+    example = ["example", "s1-polygon", "-o",
+               str(Path(folder) / "ignored.json")]
+    ignored = [("--tolerance", "0.5", ["angles", "s2-octahedron"])]
+    ignored += [(option, value, args) for args in (pullback, example)
+                for option, value in (("--seed", "3"), ("--samples", "1000"),
+                                      ("--tolerance", "0.5"))]
+    runs += [["--format", "json", option, value] + args
+             for option, value, args in ignored]
     return runs
 
 
@@ -317,7 +336,7 @@ def main(argv):
     if len(argv) != 2:
         sys.exit("usage: compare_reports.py OLD_SRC NEW_SRC")
     with tempfile.TemporaryDirectory() as folder:
-        runs = battery() + [["--format", "json", "check", doc]
+        runs = battery(folder) + [["--format", "json", "check", doc]
                             for doc in write_documents(argv[0], folder)]
         old, new = (run_battery(path, runs) for path in argv)
     same, code_changes = 0, 0
