@@ -44,6 +44,23 @@ _VERDICT = ("passed", "worst", "detail")
 # the global options, each with its default; a command names in "reads"
 # those it reads, and main refuses any other that is given
 _GLOBALS = {"seed": 0, "samples": 1_000_000, "tolerance": 1e-9}
+# the option conflicts main refuses: (command, option, whether it needs or
+# excludes the other, other option, detail)
+_CONFLICTS = (
+    ("check", "orbit_depth", True, "dichotomy",
+     "--orbit-depth: the chart union it enlarges needs --dichotomy"),
+    ("sgb", "vertices", False, "random_simplex",
+     "--vertices: give --random-simplex or --vertices, not both"),
+    ("sgb", "vertices", False, "dim",
+     "--dim: a --vertices simplex takes its dimension from the vertices"),
+)
+
+
+def _given(args, option):
+    """Whether option was given: a flag set, any other option not None
+    (0 counts as given)."""
+    value = getattr(args, option)
+    return value is not None and value is not False
 
 
 def _fields(obj, names=_ESTIMATE):
@@ -162,9 +179,6 @@ def _named_measure(name, tri, dim):
 
 
 def cmd_check(args):
-    if args.orbit_depth is not None and not args.dichotomy:
-        raise SchemaError("--orbit-depth: the chart union it enlarges needs "
-                          "--dichotomy")
     tri, measure = _document_and_measure(args)
     report = gb_report(tri, measure, args.mc, tol=args.tolerance)
     verdicts = {
@@ -202,12 +216,6 @@ def cmd_check(args):
 
 
 def cmd_sgb(args):
-    if args.vertices is not None and args.random_simplex:
-        raise SchemaError("--vertices: give --random-simplex or --vertices, "
-                          "not both")
-    if args.vertices is not None and args.dim is not None:
-        raise SchemaError("--dim: a --vertices simplex takes its dimension "
-                          "from the vertices")
     if args.vertices is not None:
         vertices = numeric_array(json.loads(args.vertices), (None, None))
         if vertices is None:
@@ -436,6 +444,10 @@ def main(argv=None):
             elif key not in args.reads:
                 raise SchemaError("--%s: command %r takes no --%s"
                                   % (key, args.command, key))
+        for command, option, needs, other, detail in _CONFLICTS:
+            if (args.command == command and _given(args, option)
+                    and _given(args, other) != needs):
+                raise SchemaError(detail)
         args.mc = MCConfig(seed=args.seed, samples=args.samples)
         payload = args.func(args)
         code = 0 if payload.get("passed", True) else 1

@@ -8,21 +8,22 @@ mean and the sample count, and the batch the sample histograms they were
 read from, so that linear maps of it keep their shared samples.
 
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
-per-block derived seeds and counts each sample's signs against a region's
-planes, packed into bits, into a histogram, so a result is a pure
-function of (seed, samples).  A region of at most _TREE_BITS planes
-counts every sign code by a popcount tree, a wider one the three bins
--R, elsewhere and R; -R is the first bin and R the last either way, so a
-mass reads the last.  Every measure answers eval_many as one batch: a
-round or subsphere measure draws once for all its sampled regions (see
-_region_masses), a mixture asks each component once, a restriction asks
-its base once.  A call sampling G regions (1 for a union) reads chunks
-of _CHUNK / f rows, f the largest of 4, 2 and 1 with f G <= 8 (_layout):
-a block of readings draws at most _ROWS / f fresh rows and reads each of
-them up to f _BLOCK / _ROWS times, each time through a fresh Haar
-rotation, so reading i is fresh row i mod (_ROWS / f) and chunk rows
-times reads per row stay _CHUNK x 4 in every layout.  The error bars
-stay exact (see _region_masses), and samples counts readings.
+per-block derived seeds and counts each sample's signs against a
+region's planes, packed into bits, into a histogram, so a result is a
+pure function of (seed, samples).  A region of at most _TREE_BITS planes
+counts every sign code, recovered from the popcounts of the ANDs of each
+subset of its planes, a wider one the three bins -R, elsewhere and R; -R
+is the first bin and R the last either way, so a mass reads the last.
+Every measure answers eval_many as one batch: a round or subsphere
+measure draws once for all its sampled regions (see _region_masses), a
+mixture asks each component once, a restriction asks its base once.  A
+call sampling G regions (1 for a union) reads chunks of _CHUNK / f rows,
+f the largest of 4, 2 and 1 with f G <= 8 (_layout): a block of readings
+draws at most _ROWS / f fresh rows and reads each of them up to
+f _BLOCK / _ROWS times, each time through a fresh Haar rotation, so reading
+i is fresh row i mod (_ROWS / f) and chunk rows times reads per row stay
+_CHUNK x 4 in every layout.  The error bars stay exact (see
+_region_masses), and samples counts readings.
 A union reads such readings for one region of its distinct planes and
 counts those inside some region or its antipode from their packed signs.
 It samples only what is left undecided: a region of closed-form mass 0
@@ -30,14 +31,15 @@ is left out, and a union draws nothing when no region is left or when its
 regions meet every sign code of its planes.
 
 The draw is float32 Box-Muller on uniforms of the generator's grid
-k 2^-24, with 0 moved to 2^-25 so that no coordinate is ever 0.  Grid and
-float32 rounding bias the law by order 2^-24 per uniform, about 1e-7 of a
-region mass, below any standard error short of 1e14 samples; no estimate
-sees it at all, since every reading is turned by a Haar rotation, which
-makes any nonzero sample a uniform direction.  Sign products are
-float32: the Haar-turned planes are computed in float64 and rounded once,
-and a product can flip only a reading within about 2.4e-7 relative of a
-plane (gamma_3, Higham 2002, section 3.1), a bias of the draw's order.
+k 2^-24, read from its raw words, with 0 moved to 2^-25 so that no
+coordinate is ever 0.  Grid and float32 rounding bias the law by order
+2^-24 per uniform, about 1e-7 of a region mass, below any standard error
+short of 1e14 samples; no estimate sees it at all, since every reading
+is turned by a Haar rotation, which makes any nonzero sample a uniform
+direction.  Sign products are float32: the Haar-turned planes are
+computed in float64 and rounded once, and a product can flip only a
+reading within about 2.4e-7 relative of a plane (gamma_3, Higham 2002,
+section 3.1), a bias of the draw's order.
 """
 
 import math
@@ -63,7 +65,7 @@ _ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK;
                   # both / 2 or / 4 when at most 4 or 2 regions (_layout)
 _GROUP_PLANES = 64   # a product: at most 64 x _CHUNK float32 entries (512 KB)
 _TREE_BITS = 6    # planes up to which a region counts every code
-_TREE_WORDS = 256    # words of each plane per pass of the popcount tree
+_LEAF_WORDS = 1 << 16   # words of a group's slot rows per counting pass
 
 # spawn-key roles keeping derived seed streams disjoint
 _ROLE_BLOCK = 0
@@ -364,24 +366,42 @@ def _arc_mass(normals):
 def _gaussian_draw(width):
     """draw(rng, count): count x width float32 standard Gaussian vectors.
 
-    Box-Muller: the first half of one array of uniforms u gives radii
+    Box-Muller on float32 uniforms u: the first half of them gives radii
     sqrt(-2 log u), the second angles 2 pi u, and the radii times their
-    cos and sin fill the two halves of the block.
+    cos and sin fill the two halves of the block.  The uniforms are those
+    of rng.random(dtype=np.float32), bit for bit, built from the
+    generator's raw 64-bit words: numpy makes each float32 uniform from
+    the top 24 bits of a 32-bit output, (w >> 8) 2^-24, and PCG64 hands
+    out the low half of each word before its high half.  The transform
+    runs in place in the array of raw words, which holds the block; the
+    cosines pass through one scratch array that draw keeps from call to
+    call, so a run of draws allocates only the raw words.
     """
+    cosines = np.empty(0, dtype=np.float32)
+
     def draw(rng, count):
+        nonlocal cosines
         half = -(-count * width // 2)
-        u = rng.random(2 * half, dtype=np.float32)
+        outputs = rng.bit_generator.random_raw(half).view(np.uint32)
+        outputs >>= 8
+        u = outputs.view(np.float32)
+        # exact below 2^24; np.multiply(outputs, ..., out=u) would first
+        # copy its input, which overlaps u
+        np.copyto(u, outputs, casting="unsafe")
+        u *= 2.0 ** -24
         np.maximum(u, 2.0 ** -25, out=u)   # 0 moves to its cell's midpoint
         radius, angle = u[:half], u[half:]
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
         angle *= 2.0 * math.pi
-        x = np.empty((2, half), dtype=np.float32)
-        np.cos(angle, out=x[0])
-        np.sin(angle, out=x[1])
-        x *= radius
-        return x.reshape(-1)[:count * width].reshape(count, width)
+        if len(cosines) < half:
+            cosines = np.empty(half, dtype=np.float32)
+        cos = np.cos(angle, out=cosines[:half])
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        return u[:count * width].reshape(count, width)
     return draw
 
 
@@ -427,7 +447,11 @@ class _PlaneGroup:
     A batch of chunks makes one product with the stacked planes, and its
     (chunk, region, plane, sample) view holds every region's signs, packed
     into bits for packed_counts: 2^h bins, one per code, up to _TREE_BITS
-    planes, and the three bins (-R, elsewhere, R) above.
+    planes, and the three bins (-R, elsewhere, R) above.  A region keeps
+    slots rows of packed words: with a bin per code one per nonempty
+    subset S of its planes, row S - 1 for S read as a bit mask, so that
+    plane j packs into row 2^j - 1 and packed_counts fills the others;
+    else one per plane.  rows lists the row of each stacked plane.
     """
 
     def __init__(self, normal_sets, chunk, bins=None):
@@ -440,6 +464,11 @@ class _PlaneGroup:
         self.chunk = chunk
         self.step = max(1, _GROUP_PLANES * _CHUNK
                         // (max(len(self.planes), 1) * chunk))
+        every = self.bins == 1 << self.h
+        self.slots = self.bins - 1 if every else self.h
+        own = (1 << np.arange(self.h)) - 1 if every else np.arange(self.h)
+        self.rows = (np.arange(self.count)[:, None] * self.slots
+                     + own).ravel()
 
     def batches(self, size):
         """Batches (first chunk, stop chunk, rows per chunk) covering a
@@ -453,32 +482,40 @@ class _PlaneGroup:
                  for c in range(w, min(w + window, full), self.step)]
                 + ([(full, full + 1, rest)] if rest else []))
 
-    def packed_counts(self, words):
-        """The bins of every region, (region, bin) flattened, from its signs
-        packed into uint64 words, (plane, word): a wide region's -R and R
-        by a NOR and an AND of its planes.  Up to _TREE_BITS planes, plane
-        h-1 splits the words into the readings where it is clear and where
-        it is set, plane h-2 splits each of those, and so on down to plane
-        0, so that leaf i holds the readings of code i, and np.bitwise_count
-        counts each leaf: about 2^(h+1) word operations per 64 readings.
-        Bits clear in every plane, a short chunk's padding among them, count
-        in the first bin."""
-        planes = words.reshape(self.count, self.h, -1)
+    def packed_counts(self, words, ones):
+        """The bins of every region, (region, bin) flattened, from its slot
+        rows of uint64 words, (region slot, word), at most 2^17 readings:
+        a wide region's -R and R by a NOR and an AND of its planes.  Up to
+        _TREE_BITS planes, the row of S | 2^j, S a subset of planes 0 to
+        j - 1, is the row of S AND plane j, written in place subset size
+        after subset size; np.bitwise_count counts each row's set bits into
+        the uint8 scratch ones, and its sum is g(S), the readings positive
+        on every plane of S, g(empty set) every reading.  The readings of
+        code T are then f(T) = sum over S containing T of (-1)^|S - T| g(S)
+        (Moebius inversion over subsets, G.-C. Rota, Z. Wahrscheinlichkeits-
+        theorie 2, 1964), h subtractions over the 2^h bins.  Bits clear in
+        every plane, a short chunk's padding among them, count in the first
+        bin."""
+        planes = words.reshape(self.count, self.slots, -1)
         if self.h > _TREE_BITS:
             ends = [np.bitwise_count(w).sum(axis=1, dtype=np.int64) for w in (
                 ~np.bitwise_or.reduce(planes, axis=1),
                 np.bitwise_and.reduce(planes, axis=1))]
             return np.column_stack(
                 [ends[0], planes.shape[2] * 64 - sum(ends), ends[1]]).ravel()
-        top = planes[:, -1:]
-        level = np.concatenate([~top, top], axis=1)
-        for j in range(self.h - 2, -1, -1):
-            split = np.empty((self.count, 2 * level.shape[1],
-                              planes.shape[2]), dtype=np.uint64)
-            np.bitwise_and(level, planes[:, j:j + 1], out=split[:, 1::2])
-            np.bitwise_xor(level, split[:, 1::2], out=split[:, 0::2])
-            level = split
-        return np.bitwise_count(level).sum(axis=2, dtype=np.int64).ravel()
+        for j in range(1, self.h):
+            row = (1 << j) - 1                  # the row of plane j
+            np.bitwise_and(planes[:, :row], planes[:, row:row + 1],
+                           out=planes[:, row + 1:2 * row + 1])
+        ones = ones[:planes.size].reshape(planes.shape)
+        np.bitwise_count(planes, out=ones)
+        codes = np.empty((self.count, self.bins), dtype=np.int64)
+        codes[:, 0] = planes.shape[2] * 64
+        codes[:, 1:] = ones.sum(axis=2, dtype=np.uint32)
+        for j in range(self.h):
+            split = codes.reshape(self.count, -1, 2, 1 << j)
+            split[:, :, 0] -= split[:, :, 1]
+        return codes.ravel()
 
 
 class _UnionGroup(_PlaneGroup):
@@ -499,11 +536,12 @@ class _UnionGroup(_PlaneGroup):
         # among them, is a hit when some need has no positive plane
         self.zero = np.array([int((signed < 0).all(axis=1).any())])
 
-    def packed_counts(self, words):
+    def packed_counts(self, words, ones):
         """(misses, hits) of the readings packed into uint64 words,
-        (plane, word): per need the AND over its planes of the plane's
-        words XOR its mask, ORed over the needs, a slice of needs at a time
-        so that each gather stays within _GROUP_PLANES x _CHUNK words."""
+        (plane, word), ones unused: per need the AND over its planes of the
+        plane's words XOR its mask, ORed over the needs, a slice of needs at
+        a time so that each gather stays within _GROUP_PLANES x _CHUNK
+        words."""
         words = words.reshape(self.h, -1)
         hit = np.zeros(words.shape[1], dtype=np.uint64)
         step = max(1, _GROUP_PLANES * _CHUNK // words.shape[1])
@@ -569,11 +607,18 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     product.
 
     Every group packs the signs of each product, 64 readings of a chunk
-    per uint64 word, into a (plane, chunk, byte) buffer, likewise one per
-    call, and counts them by _PlaneGroup.packed_counts whenever the next
-    batch would overflow about _TREE_WORDS words per plane, so the tree's
-    levels stay in cache; the padding of a short last chunk is taken off
-    the first bins (group.zero).
+    per uint64 word, into its planes' slot rows (see _PlaneGroup) of a
+    (slot row, chunk, byte) buffer, and counts them by
+    _PlaneGroup.packed_counts whenever the next batch would overflow
+    _LEAF_WORDS words of slot rows, so that a pass stays in cache; a pass
+    takes one batch at least and one block at most.  The padding of a
+    short last chunk is taken off the first bins (group.zero).
+
+    The row buffer, the product and its signs, the sign buffer and the
+    popcount bytes are one workspace per call, reused block after block
+    through out= arguments and views, and the draw keeps its own scratch:
+    a block allocates the generator's raw words, its Haar rotations and
+    arrays of a few KB, nothing else.
     """
     n = int(mc.samples)
     if n <= 0:
@@ -585,12 +630,22 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     fresh = _gaussian_draw(width)
     window = _ROWS // _CHUNK
     words = -(-chunk // 64)             # uint64 words of one packed chunk
-    shapes = [(len(group.planes), max(_TREE_WORDS // words, group.step),
-               8 * words) for group in groups]
-    signs = np.empty(max(map(math.prod, shapes)), dtype=np.uint8)
-    # each group's (plane, chunk, byte) view of the one sign buffer
-    views = [signs[:math.prod(shape)].reshape(shape) for shape in shapes]
+    block = -(-min(n, _BLOCK) // chunk)     # chunks of the first block
+    entries, shapes = 0, []
+    for group in groups:
+        batch = min(group.step, window, block)  # chunks of its longest batch
+        entries = max(entries, min(len(group.planes), _GROUP_PLANES)
+                      * batch * chunk)
+        height = group.count * group.slots
+        shapes.append((height, min(max(_LEAF_WORDS // (height * words),
+                                       batch), block), 8 * words))
     rows = np.empty((window, width, chunk), dtype=np.float32)
+    product = np.empty(entries, dtype=np.float32)
+    positive = np.empty(entries, dtype=bool)
+    signs = np.empty(max(map(math.prod, shapes)), dtype=np.uint8)
+    ones = np.empty(len(signs) // 8, dtype=np.uint8)
+    # each group's (slot row, chunk, byte) view of the one sign buffer
+    views = [signs[:math.prod(shape)].reshape(shape) for shape in shapes]
 
     def count(b):
         size = min(_BLOCK, n - b * _BLOCK)
@@ -614,20 +669,25 @@ def _region_histograms(normal_sets, width, mc, needs=None):
                 batch = rows[start % window:][:stop - start, :, :length]
                 if filled + stop - start > bits.shape[1]:
                     counts[first:last] += group.packed_counts(
-                        bits[:, :filled].view(np.uint64))
+                        bits[:, :filled].view(np.uint64), ones)
                     filled = 0
                 into = bits[:, filled:filled + stop - start]
                 # a union of many planes multiplies _GROUP_PLANES at a time
                 for p in range(0, len(group.planes), _GROUP_PLANES):
-                    packed = np.packbits(
-                        turned[start:stop, p:p + _GROUP_PLANES] @ batch > 0.0,
-                        axis=-1, bitorder="little")
-                    into[p:p + _GROUP_PLANES, :, :packed.shape[2]] = (
-                        packed.transpose(1, 0, 2))
-                into[:, :, packed.shape[2]:] = 0
+                    stack = turned[start:stop, p:p + _GROUP_PLANES]
+                    shape = stack.shape[:2] + (length,)
+                    dots = product[:math.prod(shape)].reshape(shape)
+                    np.matmul(stack, batch, out=dots)
+                    above = positive[:dots.size].reshape(shape)
+                    np.greater(dots, 0.0, out=above)
+                    packed = np.packbits(above, axis=-1, bitorder="little")
+                    into[group.rows[p:p + _GROUP_PLANES], :,
+                         :packed.shape[2]] = packed.transpose(1, 0, 2)
+                if packed.shape[2] < bits.shape[2]:     # a short chunk
+                    into[group.rows, :, packed.shape[2]:] = 0
                 filled += stop - start
             counts[first:last] += group.packed_counts(
-                bits[:, :filled].view(np.uint64))
+                bits[:, :filled].view(np.uint64), ones)
             # the padding bits of short chunks read as clear in every plane
             counts[first + group.zero] -= chunks * words * 64 - size
         return counts

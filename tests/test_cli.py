@@ -87,9 +87,15 @@ def test_check_dichotomy_flag(capsys):
     (["sgb", "--random-simplex", "--vertices", "[[1, 0], [0, 1]]"],
      ("--random-simplex", "--vertices")),
     (["sgb", "--vertices", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "--dim",
-      "5"], ("--vertices", "--dim"))],
+      "5"], ("--vertices", "--dim")),
+    # an option given as 0 is given
+    (["check", "s2-octahedron", "--orbit-depth", "0"],
+     ("--orbit-depth", "--dichotomy")),
+    (["sgb", "--vertices", "[[1, 0], [0, 1]]", "--dim", "0"],
+     ("--vertices", "--dim"))],
     ids=["orbit-depth-without-dichotomy", "random-simplex-and-vertices",
-         "vertices-and-dim"])
+         "vertices-and-dim", "orbit-depth-0-without-dichotomy",
+         "vertices-and-dim-0"])
 def test_ignored_option_is_a_named_conflict(capsys, argv, options):
     code, out = run(capsys, "--format", "json", "--samples", "1000", *argv)
     diagnostic = json.loads(out)
