@@ -10,10 +10,12 @@ read from, so that linear maps of it keep their shared samples.
 Monte Carlo evaluation draws Gaussian vectors in fixed blocks with
 per-block derived seeds and counts each sample's signs against a
 region's planes, packed into bits, into a histogram, so a result is a
-pure function of (seed, samples).  A region of at most _TREE_BITS planes
-counts every sign code, recovered from the popcounts of the ANDs of each
-subset of its planes, a wider one the three bins -R, elsewhere and R; -R
-is the first bin and R the last either way, so a mass reads the last.
+pure function of (seed, samples).  Only an evaluation that asks for codes,
+the full cuts of an angle table, counts every sign code of a region of at
+most _TREE_BITS planes, recovered from the popcounts of the ANDs of each
+subset of its planes; any other, and a wider region, counts the three
+bins -R, elsewhere and R; -R is the first bin and R the last either way,
+so a mass reads the last.
 Every measure answers eval_many as one batch: a round or subsphere
 measure draws once for all its sampled regions (see _region_masses), a
 mixture asks each component once, a restriction asks its base once.  A
@@ -64,7 +66,7 @@ _CHUNK = 2048     # rows per chunk: a region turns each by its own rotation
 _ROWS = 1 << 15   # fresh rows per block of readings, a multiple of _CHUNK;
                   # both / 2 or / 4 when at most 4 or 2 regions (_layout)
 _GROUP_PLANES = 64   # a product: at most 64 x _CHUNK float32 entries (512 KB)
-_TREE_BITS = 6    # planes up to which a region counts every code
+_TREE_BITS = 6    # planes up to which a region asked for codes counts them
 _LEAF_WORDS = 1 << 16   # words of a group's slot rows per counting pass
 
 # spawn-key roles keeping derived seed streams disjoint
@@ -145,11 +147,12 @@ class Estimates:
 
     A source is an array of Monte Carlo sample counts.  A region's has -R
     in its first bin and R in its last, which a mass and a sampled k read
-    (simplex.k_and_mass): up to _TREE_BITS planes a bin per code, bit j
-    set when a sample lies on the positive side of plane j, so the mass
-    where all planes of a mask are positive is a superset sum of the
-    counts (shares); a wider region's are -R, elsewhere and R.  A union's
-    source counts its misses and hits (see _union_histogram).
+    (simplex.k_and_mass): asked for codes (MeasureSpec.eval_many), up to
+    _TREE_BITS planes, a bin per code, bit j set when a sample lies on the
+    positive side of plane j, so the mass where all planes of a mask are
+    positive is a superset sum of the counts (shares); else -R, elsewhere
+    and R.  A union's source counts its misses and hits (see
+    _union_histogram).
 
     An estimate without coefficients is exact.  Any other adds to its
     offset the exactly rounded sum, over the sources it reads, of the
@@ -446,27 +449,29 @@ class _PlaneGroup:
 
     A batch of chunks makes one product with the stacked planes, and its
     (chunk, region, plane, sample) view holds every region's signs, packed
-    into bits for packed_counts: 2^h bins, one per code, up to _TREE_BITS
-    planes, and the three bins (-R, elsewhere, R) above.  A region keeps
-    slots rows of packed words: with a bin per code one per nonempty
-    subset S of its planes, row S - 1 for S read as a bit mask, so that
-    plane j packs into row 2^j - 1 and packed_counts fills the others;
-    else one per plane.  rows lists the row of each stacked plane.
+    into bits for packed_counts: with codes, up to _TREE_BITS planes, 2^h
+    bins, one per code (self.codes), else the three bins (-R, elsewhere,
+    R).  A region keeps slots rows of packed words: with a bin per code one
+    per nonempty subset S of its planes, row S - 1 for S read as a bit
+    mask, so that plane j packs into row 2^j - 1 and packed_counts fills
+    the others; else one per plane.  rows lists the row of each stacked
+    plane.
     """
 
-    def __init__(self, normal_sets, chunk, bins=None):
+    def __init__(self, normal_sets, chunk, codes):
         self.count = len(normal_sets)
         self.h = len(normal_sets[0])
         self.planes = np.concatenate(normal_sets)
-        self.bins = bins or (1 << self.h if self.h <= _TREE_BITS else 3)
+        self.codes = codes and self.h <= _TREE_BITS
+        self.bins = 1 << self.h if self.codes else 3
         self.size = self.count * self.bins
         self.zero = np.arange(0, self.size, self.bins)   # bins of -R
         self.chunk = chunk
         self.step = max(1, _GROUP_PLANES * _CHUNK
                         // (max(len(self.planes), 1) * chunk))
-        every = self.bins == 1 << self.h
-        self.slots = self.bins - 1 if every else self.h
-        own = (1 << np.arange(self.h)) - 1 if every else np.arange(self.h)
+        self.slots = self.bins - 1 if self.codes else self.h
+        own = ((1 << np.arange(self.h)) - 1 if self.codes
+               else np.arange(self.h))
         self.rows = (np.arange(self.count)[:, None] * self.slots
                      + own).ravel()
 
@@ -485,8 +490,8 @@ class _PlaneGroup:
     def packed_counts(self, words, ones):
         """The bins of every region, (region, bin) flattened, from its slot
         rows of uint64 words, (region slot, word), at most 2^17 readings:
-        a wide region's -R and R by a NOR and an AND of its planes.  Up to
-        _TREE_BITS planes, the row of S | 2^j, S a subset of planes 0 to
+        three bins count -R and R by a NOR and an AND of its planes.  A bin
+        per code needs more: the row of S | 2^j, S a subset of planes 0 to
         j - 1, is the row of S AND plane j, written in place subset size
         after subset size; np.bitwise_count counts each row's set bits into
         the uint8 scratch ones, and its sum is g(S), the readings positive
@@ -497,7 +502,7 @@ class _PlaneGroup:
         every plane, a short chunk's padding among them, count in the first
         bin."""
         planes = words.reshape(self.count, self.slots, -1)
-        if self.h > _TREE_BITS:
+        if not self.codes:
             ends = [np.bitwise_count(w).sum(axis=1, dtype=np.int64) for w in (
                 ~np.bitwise_or.reduce(planes, axis=1),
                 np.bitwise_and.reduce(planes, axis=1))]
@@ -509,13 +514,13 @@ class _PlaneGroup:
                            out=planes[:, row + 1:2 * row + 1])
         ones = ones[:planes.size].reshape(planes.shape)
         np.bitwise_count(planes, out=ones)
-        codes = np.empty((self.count, self.bins), dtype=np.int64)
-        codes[:, 0] = planes.shape[2] * 64
-        codes[:, 1:] = ones.sum(axis=2, dtype=np.uint32)
+        counts = np.empty((self.count, self.bins), dtype=np.int64)
+        counts[:, 0] = planes.shape[2] * 64
+        counts[:, 1:] = ones.sum(axis=2, dtype=np.uint32)
         for j in range(self.h):
-            split = codes.reshape(self.count, -1, 2, 1 << j)
+            split = counts.reshape(self.count, -1, 2, 1 << j)
             split[:, :, 0] -= split[:, :, 1]
-        return codes.ravel()
+        return counts.ravel()
 
 
 class _UnionGroup(_PlaneGroup):
@@ -526,7 +531,8 @@ class _UnionGroup(_PlaneGroup):
     number), a shorter need repeating its first number."""
 
     def __init__(self, planes, needs, chunk):
-        super().__init__([planes], chunk, bins=2)
+        super().__init__([planes], chunk, False)
+        self.bins = self.size = 2
         longest = max(map(len, needs))
         signed = np.array([need + need[:1] * (longest - len(need))
                            for need in sorted(needs)])
@@ -556,16 +562,16 @@ class _UnionGroup(_PlaneGroup):
         return np.array([hit.size * 64 - hits, hits])
 
 
-def _plane_groups(normal_sets, chunk):
+def _plane_groups(normal_sets, chunk, codes):
     """The regions as consecutive _PlaneGroups read in chunks of chunk
-    rows, each of at most _GROUP_PLANES planes unless a single region has
-    more."""
+    rows, counting codes or not, each of at most _GROUP_PLANES planes
+    unless a single region has more."""
     groups, first = [], 0
     for i in range(1, len(normal_sets) + 1):
         h = len(normal_sets[first])
         if (i == len(normal_sets) or len(normal_sets[i]) != h
                 or (i + 1 - first) * h > _GROUP_PLANES):
-            groups.append(_PlaneGroup(normal_sets[first:i], chunk))
+            groups.append(_PlaneGroup(normal_sets[first:i], chunk, codes))
             first = i
     return groups
 
@@ -580,15 +586,17 @@ def _layout(count):
     return _CHUNK // f, _ROWS // f
 
 
-def _region_histograms(normal_sets, width, mc, needs=None):
+def _region_histograms(normal_sets, width, mc, codes=False, needs=None):
     """One histogram per region over the same mc.samples readings, or
     with needs, the (miss, hit) histogram of the one region's planes
     counted by _UnionGroup.
 
     A histogram is an int64 array of counts with -R in its first bin and
-    R in its last: a region of h <= _TREE_BITS planes has one bin per
-    code, bit j set where a reading lies on the positive side of plane j
-    (see Estimates), and a wider one the three bins (-R, elsewhere, R).
+    R in its last: with codes, a region of h <= _TREE_BITS planes has one
+    bin per code, bit j set where a reading lies on the positive side of
+    plane j (see Estimates); any other has the three bins (-R, elsewhere,
+    R).  Both count the same readings, so the three bins are the first
+    code, the codes between and the last code.
 
     Block b of _BLOCK readings draws from the stream (block, b), and the
     blocks' integer counts are summed in order.  The layout follows the
@@ -614,17 +622,17 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     takes one batch at least and one block at most.  The padding of a
     short last chunk is taken off the first bins (group.zero).
 
-    The row buffer, the product and its signs, the sign buffer and the
-    popcount bytes are one workspace per call, reused block after block
-    through out= arguments and views, and the draw keeps its own scratch:
-    a block allocates the generator's raw words, its Haar rotations and
-    arrays of a few KB, nothing else.
+    The row buffer, the product and its signs, the sign buffer and, when
+    some group counts every code, the popcount bytes are one workspace per
+    call, reused block after block through out= arguments and views, and
+    the draw keeps its own scratch: a block allocates the generator's raw
+    words, its Haar rotations and arrays of a few KB, nothing else.
     """
     n = int(mc.samples)
     if n <= 0:
         raise ValueError("samples must be positive")
     chunk, fresh_rows = _layout(len(normal_sets))
-    groups = (_plane_groups(normal_sets, chunk) if needs is None
+    groups = (_plane_groups(normal_sets, chunk, codes) if needs is None
               else [_UnionGroup(normal_sets[0], needs, chunk)])
     offsets = np.cumsum([0] + [group.size for group in groups])
     fresh = _gaussian_draw(width)
@@ -643,7 +651,8 @@ def _region_histograms(normal_sets, width, mc, needs=None):
     product = np.empty(entries, dtype=np.float32)
     positive = np.empty(entries, dtype=bool)
     signs = np.empty(max(map(math.prod, shapes)), dtype=np.uint8)
-    ones = np.empty(len(signs) // 8, dtype=np.uint8)
+    ones = (np.empty(len(signs) // 8, dtype=np.uint8)
+            if any(group.codes for group in groups) else None)
     # each group's (slot row, chunk, byte) view of the one sign buffer
     views = [signs[:math.prod(shape)].reshape(shape) for shape in shapes]
 
@@ -747,14 +756,16 @@ def _union_histogram(normal_sets, width, mc):
         return np.array([mc.samples, 0])
     if _covers(needs, len(index.rows)):
         return np.array([0, mc.samples])
-    return _region_histograms([np.array(index.rows)], width, mc, needs)[0]
+    return _region_histograms([np.array(index.rows)], width, mc, False,
+                              needs)[0]
 
 
-def _region_masses(normal_sets, exact_value, width, mc):
+def _region_masses(normal_sets, exact_value, width, mc, codes):
     """Masses of regions on S^(width-1) given by their normals.
 
     exact_value(normals) gives a closed form or None.  The regions without
-    one are sampled from one shared Gaussian draw, cut into chunks of
+    one are sampled, their histograms counting codes or not (see
+    _region_histograms), from one shared Gaussian draw, cut into chunks of
     _CHUNK / f rows (_layout).  Region i reads each chunk turned by a Haar
     rotation Q drawn afresh for (block, chunk, i): testing Q x against the
     planes is testing x against the planes turned by Q^T.  For independent
@@ -787,8 +798,8 @@ def _region_masses(normal_sets, exact_value, width, mc):
     mc = mc or MCConfig()
     values = [exact_value(normals) for normals in normal_sets]
     sampled = [i for i, v in enumerate(values) if v is None]
-    hists = (_region_histograms([normal_sets[i] for i in sampled], width, mc)
-             if sampled else [])
+    hists = (_region_histograms([normal_sets[i] for i in sampled], width, mc,
+                                codes) if sampled else [])
     return Estimates.masses([0.0 if v is None else float(v) for v in values],
                             sampled, hists)
 
@@ -836,19 +847,23 @@ class MeasureSpec(ABC):
         """Measure of a Region, exact where supported, else Monte Carlo."""
         return self.eval_many([region], mc)[0]
 
-    def eval_many(self, regions, mc=None):
+    def eval_many(self, regions, mc=None, codes=False):
         """Measures of several Regions, as Estimates in input order.
 
         A pure function of (regions, mc), answered as one batch: a sampled
         round or subsphere measure draws once for all regions, a mixture
         asks each component once for all of them, and a region restriction
         asks its base once for A, -A and the regions R∩A and R∩-A of
-        every region R.
+        every region R.  A sampled round or subsphere measure counts every
+        sign code of a region only when asked for codes, as an angle
+        table's full cuts are (their shares read the codes); any other
+        reader reads masses, and its histograms count three bins (see
+        _region_histograms).  The values do not depend on codes.
         """
-        return self._eval_many(self._checked(regions), mc)
+        return self._eval_many(self._checked(regions), mc, codes)
 
     @abstractmethod
-    def _eval_many(self, regions, mc):
+    def _eval_many(self, regions, mc, codes):
         ...
 
     def _checked(self, regions):
@@ -895,9 +910,9 @@ class _UniformMeasure(MeasureSpec):
     one region of the union's distinct planes, once the regions of
     closed-form mass 0 are left out)."""
 
-    def _eval_many(self, regions, mc):
+    def _eval_many(self, regions, mc, codes):
         return _region_masses([self._reduced_normals(r) for r in regions],
-                              self._exact_value, self._width, mc)
+                              self._exact_value, self._width, mc, codes)
 
     def _union_mass(self, regions, mc):
         # a region of closed-form mass 0 adds nothing to the union
@@ -1028,7 +1043,7 @@ class AtomicMeasure(MeasureSpec):
     def total_mass(self):
         return math.fsum(self._weights)
 
-    def _eval_many(self, regions, mc):
+    def _eval_many(self, regions, mc, codes):
         # fsum is exactly rounded, so the value does not depend on atom order
         return Estimates([math.fsum(
             self._weights[_atoms_inside(self._points, region)])
@@ -1182,7 +1197,8 @@ class Mixture(MeasureSpec):
             np.arange(size * len(parts)),
             np.repeat([c for c, _ in self._components], size)), fsum=True)
 
-    def _eval_many(self, regions, mc):
+    def _eval_many(self, regions, mc, codes):
+        # the mixed batch keeps no histogram, so its components read masses
         return self._mixed(lambda m, mc: m.eval_many(regions, mc), mc)
 
     def _union_mass(self, regions, mc):
@@ -1225,7 +1241,7 @@ class RestrictedNormalized(MeasureSpec):
     def dim(self):
         return self._base.dim
 
-    def _eval_many(self, regions, mc):
+    def _eval_many(self, regions, mc, codes):
         if self._subspace is not None:
             den = self._base._subspace_mass(self._subspace, None)
             if den <= 0.0:

@@ -59,14 +59,14 @@ def angle_estimates(simplices, measure, mc=None, masses=None):
     cut_sets order.
 
     The full cut sets, whose angles are the halved simplex masses, come
-    first, from one measure.eval_many call (masses, when given), so a
-    sampled measure draws once for all simplices.  When a simplex's
-    full-cut estimate reads every sign code of its n+1 planes, every other
-    cut set is a superset share of the same histogram, so the entries
-    share its samples; the empty cut set is the exact angle 1.  The cut
-    sets of every other simplex go to a second eval_many call, all of them
-    at once, with a seed derived from mc.  A simplex wider than MAX_DIM
-    raises DimensionTooLarge before anything is evaluated.
+    first, from one measure.eval_many call that asks for codes (masses,
+    when given), so a sampled measure draws once for all simplices.  When
+    a simplex's full-cut estimate reads every sign code of its n+1 planes,
+    every other cut set is a superset share of the same histogram, so the
+    entries share its samples; the empty cut set is the exact angle 1.
+    The cut sets of every other simplex go to a second eval_many call, all
+    of them at once, with a seed derived from mc.  A simplex wider than
+    MAX_DIM raises DimensionTooLarge before anything is evaluated.
     """
     n = simplices[0].dim if len(simplices) else 0
     if any(s.dim != n for s in simplices):
@@ -75,7 +75,7 @@ def angle_estimates(simplices, measure, mc=None, masses=None):
     cuts = list(cut_sets(n))
     if masses is None:
         masses = measure.eval_many([face_region(s, cuts[-1])
-                                    for s in simplices], mc)
+                                    for s in simplices], mc, codes=True)
     size = len(cuts)
     read = [i for i, h in enumerate(masses.histograms)
             if h is not None and len(h) == size]
@@ -113,16 +113,19 @@ def k_and_mass(simplex, measure, mc=None):
     Summed over the cut sets T of at most n planes within a sign code,
     (-1)^(n - |T|) is 1 at the code of s, (-1)^n at that of -s and 0 at
     any other, so a sampled full cut with n > 0 gives k from the first and
-    last bins of its histogram (measure._region_histograms).  Any other
-    measure, and S^0, whose k is the exact 1, reads the angle table, given
-    the full cut's estimate, exactly rounded.  A simplex wider than
-    MAX_DIM raises DimensionTooLarge before anything is evaluated.
+    last bins of its histogram (measure._region_histograms), which it
+    counts as three.  Any other measure reads the angle table, given the
+    full cut's estimate, exactly rounded; so does S^0, whose k is the
+    exact 1, through a table of its own, whose full cut counts every
+    code.  A simplex wider than MAX_DIM raises DimensionTooLarge before
+    anything is evaluated.
     """
     n = simplex.dim
     check_dimension(n)
-    full = measure.eval_many([face_region(simplex, range(n + 1))], mc)
-    hist = full.histograms[0]
-    if hist is not None and n > 0:
+    full = (measure.eval_many([face_region(simplex, range(n + 1))], mc)
+            if n > 0 else None)
+    hist = None if full is None else full.histograms[0]
+    if hist is not None:
         last = len(hist) - 1
         return Estimates([0.0, 0.0], [0, 0, 1], [0, last, last],
                          [(-1.0) ** n, 1.0, 2.0], [hist])

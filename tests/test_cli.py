@@ -189,6 +189,39 @@ def test_sgb_evaluates_each_region_once(capsys, monkeypatch, argv, regions):
     assert len(sums) == 1
 
 
+_RESTRICTED_MC = json.dumps({"type": "restricted", "base": {
+    "type": "round", "monte_carlo": True}, "region": [[0, 0.6, 0.8]]})
+
+
+@pytest.mark.parametrize("argv, bins", [
+    (["sgb", "--random-simplex", "--dim", str(d)], 3) for d in range(1, 6)]
+    + [(["check", "s2-octahedron", "--measure", "round-mc"], 8),
+       (["check", "s2-octahedron", "--measure", _RESTRICTED_MC], 3),
+       (["invariance", "--measure", "round-mc", "--group", "icosahedral",
+         "--regions", "3"], 3)],
+    ids=["sgb-dim-%d" % d for d in range(1, 6)]
+    + ["octahedron", "restricted", "invariance"])
+def test_only_angle_table_full_cuts_count_every_sign_code(capsys,
+                                                          monkeypatch, argv,
+                                                          bins):
+    # the octahedron's angle table reads the shares of every code of its
+    # tops' 3 planes; sgb in dimension n >= 1 reads the first and last bins,
+    # a restriction and an invariance check masses, so they count three
+    built = []
+    init = measure._PlaneGroup.__init__
+
+    def recording(group, *args):
+        init(group, *args)
+        built.append((group.count, group.bins))
+
+    monkeypatch.setattr(measure._PlaneGroup, "__init__", recording)
+    code, _ = run(capsys, "--samples", "2000", *argv)
+    assert code == 0
+    assert built and {b for _, b in built} == {bins}
+    if bins == 8:
+        assert built == [(8, 8)]
+
+
 def test_sgb_negative_dim_is_rejected(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sgb", "--random-simplex", "--dim", "-1"])

@@ -191,7 +191,7 @@ class TestMonteCarlo:
         width = regions[0].ambient_dim + 1
         chunk, fresh_rows = mm._layout(len(regions))
         sizes = [g.count for g in mm._plane_groups(
-            [r.normals for r in regions], chunk)]
+            [r.normals for r in regions], chunk, True)]
         want = [np.zeros(n, dtype=int) for n in bins]
         for b, start in enumerate(range(0, mc.samples, mm._BLOCK)):
             size = min(mm._BLOCK, mc.samples - start)
@@ -220,17 +220,31 @@ class TestMonteCarlo:
                 first += count
         return want
 
+    @staticmethod
+    def _ends(histogram):
+        """The three bins (-R, elsewhere, R) of a histogram: its first
+        bin, the bins between and its last."""
+        first, last = histogram[0], histogram[-1]
+        return np.array([first, histogram.sum() - first - last, last])
+
     # all ten coder regions read 64-row chunks (f = 1); four of them, of 3,
     # 17, 2 and 9 planes, read 32-row chunks (f = 2), and two, of 3 and 9
     # planes, 16-row chunks (f = 4).  The ids count the regions of each
     # pick other than the 9-plane one, which joins every pick
-    _CODER_PICKS = pytest.mark.parametrize("picks, sizes, chunk", [
-        (range(10), [2, 1, 3, 1, 2, 1], 64), ((0, 3, 7, 9), [1, 1, 1, 1], 32),
-        ((0, 9), [1, 1], 16)], ids=["9-regions", "3-regions", "1-region"])
+    _PICKS = {"9-regions": (range(10), [2, 1, 3, 1, 2, 1], 64),
+              "3-regions": ((0, 3, 7, 9), [1, 1, 1, 1], 32),
+              "1-region": ((0, 9), [1, 1], 16)}
+    _CODER_PICKS = pytest.mark.parametrize(
+        "picks, sizes, chunk", _PICKS.values(), ids=_PICKS.keys())
 
-    @_CODER_PICKS
+    # each pick counting every code, then counting three bins
+    @pytest.mark.parametrize("picks, sizes, chunk, codes", [
+        pytest.param(*pick, codes, id=name if codes else name + "-three-bins")
+        for codes, (name, pick) in itertools.product((True, False),
+                                                     _PICKS.items())])
     def test_sign_coder_matches_plane_by_plane_reference(self, monkeypatch,
-                                                         picks, sizes, chunk):
+                                                         picks, sizes, chunk,
+                                                         codes):
         mm = measure_module
         monkeypatch.setattr(mm, "_BLOCK", 500)
         monkeypatch.setattr(mm, "_CHUNK", 64)
@@ -238,15 +252,16 @@ class TestMonteCarlo:
         regions = [self._coder_regions(dim, 1)[i] for i in picks]
         mc = MCConfig(seed=9, samples=1200)
         got = RoundMeasure(dim, monte_carlo=True).eval_many(
-            regions, mc).histograms
-        assert [len(c) for c in got] == [
-            [8, 8, 2, 3, 3, 3, 3, 4, 4, 3][i] for i in picks]
+            regions, mc, codes=codes).histograms
+        bins = [[8, 8, 2, 3, 3, 3, 3, 4, 4, 3][i] for i in picks]
+        assert [len(c) for c in got] == (bins if codes else [3] * len(bins))
         assert mm._layout(len(regions))[0] == chunk
         assert [g.count for g in mm._plane_groups(
-            [r.normals for r in regions], chunk)] == sizes
-        want = self._plane_by_plane_counts(regions, mc, map(len, got))
+            [r.normals for r in regions], chunk, codes)] == sizes
+        want = self._plane_by_plane_counts(regions, mc, bins)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            # three bins are the ends of the codes, padding in -R in both
+            assert np.array_equal(g, w if codes else self._ends(w))
         for i, w in zip(picks, want):
             if i in (3, 9):             # each bin of a wide region is hit
                 assert w.min() > 0
@@ -268,7 +283,7 @@ class TestMonteCarlo:
         for samples in (100, 128, 161, 500, 501, 1200):
             mc = MCConfig(seed=11, samples=samples)
             got = RoundMeasure(dim, monte_carlo=True).eval_many(
-                regions, mc).histograms
+                regions, mc, codes=True).histograms
             want = self._plane_by_plane_counts(regions, mc, map(len, got))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -288,7 +303,7 @@ class TestMonteCarlo:
             regions = [Region(rng.standard_normal((h, dim + 1)), dim)
                        for _ in range(count)]
             got = RoundMeasure(dim, monte_carlo=True).eval_many(
-                regions, mc).histograms
+                regions, mc, codes=True).histograms
             want = self._plane_by_plane_counts(regions, mc, map(len, got),
                                                np.float64)
             moved = sum(int(abs(g - w).sum()) for g, w in zip(got, want))
@@ -550,7 +565,8 @@ class TestMonteCarlo:
                                                          samples):
         # groups of 1-6 planes per region, some sharing a stack, next to a
         # 7-plane one that counts three bins, against the plane-by-plane
-        # reference.  With calls = 2 each histogram is taken twice in turn:
+        # reference, counting every code and then three bins, the ends of
+        # the codes.  With calls = 2 each histogram is taken twice in turn:
         # the row and sign buffers are new to each call (np.empty, possibly
         # recycled memory), so nothing of one call may reach the next
         mm = measure_module
@@ -564,21 +580,30 @@ class TestMonteCarlo:
             want = self._plane_by_plane_counts(regions, mc, bins)
             for _ in range(calls):
                 got = mm._region_histograms([r.normals for r in regions],
-                                            width, mc)
+                                            width, mc, True)
                 assert [len(g) for g in got] == bins
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
                     assert g.sum() == samples
+            ends = mm._region_histograms([r.normals for r in regions],
+                                         width, mc)
+            for g, w in zip(ends, want):
+                assert np.array_equal(g, self._ends(w))
 
-    @pytest.mark.parametrize("leaf_words", [1, 336])
+    @pytest.mark.parametrize("leaf_words, codes", [
+        pytest.param(words, codes, id=str(words) + ("" if codes
+                                                    else "-three-bins"))
+        for codes in (True, False) for words in (1, 336)])
     @pytest.mark.parametrize("samples", [1000, 2999, 4321])
     def test_counting_passes_split_blocks_like_the_code_bincount(
-            self, monkeypatch, leaf_words, samples):
+            self, monkeypatch, leaf_words, codes, samples):
         # eight 3-plane regions (56 slot rows, batches of 2 chunks) and one
         # 6-plane region (63 slot rows, batches of 10 chunks) in blocks of
         # 16 chunks of 64 rows, the last one short.  _LEAF_WORDS = 336
         # passes 6 and 10 chunks at a time, 1 one batch at a time, so every
-        # block is counted in several passes
+        # block is counted in several passes.  Counting three bins, the
+        # regions keep 24 and 6 slot rows, and 336 passes 14 chunks and a
+        # whole block
         mm = measure_module
         monkeypatch.setattr(mm, "_LEAF_WORDS", leaf_words)
         monkeypatch.setattr(mm, "_BLOCK", 1000)
@@ -588,28 +613,48 @@ class TestMonteCarlo:
                    for h in (3,) * 8 + (6,)]
         mc = MCConfig(seed=samples, samples=samples)
         want = self._plane_by_plane_counts(regions, mc, [8] * 8 + [64])
-        got = mm._region_histograms([r.normals for r in regions], 3, mc)
+        got = mm._region_histograms([r.normals for r in regions], 3, mc,
+                                    codes)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            assert np.array_equal(g, w if codes else self._ends(w))
             assert g.sum() == samples
+
+    @staticmethod
+    def _traced_peak(normal_sets, width, mc, codes):
+        """The histograms of one _region_histograms call and the peak of
+        the memory it traced, after a first call has imported
+        numpy.random, which would count 0.75 MB."""
+        measure_module._region_histograms(normal_sets, width,
+                                          MCConfig(samples=1), codes)
+        tracemalloc.start()
+        try:
+            got = measure_module._region_histograms(normal_sets, width, mc,
+                                                    codes)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_octahedron_histograms_stay_within_their_workspace(self):
         # the draw, the rows, the product and its signs, the packed signs
-        # and the popcount bytes of one call: 2.1 MB, against 1.2 MB with
-        # fresh temporaries per batch and 2.5 MB with a block per pass
+        # and the popcount bytes of one call counting every code, as the
+        # octahedron's angle table does: 2.1 MB, against 1.2 MB with fresh
+        # temporaries per batch and 2.5 MB with a block per pass
         octants = [np.diag(signs).astype(float)
                    for signs in itertools.product((1.0, -1.0), repeat=3)]
         mc = MCConfig(seed=1, samples=1_000_000)
-        # a first call imports numpy.random, which would count 0.75 MB
-        measure_module._region_histograms(octants, 3, MCConfig(samples=1))
-        tracemalloc.start()
-        try:
-            got = measure_module._region_histograms(octants, 3, mc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = self._traced_peak(octants, 3, mc, True)
         assert [int(g.sum()) for g in got] == [mc.samples] * 8
         assert peak < 2.5e6
+
+    def test_three_bins_keep_a_slot_row_per_plane(self):
+        # one sgb-sized call on a random 5-plane region of S^4 counting
+        # three bins keeps 5 slot rows and no popcount bytes: 0.70 MB,
+        # against 1.28 MB counting every code in 31 slot rows
+        normals = np.random.default_rng(5).standard_normal((5, 5))
+        mc = MCConfig(seed=1, samples=250_000)
+        got, peak = self._traced_peak([normals], 5, mc, False)
+        assert [len(g) for g in got] == [3] and got[0].sum() == mc.samples
+        assert peak < 1.0e6
 
     def test_partial_union_std_error_calibrated(self):
         # {x>0, y>0} and {y>0, z>0} with their antipodes miss the octants
@@ -1193,8 +1238,8 @@ class TestInvarianceChecks:
         m = RoundMeasure(2, monte_carlo=True)
         batches = []
         real = m._eval_many
-        monkeypatch.setattr(m, "_eval_many", lambda regions, mc: (
-            batches.append(len(regions)) or real(regions, mc)))
+        monkeypatch.setattr(m, "_eval_many", lambda regions, mc, codes: (
+            batches.append(len(regions)) or real(regions, mc, codes)))
         rng = np.random.default_rng(3)
         regions = [random_region(2, rng, k) for k in (1, 2, 3)]
         report = check_invariance(m, [rotation_z(0.9), rotation_x(0.4)],

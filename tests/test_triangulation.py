@@ -76,7 +76,8 @@ def _reference_std_errors(tri, measure, mc):
 
     if isinstance(measure, RoundMeasure):
         tops = sampled.eval_many([face_region(dev, full)
-                                  for dev in tri.developed], mc).histograms
+                                  for dev in tri.developed], mc,
+                                 codes=True).histograms
         for t, h in enumerate(tops):
             for cut in cut_sets(n):
                 mask = sum(1 << i for i in cut)

@@ -12,9 +12,10 @@ simplex under round-mc, round and the 25/75 mixture of round and atoms,
 and invariance of ten measures under three groups, at seeds 1 and 2 and
 3000 and 40000 samples; then, at both seeds
 and 300000 samples, so that Monte Carlo draws span several blocks, the
-octahedron check with round-mc and --dichotomy, sgb in dimensions 4-7,
-whose simplices of 5-8 planes count every sign code up to 6 planes and
-three bins above, and five more chart unions with
+octahedron check with round-mc and --dichotomy, sgb in dimension 0,
+whose k reads the angle table of its one plane and so counts both its
+sign codes, and in dimensions 4-7, whose simplices of 5-8 planes count
+three bins, and five more chart unions with
 --dichotomy: t2-grid --k 6 and klein-grid --k 5 at --orbit-depth 2 under
 their own measure, whose 312 and 314 bitwise distinct normals merge into
 3 and 4 planes (every chart there has closed-form mass 0, so the union
@@ -152,7 +153,7 @@ def battery(folder):
         runs += [head + ["check", "s2-octahedron", "--measure", "round-mc",
                          "--dichotomy"]]
         runs += [head + ["sgb", "--random-simplex", "--dim", str(d)]
-                 for d in (4, 5, 6, 7)]
+                 for d in (0, 4, 5, 6, 7)]
         runs += [head + ["check"] + args + ["--dichotomy"] for args in (
             ["t2-grid", "--k", "6", "--orbit-depth", "2"],
             ["t2-grid", "--k", "6", "--orbit-depth", "2", "--measure",
